@@ -230,18 +230,21 @@ class RunReport:
 def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
                        budget: int = 200_000,
                        opts: TranslationOptions | None = None,
-                       shape: Expr | None = None) -> RunReport:
+                       shape: Expr | None = None,
+                       config: Config | None = None) -> RunReport:
     """Translate, reduce to quiescence, and decode the delivered value.
 
     The run is not stopped at the first observable output: concurrent
     housekeeping (for example a map's dummy call) still fires, which keeps
     the important-step total schedule-independent.  Probing afterwards is
-    purely administrative.
+    purely administrative.  ``config``, when given, is ``e``'s normalized
+    translation under ``opts``, so runs of one program can share it.
     """
     if shape is None:
         oracle = eval_expr(e)
         shape = oracle.value if isinstance(oracle, EvalResult) else None
-    config = normalize(translate(e, "o", opts))
+    if config is None:
+        config = normalize(translate(e, "o", opts))
     trace = run(config, policy=policy, seed=seed, budget=budget)
     important = trace.work
     if trace.status == "timeout":
@@ -347,11 +350,14 @@ def check_program(e: Expr, seeds: int = 20, budget: int = 200_000,
         report.deviations.append(
             f"paper-literal mode: {report.expected_deficit} size/iota firings carry no bullet")
 
+    config = normalize(translate(e, "o", opts))
     runs: list[tuple[str, RunReport]] = [
-        ("priority", simulate_to_result(e, "priority", 0, budget, opts, oracle.value))]
+        ("priority", simulate_to_result(e, "priority", 0, budget, opts, oracle.value,
+                                        config))]
     for seed in range(seeds):
         runs.append((f"seed{seed}",
-                     simulate_to_result(e, "random", seed, budget, opts, oracle.value)))
+                     simulate_to_result(e, "random", seed, budget, opts, oracle.value,
+                                        config)))
     report.seeds_run = seeds
 
     importants = []

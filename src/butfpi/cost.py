@@ -51,8 +51,8 @@ def measure(e: Expr, policy: str = "priority", seeds: int = 0,
     for seed in range(seeds):
         labels.append((f"seed{seed}", "random", seed))
     report = CostReport(0, 0, 0, "ok")
+    config = normalize(translate(e, "o", opts))
     for label, pol, seed in labels:
-        config = normalize(translate(e, "o", opts))
         trace = run(config, policy=pol, seed=seed, budget=budget)
         entry = {"work": trace.work, "span": trace.span,
                  "admin_steps": trace.admin_steps, "status": trace.status}

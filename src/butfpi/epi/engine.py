@@ -3,7 +3,7 @@
 A process is normalized into a ``Config``: a set of restricted names (kept
 globally unique) plus a flat multiset of threads, each a sequential process
 headed by an action, a match, a folded replication, or a bullet-wrapped
-one.  Reduction enumerates redexes over the soup:
+one.  The redexes of the soup are:
 
 * COMM -- a send and a receive on the same evaluated channel with equal
   arity; replicated threads participate through one implicit unfold and
@@ -13,6 +13,16 @@ one.  Reduction enumerates redexes over the soup:
   receiver contributes one unfolded copy and persists; zero receivers is
   still a step (the payload is lost).
 * THEN / ELSE -- a comparison thread whose operands evaluate now.
+
+``enabled_redexes`` lists them by scanning a ``Config``, which ``explore``
+does once per state.  ``run`` instead keeps a ``LiveSoup``: per-channel
+queues of pending sends, receives and broadcasts (the channel queues of
+Pict's abstract machine), the sorted redex list, the arity-mismatch count
+and the observable output barbs.  A step updates them only for the threads
+it consumes, folds or spawns, so its cost no longer grows with the soup;
+a replicated participant whose residual is itself stays untouched.  Both
+paths form redexes with the same rule functions and fire them with the
+same ``_fire``, and the live list always equals the full scan's.
 
 A step is important when it consumes a bullet guarding a participating
 prefix, administrative otherwise.  Every thread carries a causal depth:
@@ -31,8 +41,10 @@ indexing.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 from butfpi.epi.pretty import pretty_process, render_chan
 from butfpi.epi.syntax import (
@@ -55,6 +67,7 @@ from butfpi.epi.syntax import (
     Term,
     TermError,
     VarT,
+    _fresh_variant,
     all_names,
     compare,
     eval_term,
@@ -129,18 +142,6 @@ def head_of(proc: Process) -> Head:
 
 
 # ------------------------------------------------------------ normalize
-
-def _fresh_variant(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    root = base.rstrip("0123456789_") or base
-    i = 2
-    while True:
-        candidate = f"{root}_{i}"
-        if candidate not in used:
-            return candidate
-        i += 1
-
 
 class _Builder:
     """Accumulates threads while hoisting restrictions and flattening parallels."""
@@ -276,6 +277,45 @@ def _decidable_terms(*terms: Term) -> bool:
     return all(not term_vars(t) for t in terms)
 
 
+def _match_redex(tid: int, h: Head) -> Redex | None:
+    """THEN, ELSE or FAULT for a comparison thread; None while undecidable."""
+    m = h.core
+    if not _decidable_terms(m.left, m.right):
+        return None
+    try:
+        taken = compare(m.op, eval_term(m.left), eval_term(m.right))
+    except TermError as exc:
+        return Redex("FAULT", (tid,), reason=str(exc))
+    return Redex("THEN" if taken else "ELSE", (tid,), branch_then=taken,
+                 bullets=h.bullets)
+
+
+def _comm_redex(key: tuple, tid: int, h: Head, rtid: int, rh: Head) -> Redex | str:
+    """COMM of a send and a receive on ``key``, or its arity-mismatch diagnostic."""
+    arity, rarity = len(h.core.args), len(rh.core.params)
+    if rarity != arity:
+        return f"arity mismatch on {key[0]}: send of {arity} vs receive of {rarity}"
+    return Redex("COMM", (tid, rtid), channel=key, bullets=h.bullets + rh.bullets)
+
+
+def _broad_redex(key: tuple, tid: int, h: Head,
+                 receivers: Iterable[tuple[int, Head]]) -> tuple[Redex, list[str]]:
+    """BROAD of a broadcast with every receiver of its arity on ``key``, plus
+    a diagnostic per receiver of another arity."""
+    arity = len(h.core.args)
+    rtids: list[int] = []
+    bullets = h.bullets
+    diagnostics: list[str] = []
+    for rtid, rh in receivers:
+        rarity = len(rh.core.params)
+        if rarity != arity:
+            diagnostics.append(f"arity mismatch on broadcast {key[0]}: {arity} vs {rarity}")
+            continue
+        rtids.append(rtid)
+        bullets += rh.bullets
+    return Redex("BROAD", (tid, *sorted(rtids)), channel=key, bullets=bullets), diagnostics
+
+
 def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
     """All redexes of the soup, in deterministic order, plus diagnostics.
 
@@ -283,9 +323,9 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
     same channel; strict-mode runs treat them as faults, permissive runs
     ignore them.
     """
-    sends: list[tuple[int, tuple, int, Head]] = []
-    recvs: dict[tuple, list[tuple[int, int, Head]]] = {}  # key -> [(tid, arity, head)]
-    bcasts: list[tuple[int, tuple, int, Head]] = []
+    sends: list[tuple[int, tuple, Head]] = []
+    recvs: dict[tuple, list[tuple[int, Head]]] = {}  # key -> [(tid, head)]
+    bcasts: list[tuple[int, tuple, Head]] = []
     redexes: list[Redex] = []
     diagnostics: list[str] = []
 
@@ -294,48 +334,32 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
         if h.core is None:
             continue
         if isinstance(h.core, Match):
-            m = h.core
-            if not _decidable_terms(m.left, m.right):
-                continue
-            try:
-                taken = compare(m.op, eval_term(m.left), eval_term(m.right))
-            except TermError as exc:
-                redexes.append(Redex("FAULT", (t.tid,), reason=str(exc)))
-                continue
-            redexes.append(Redex("THEN" if taken else "ELSE", (t.tid,),
-                                 branch_then=taken, bullets=h.bullets))
+            redex = _match_redex(t.tid, h)
+            if redex is not None:
+                redexes.append(redex)
             continue
         key = _chan_key(h.core.chan)
         if key is None:
             continue
         if isinstance(h.core, Send):
-            sends.append((t.tid, key, len(h.core.args), h))
+            sends.append((t.tid, key, h))
         elif isinstance(h.core, Bcast):
-            bcasts.append((t.tid, key, len(h.core.args), h))
+            bcasts.append((t.tid, key, h))
         else:
-            recvs.setdefault(key, []).append((t.tid, len(h.core.params), h))
+            recvs.setdefault(key, []).append((t.tid, h))
 
-    for tid, key, arity, h in sends:
-        for rtid, rarity, rh in recvs.get(key, ()):
-            if rarity != arity:
-                diagnostics.append(
-                    f"arity mismatch on {key[0]}: send of {arity} vs receive of {rarity}")
-                continue
-            redexes.append(Redex("COMM", (tid, rtid), channel=key,
-                                 bullets=h.bullets + rh.bullets))
+    for tid, key, h in sends:
+        for rtid, rh in recvs.get(key, ()):
+            redex = _comm_redex(key, tid, h, rtid, rh)
+            if isinstance(redex, str):
+                diagnostics.append(redex)
+            else:
+                redexes.append(redex)
 
-    for tid, key, arity, h in bcasts:
-        receivers: list[int] = []
-        bullets = h.bullets
-        for rtid, rarity, rh in recvs.get(key, ()):
-            if rarity != arity:
-                diagnostics.append(
-                    f"arity mismatch on broadcast {key[0]}: {arity} vs {rarity}")
-                continue
-            receivers.append(rtid)
-            bullets += rh.bullets
-        redexes.append(Redex("BROAD", (tid, *sorted(receivers)), channel=key,
-                             bullets=bullets))
+    for tid, key, h in bcasts:
+        redex, mismatches = _broad_redex(key, tid, h, recvs.get(key, ()))
+        diagnostics.extend(mismatches)
+        redexes.append(redex)
 
     redexes.sort(key=lambda r: r.key)
     return redexes, diagnostics
@@ -360,37 +384,35 @@ class CommitFault(Exception):
         self.tids = tids
 
 
-def _strip(thread: Thread, head: Head) -> Thread:
-    """The folded residual of a replicated participant (outer bullets consumed)."""
-    return replace(thread, proc=head.residual)
+def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
+          builder: _Builder, index: int) -> tuple[set[int], dict[int, Process], Step]:
+    """Fire one redex: spawn its continuations into ``builder``.
 
-
-def apply_redex(config: Config, redex: Redex) -> tuple[Config, Step]:
-    """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails."""
-    used = set(config.used)
-    restricted = set(config.restricted)
-    builder = _Builder(used, restricted, config.next_tid)
-
+    Returns the participants consumed, the folded residual of each
+    replicated participant (outer bullets consumed), and the step.  Raises
+    ``CommitFault``, before spawning anything, if commit-time evaluation
+    fails.
+    """
     consumed: set[int] = set()
-    folded: dict[int, Thread] = {}
+    folded: dict[int, Process] = {}
     important = redex.bullets > 0
     inc = 1 if important else 0
     channel_text: str | None = None
 
     if redex.rule in ("THEN", "ELSE"):
-        t = config.thread(redex.participants[0])
+        t = thread(redex.participants[0])
         h = head_of(t.proc)
         m = h.core
         branch = m.then if redex.branch_then else m.orelse
         depth_after = t.depth + inc
         if h.repl:
-            folded[t.tid] = _strip(t, h)
+            folded[t.tid] = h.residual
         else:
             consumed.add(t.tid)
         builder.add(branch, depth_after)
     elif redex.rule == "COMM":
-        s = config.thread(redex.participants[0])
-        r = config.thread(redex.participants[1])
+        s = thread(redex.participants[0])
+        r = thread(redex.participants[1])
         sh, rh = head_of(s.proc), head_of(r.proc)
         try:
             values = [eval_term(a) for a in sh.core.args]
@@ -400,51 +422,47 @@ def apply_redex(config: Config, redex: Redex) -> tuple[Config, Step]:
         depth_after = max(s.depth, r.depth) + inc
         for t, h in ((s, sh), (r, rh)):
             if h.repl:
-                folded[t.tid] = _strip(t, h)
+                folded[t.tid] = h.residual
             else:
                 consumed.add(t.tid)
         builder.add(sh.cont, depth_after)
         builder.add(rewrite(rh.cont, var_map=mapping), depth_after)
         channel_text = render_chan(sh.core.chan)
     elif redex.rule == "BROAD":
-        s = config.thread(redex.participants[0])
+        s = thread(redex.participants[0])
         sh = head_of(s.proc)
         try:
             values = [eval_term(a) for a in sh.core.args]
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
+        channel_text = render_chan(sh.core.chan)
+        if redex.channel[0] not in restricted:
+            channel_text = ":" + channel_text  # observable broadcast label
         depths = [s.depth]
         if sh.repl:
-            folded[s.tid] = _strip(s, sh)
+            folded[s.tid] = sh.residual
         else:
             consumed.add(s.tid)
         receiver_conts: list[Process] = []
         for rtid in redex.participants[1:]:
-            r = config.thread(rtid)
+            r = thread(rtid)
             rh = head_of(r.proc)
             depths.append(r.depth)
             mapping = {x: v for x, v in zip(rh.core.params, values) if x is not None}
             receiver_conts.append(rewrite(rh.cont, var_map=mapping))
             if rh.repl:
-                folded[rtid] = _strip(r, rh)
+                folded[rtid] = rh.residual
             else:
                 consumed.add(rtid)
         depth_after = max(depths) + inc
         builder.add(sh.cont, depth_after)
         for cont in receiver_conts:
             builder.add(cont, depth_after)
-        channel_text = render_chan(sh.core.chan)
-        if redex.channel[0] not in config.restricted:
-            channel_text = ":" + channel_text  # observable broadcast label
     else:
         raise ValueError(f"cannot apply redex {redex.rule}")
 
-    threads = tuple(
-        folded.get(t.tid, t) for t in config.threads if t.tid not in consumed
-    ) + tuple(builder.new_threads)
-    new_config = _make_config(threads, restricted, used, builder.next_tid)
     step = Step(
-        index=0,
+        index=index,
         kind="important" if important else "administrative",
         rule=redex.rule,
         channel=channel_text,
@@ -452,7 +470,20 @@ def apply_redex(config: Config, redex: Redex) -> tuple[Config, Step]:
         depth_after=depth_after,
         bullets=redex.bullets,
     )
-    return new_config, step
+    return consumed, folded, step
+
+
+def apply_redex(config: Config, redex: Redex) -> tuple[Config, Step]:
+    """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails."""
+    used = set(config.used)
+    restricted = set(config.restricted)
+    builder = _Builder(used, restricted, config.next_tid)
+    consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0)
+    threads = tuple(
+        replace(t, proc=folded[t.tid]) if t.tid in folded else t
+        for t in config.threads if t.tid not in consumed
+    ) + tuple(builder.new_threads)
+    return _make_config(threads, restricted, used, builder.next_tid), step
 
 
 def _drop_threads(config: Config, tids: tuple[int, ...]) -> Config:
@@ -515,9 +546,191 @@ class Trace:
         }
 
 
+class LiveSoup:
+    """The mutable, channel-indexed soup that ``run`` steps on.
+
+    Holds the threads by tid (in soup order), the pending sends, receives
+    and broadcasts of each evaluated channel, the sorted list of enabled
+    redexes, the number of arity mismatches, and how many threads show
+    each observable output barb.  A step updates the index only for the
+    threads it consumes, folds or spawns, so its cost follows the
+    participants and their channels rather than the whole soup.  At every
+    point ``redexes`` equals ``enabled_redexes(self.config())[0]`` (with
+    important and FAULT redexes left out under ``admin_only``) and
+    ``mismatches`` the length of its diagnostics.
+    """
+
+    def __init__(self, config: Config, admin_only: bool = False):
+        self.admin_only = admin_only
+        self.restricted = set(config.restricted)
+        self.used = set(config.used)
+        self.next_tid = config.next_tid
+        self.threads: dict[int, Thread] = {}
+        self.sends: dict[tuple, dict[int, Head]] = {}
+        self.recvs: dict[tuple, dict[int, Head]] = {}
+        self.bcasts: dict[tuple, dict[int, Head]] = {}
+        self.broads: dict[int, tuple[tuple[int, ...], int]] = {}  # tid -> (key, mismatches)
+        self.keys: list[tuple[int, ...]] = []  # participants of ``redexes``, sorted
+        self.redexes: list[Redex] = []
+        self.mismatches = 0
+        self.mismatched: dict[int, set[int]] = {}  # tid -> COMM partners of another arity
+        self.out_barbs: Counter[str] = Counter()
+        for t in config.threads:
+            self.threads[t.tid] = t
+            self._index(t)
+
+    def config(self) -> Config:
+        return Config(frozenset(self.restricted), tuple(self.threads.values()),
+                      frozenset(self.used), self.next_tid)
+
+    # ---------------------------------------------------------- changes
+
+    def fire(self, redex: Redex, index: int) -> Step:
+        builder = _Builder(self.used, self.restricted, self.next_tid)
+        consumed, folded, step = _fire(redex, self.threads.__getitem__,
+                                       self.restricted, builder, index)
+        self.next_tid = builder.next_tid
+        # sender first: a broadcast leaves before its receivers, so their
+        # removal does not recompute it
+        for tid in redex.participants:
+            if tid in consumed:
+                self._unindex(self.threads.pop(tid))
+        for tid, residual in folded.items():
+            old = self.threads[tid]
+            if residual is not old.proc:  # outer bullets spent: the head changed
+                self._unindex(old)
+                new = replace(old, proc=residual)
+                self.threads[tid] = new
+                self._index(new)
+        for t in builder.new_threads:
+            self.threads[t.tid] = t
+            self._index(t)
+        return step
+
+    def drop(self, tids: tuple[int, ...]) -> None:
+        for tid in tids:
+            self._unindex(self.threads.pop(tid))
+
+    def collect(self) -> None:
+        """``garbage_collect`` the soup in place."""
+        collected = garbage_collect(self.config())
+        if len(collected.threads) != len(self.threads):
+            kept = {t.tid for t in collected.threads}
+            self.drop(tuple(tid for tid in self.threads if tid not in kept))
+        self.restricted = set(collected.restricted)
+
+    # ------------------------------------------------------------ index
+
+    def _index(self, t: Thread) -> None:
+        tid, h = t.tid, head_of(t.proc)
+        core = h.core
+        if core is None:
+            return
+        if isinstance(core, Match):
+            self._list(_match_redex(tid, h))
+            return
+        key = _chan_key(core.chan)
+        if key is None:
+            return
+        if isinstance(core, Recv):
+            self.recvs.setdefault(key, {})[tid] = h
+            for stid, sh in self.sends.get(key, {}).items():
+                self._comm(key, stid, sh, tid, h)
+            for btid in self.bcasts.get(key, ()):
+                self._broad(key, btid)
+            return
+        if key[0] not in self.restricted:
+            self.out_barbs[render_chan(core.chan)] += 1
+        if isinstance(core, Send):
+            self.sends.setdefault(key, {})[tid] = h
+            for rtid, rh in self.recvs.get(key, {}).items():
+                self._comm(key, tid, h, rtid, rh)
+        else:
+            self.bcasts.setdefault(key, {})[tid] = h
+            self._broad(key, tid)
+
+    def _unindex(self, t: Thread) -> None:
+        tid, h = t.tid, head_of(t.proc)
+        partners = self.mismatched.pop(tid, ())
+        self.mismatches -= len(partners)
+        for other in partners:
+            self.mismatched[other].discard(tid)
+        core = h.core
+        if core is None:
+            return
+        if isinstance(core, Match):
+            self._unlist((tid,))
+            return
+        key = _chan_key(core.chan)
+        if key is None:
+            return
+        if isinstance(core, Recv):
+            _discard(self.recvs, key, tid)
+            for stid in self.sends.get(key, ()):
+                self._unlist((stid, tid))
+            for btid in self.bcasts.get(key, ()):
+                self._broad(key, btid)
+            return
+        if key[0] not in self.restricted:
+            self.out_barbs[render_chan(core.chan)] -= 1
+        if isinstance(core, Send):
+            _discard(self.sends, key, tid)
+            for rtid in self.recvs.get(key, ()):
+                self._unlist((tid, rtid))
+        else:
+            _discard(self.bcasts, key, tid)
+            participants, mismatches = self.broads.pop(tid)
+            self._unlist(participants)
+            self.mismatches -= mismatches
+
+    def _broad(self, key: tuple, tid: int) -> None:
+        """(Re)compute the BROAD of broadcast ``tid`` after its receivers changed."""
+        old = self.broads.get(tid)
+        if old is not None:
+            self._unlist(old[0])
+            self.mismatches -= old[1]
+        redex, diagnostics = _broad_redex(key, tid, self.bcasts[key][tid],
+                                          self.recvs.get(key, {}).items())
+        self.broads[tid] = (redex.participants, len(diagnostics))
+        self.mismatches += len(diagnostics)
+        self._list(redex)
+
+    def _comm(self, key: tuple, tid: int, h: Head, rtid: int, rh: Head) -> None:
+        redex = _comm_redex(key, tid, h, rtid, rh)
+        if isinstance(redex, Redex):
+            self._list(redex)
+            return
+        self.mismatches += 1
+        self.mismatched.setdefault(tid, set()).add(rtid)
+        self.mismatched.setdefault(rtid, set()).add(tid)
+
+    def _list(self, redex: Redex | None) -> None:
+        if redex is None:
+            return
+        if self.admin_only and (redex.bullets > 0 or redex.rule == "FAULT"):
+            return
+        i = bisect_left(self.keys, redex.participants)
+        self.keys.insert(i, redex.participants)
+        self.redexes.insert(i, redex)
+
+    def _unlist(self, participants: tuple[int, ...]) -> None:
+        # absent if never formed (arity mismatch) or kept out by admin_only
+        i = bisect_left(self.keys, participants)
+        if i < len(self.keys) and self.keys[i] == participants:
+            del self.keys[i]
+            del self.redexes[i]
+
+
+def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None:
+    queue = queues[key]
+    del queue[tid]
+    if not queue:
+        del queues[key]
+
+
 def _pick(redexes: list[Redex], policy: str, rng: random.Random | None) -> Redex:
     if policy == "priority":
-        return min(redexes, key=lambda r: r.key)
+        return redexes[0]  # sorted by participants: lowest thread ids first
     return redexes[rng.randrange(len(redexes))]
 
 
@@ -536,25 +749,26 @@ def run(config: Config, policy: str = "priority", seed: int = 0,
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
+    soup = LiveSoup(config, admin_only)
     trace = Trace()
+    steps = trace.steps
     while True:
         if gc:
-            config = garbage_collect(config)
-        if stop_barb is not None and any(
-                name == stop_barb for name, pol in barbs(config) if pol == "out"):
+            soup.collect()
+        if stop_barb is not None and soup.out_barbs[stop_barb]:
             trace.status = "barb"
             break
-        redexes, diagnostics = enabled_redexes(config)
-        if diagnostics and not permissive:
+        if soup.mismatches and not permissive:
+            # rare, and always the end of the run: the full scan gives the
+            # diagnostics in their documented order
             trace.status = "fault"
-            trace.faults.extend(diagnostics)
+            trace.faults.extend(enabled_redexes(soup.config())[1])
             break
-        if admin_only:
-            redexes = [r for r in redexes if r.bullets == 0 and r.rule != "FAULT"]
+        redexes = soup.redexes
         if not redexes:
             trace.status = "terminated"
             break
-        if len(trace.steps) >= budget:
+        if len(steps) >= budget:
             trace.status = "timeout"
             break
         redex = _pick(redexes, policy, rng)
@@ -563,19 +777,18 @@ def run(config: Config, policy: str = "priority", seed: int = 0,
             if not permissive:
                 trace.status = "fault"
                 break
-            config = _drop_threads(config, redex.participants)
+            soup.drop(redex.participants)
             continue
         try:
-            config, step = apply_redex(config, redex)
+            steps.append(soup.fire(redex, len(steps) + 1))
         except CommitFault as fault:
             trace.faults.append(str(fault))
             if not permissive:
                 trace.status = "fault"
                 break
-            config = _drop_threads(config, fault.tids)
+            soup.drop(fault.tids)
             continue
-        trace.steps.append(replace(step, index=len(trace.steps) + 1))
-    trace.config = config
+    trace.config = soup.config()
     return trace
 
 

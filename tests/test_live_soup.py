@@ -1,0 +1,250 @@
+"""The live soup ``run`` steps on agrees with the pure engine at every step.
+
+``CheckedSoup`` re-derives the whole index from the materialized config
+after every change ``run`` makes (build, fire, drop, collect) and compares
+it with ``enabled_redexes``, ``barbs`` and the diagnostics.  Each run is
+also replayed by ``reference_run``, the scheduling loop written over the
+pure ``enabled_redexes``/``apply_redex``, and the traces and final configs
+must be equal.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from butfpi.butf.parse import parse
+from butfpi.correspondence import check_program
+from butfpi.epi import engine
+from butfpi.epi.engine import (
+    CommitFault,
+    EngineError,
+    Trace,
+    _drop_threads,
+    apply_redex,
+    barbs,
+    enabled_redexes,
+    garbage_collect,
+    normalize,
+    run,
+)
+from butfpi.epi.parse import parse_process
+from butfpi.translate import translate
+from corpus import STUCK, TERMINATING
+from generators import random_closed_program, random_process, random_redex_config
+
+
+class CheckedSoup(engine.LiveSoup):
+    verified = 0
+
+    def __init__(self, config, admin_only=False):
+        super().__init__(config, admin_only)
+        self.verify()
+
+    def fire(self, redex, index):
+        step = super().fire(redex, index)
+        self.verify()
+        return step
+
+    def drop(self, tids):
+        super().drop(tids)
+        self.verify()
+
+    def collect(self):
+        super().collect()
+        self.verify()
+
+    def verify(self):
+        config = self.config()
+        redexes, diagnostics = enabled_redexes(config)
+        if self.admin_only:
+            redexes = [r for r in redexes if r.bullets == 0 and r.rule != "FAULT"]
+        assert self.redexes == redexes
+        assert self.keys == [r.participants for r in redexes]
+        assert self.mismatches == len(diagnostics)
+        assert all(n >= 0 for n in self.out_barbs.values())
+        assert ({name for name, n in self.out_barbs.items() if n}
+                == {name for name, pol in barbs(config) if pol == "out"})
+        CheckedSoup.verified += 1
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    monkeypatch.setattr(engine, "LiveSoup", CheckedSoup)
+
+
+def reference_run(config, policy="priority", seed=0, budget=1_000_000,
+                  stop_barb=None, admin_only=False, permissive=False, gc=False):
+    """The scheduling loop over the pure engine: a full rescan per step."""
+    rng = random.Random(seed) if policy == "random" else None
+    trace = Trace()
+    while True:
+        if gc:
+            config = garbage_collect(config)
+        if stop_barb is not None and any(
+                name == stop_barb for name, pol in barbs(config) if pol == "out"):
+            trace.status = "barb"
+            break
+        redexes, diagnostics = enabled_redexes(config)
+        if diagnostics and not permissive:
+            trace.status = "fault"
+            trace.faults.extend(diagnostics)
+            break
+        if admin_only:
+            redexes = [r for r in redexes if r.bullets == 0 and r.rule != "FAULT"]
+        if not redexes:
+            trace.status = "terminated"
+            break
+        if len(trace.steps) >= budget:
+            trace.status = "timeout"
+            break
+        if policy == "priority":
+            redex = min(redexes, key=lambda r: r.key)
+        else:
+            redex = redexes[rng.randrange(len(redexes))]
+        if redex.rule == "FAULT":
+            trace.faults.append(redex.reason or "fault")
+            if not permissive:
+                trace.status = "fault"
+                break
+            config = _drop_threads(config, redex.participants)
+            continue
+        try:
+            config, step = apply_redex(config, redex)
+        except CommitFault as fault:
+            trace.faults.append(str(fault))
+            if not permissive:
+                trace.status = "fault"
+                break
+            config = _drop_threads(config, fault.tids)
+            continue
+        trace.steps.append(replace(step, index=len(trace.steps) + 1))
+    trace.config = config
+    return trace
+
+
+def agree(config, **kwargs):
+    """Run checked and by reference; both must give the same trace."""
+    got = run(config, **kwargs)
+    want = reference_run(config, **kwargs)
+    assert got.steps == want.steps
+    assert got.to_dict() == want.to_dict()
+    assert got.config == want.config
+    return got
+
+
+def norm(text):
+    return normalize(parse_process(text))
+
+
+# ------------------------------------------------------------- programs
+
+@pytest.mark.parametrize("entry", TERMINATING + STUCK, ids=lambda e: e.name)
+def test_corpus_runs_agree(checked, entry):
+    config = normalize(translate(parse(entry.source), "o"))
+    agree(config)
+    for seed in range(3):
+        agree(config, policy="random", seed=seed)
+    agree(config, policy="random", seed=7, stop_barb="o")
+    agree(config, policy="random", seed=8, gc=True)
+
+
+def test_generated_programs_agree(checked):
+    rng = random.Random(41)
+    for i in range(60):
+        config = normalize(translate(random_closed_program(rng, depth=4), "o"))
+        tr = agree(config, policy="random", seed=i, budget=2_000)
+        agree(config, policy="random", seed=i, budget=len(tr.steps) // 2)
+        agree(config, policy="random", seed=i, gc=True, budget=2_000)
+
+
+def test_generated_processes_agree(checked):
+    rng = random.Random(43)
+    ran = 0
+    for i in range(300):
+        p = random_process(rng, depth=4) if i % 2 else random_redex_config(rng)
+        try:
+            config = normalize(p)
+        except EngineError:
+            continue
+        for permissive in (False, True):
+            agree(config, policy="random", seed=i, budget=60, permissive=permissive)
+        agree(config, policy="random", seed=i, budget=60, admin_only=True,
+              permissive=True)
+        agree(config, policy="random", seed=i, budget=60, stop_barb="o",
+              permissive=True)
+        agree(config, budget=60, gc=True, permissive=True)
+        ran += 1
+    assert ran > 200
+
+
+def test_read_back_probes_are_checked(checked):
+    before = CheckedSoup.verified
+    report = check_program(parse("map ((\\x. (x, x + 1)), iota 3)"), seeds=2)
+    assert report.status == "ok"
+    assert CheckedSoup.verified > before
+
+
+# ----------------------------------------------------------- edge shapes
+
+def test_strict_arity_mismatches_report_every_diagnostic_in_order(checked):
+    c = norm("c<1, 2> | c(x). 0 | c:<1, 2, 3> | c(y, z). 0 | c<1> | d<> | d(u). 0")
+    tr = agree(c)
+    assert tr.status == "fault"
+    assert tr.faults == [
+        "arity mismatch on c: send of 2 vs receive of 1",
+        "arity mismatch on c: send of 1 vs receive of 2",
+        "arity mismatch on d: send of 0 vs receive of 1",
+        "arity mismatch on broadcast c: 3 vs 1",
+        "arity mismatch on broadcast c: 3 vs 2",
+    ]
+
+
+def test_arity_mismatch_appearing_mid_run(checked):
+    # the mismatch only appears once the first COMM spawns c(x, y)
+    tr = agree(norm("a<> | a(). c(x, y). 0 | c<1>"))
+    assert tr.status == "fault" and len(tr.steps) == 1
+    tr = agree(norm("a<> | a(). c(x, y). 0 | c<1>"), permissive=True)
+    assert tr.status == "terminated" and len(tr.steps) == 1
+    # the mismatched send is consumed by its other receiver: no diagnostics left
+    tr = agree(norm("c<1, 2> | c(x). 0 | c(y, z). 0 | c:<3> | *!c(w). 0"),
+               permissive=True)
+    assert tr.status == "terminated" and len(tr.steps) == 2
+
+
+def test_permissive_fault_drops(checked):
+    tr = agree(norm("new h.( [h >= 0] t<>, e<> | t() . 0 | h<1> | h(x). o<x> )"),
+               permissive=True)
+    assert tr.faults and tr.status == "terminated"
+    tr = agree(norm("new h.( c<h + 1> | c(x). 0 | c<2> | c(y). o<y> )"),
+               policy="random", seed=3, permissive=True)
+    assert tr.status == "terminated"
+
+
+def test_commit_fault_strict(checked):
+    tr = agree(norm("new h.( c<h + 1> | c(x). 0 )"))
+    assert tr.status == "fault" and "arithmetic" in tr.faults[0]
+
+
+def test_broadcast_receivers_change_while_pending(checked):
+    text = ("a<> | a(). c(x). o<x> | c:<1>. d<> | d(). 0 | !c(y). e<y> "
+            "| *(c(z). f<z>) | e(w). 0")
+    for seed in range(12):
+        agree(norm(text), policy="random", seed=seed, budget=40)
+    agree(norm(text), budget=40, admin_only=True)
+
+
+def test_replicated_participants_with_outer_bullets(checked):
+    text = "*!f(x, r). r<x> | f<1, o1> | f<2, o2> | **!h.0<0, 5> | h.0(i, v). o<v>"
+    for seed in range(6):
+        agree(norm(text), policy="random", seed=seed)
+    agree(norm(text), admin_only=True)
+
+
+def test_stop_barb_and_gc(checked):
+    text = "new f.( !f(x, r). r<x> | f<1, o> ) | new g.( !g(y). 0 )"
+    tr = agree(norm(text), gc=True)
+    assert tr.status == "terminated"
+    tr = agree(norm(text), stop_barb="o")
+    assert tr.status == "barb"
+    assert agree(norm("o<5>"), stop_barb="o").steps == []
