@@ -353,11 +353,11 @@ def check_program(e: Expr, seeds: int = 20, budget: int = 200_000,
     config = normalize(translate(e, "o", opts))
     runs: list[tuple[str, RunReport]] = [
         ("priority", simulate_to_result(e, "priority", 0, budget, opts, oracle.value,
-                                        config))]
+                                        config=config))]
     for seed in range(seeds):
         runs.append((f"seed{seed}",
                      simulate_to_result(e, "random", seed, budget, opts, oracle.value,
-                                        config)))
+                                        config=config)))
     report.seeds_run = seeds
 
     importants = []

@@ -16,7 +16,7 @@ from butfpi.correspondence import (
     simulate_to_result,
     value_equal,
 )
-from butfpi.translate import TranslationOptions
+from butfpi.translate import TranslationOptions, translate
 from corpus import BY_NAME, TERMINATING
 
 PAPER = TranslationOptions(strict_bullets=False)
@@ -127,3 +127,18 @@ def test_report_json_shape():
     assert data["important"]["per_run"]["priority"] == 1
     assert data["value_match"] is True
     assert any("arith" in d for d in data["deviations"])
+
+
+def test_check_translates_once_per_program(monkeypatch):
+    import butfpi.correspondence as corr
+    calls = []
+
+    def counting(e, out, opts=None):
+        calls.append(e)
+        return translate(e, out, opts)
+
+    monkeypatch.setattr(corr, "translate", counting)
+    report = check_program(parse("map ((\\x. x + 1), [1, 2])"), seeds=5)
+    assert report.status == "ok" and report.seeds_run == 5
+    # the program itself, and the map's dummy call measured once
+    assert len(calls) == 2

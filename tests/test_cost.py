@@ -11,6 +11,7 @@ from butfpi.cost import (
     nested_apps,
     scaling_experiment,
 )
+from butfpi.translate import translate
 
 
 def test_measure_spec_examples():
@@ -84,3 +85,16 @@ def test_csv_output():
     lines = csv.strip().splitlines()
     assert lines[0] == "family,n,seed,work,span,admin_steps"
     assert lines[1].startswith("nested-apps,1,priority,1,1,")
+
+
+def test_measure_translates_once(monkeypatch):
+    import butfpi.cost as cost
+    calls = []
+
+    def counting(e, out, opts=None):
+        calls.append(e)
+        return translate(e, out, opts)
+
+    monkeypatch.setattr(cost, "translate", counting)
+    report = measure(parse("map ((\\x. x + 1), [1, 2])"), seeds=4)
+    assert len(report.per_run) == 5 and len(calls) == 1
