@@ -26,8 +26,9 @@ from butfpi.butf.eval import EvalResult, Stuck, eval_expr
 from butfpi.butf.parse import ParseError, parse
 from butfpi.butf.pretty import pretty
 from butfpi.butf.syntax import Expr
-from butfpi.correspondence import _peek_send, check_program, read_back, value_equal
-from butfpi.cost import FAMILIES, fit_check, measure, scaling_experiment
+from butfpi.correspondence import check_program, read_output, value_equal
+from butfpi.cost import (FAMILIES, MIN_SIZES, FitVerdict, fit_check, measure,
+                          scaling_experiment)
 from butfpi.epi.engine import EngineError, barbs, explore, normalize, run
 from butfpi.epi.parse import ProcessParseError, parse_process
 from butfpi.epi.pretty import pretty_process
@@ -49,6 +50,13 @@ def _emit(data: dict, fmt: str) -> None:
 
 class _UsageError(Exception):
     pass
+
+
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _read_program(args) -> Expr:
@@ -104,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw-file", help="path to a .epi process file")
     p.add_argument("--policy", choices=("priority", "random"), default="priority")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="max engine steps")
+    p.add_argument("--budget", type=_count, default=None, help="max engine steps")
     p.add_argument("--gc", action="store_true", help="collect unreachable servers")
     p.add_argument("--permissive", action="store_true",
                    help="drop faulting threads instead of aborting")
@@ -114,31 +122,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="correspondence report for a program")
     _add_program_arg(p)
     _add_mode_flags(p)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--seeds", type=_count, default=20)
+    p.add_argument("--budget", type=_count, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("cost", help="work/span measurement")
     _add_program_arg(p)
     _add_mode_flags(p)
-    p.add_argument("--seeds", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--seeds", type=_count, default=0)
+    p.add_argument("--budget", type=_count, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("scale", help="scaling families vs predicted shapes")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--sizes", required=True,
                    help="comma-separated strictly increasing sizes, e.g. 1,2,4,8")
-    p.add_argument("--seeds", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--seeds", type=_count, default=0)
+    p.add_argument("--budget", type=_count, default=None)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("explore", help="exhaustive exploration of small programs")
     _add_program_arg(p)
     _add_mode_flags(p)
     p.add_argument("--raw", help="raw process text instead of a program")
-    p.add_argument("--state-bound", type=int, default=100_000)
-    p.add_argument("--depth-bound", type=int, default=100_000)
+    p.add_argument("--state-bound", type=_count, default=100_000)
+    p.add_argument("--depth-bound", type=_count, default=100_000)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -254,9 +262,15 @@ def cmd_scale(args) -> int:
     except ValueError:
         print("sizes must be integers", file=sys.stderr)
         return 2
+    if len(sizes) < MIN_SIZES:
+        raise _UsageError(f"need at least {MIN_SIZES} sizes for a shape check")
     budget = args.budget if args.budget is not None else 500_000
     table = scaling_experiment(args.family, sizes, seeds=args.seeds, budget=budget)
-    verdict = fit_check(table)
+    if len(table.rows) >= MIN_SIZES:
+        verdict = fit_check(table)
+    else:  # the sizes that did not finish were dropped
+        verdict = FitVerdict(args.family, [("sizes", False, (
+            f"{len(table.rows)} of {len(sizes)} sizes ran, need {MIN_SIZES}"))])
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":
@@ -264,6 +278,8 @@ def cmd_scale(args) -> int:
     else:
         for r in table.rows:
             print(f"n={r.n:4d}  work={r.work:5d}  span={r.span:4d}  admin={r.admin_steps}")
+        if table.dropped:
+            print(f"dropped: {', '.join(map(str, table.dropped))}")
         for name, ok, detail in verdict.checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if verdict.passed else 1
@@ -282,15 +298,9 @@ def cmd_explore(args) -> int:
     data = {"states": states, "terminals": len(terminals), "bound_hit": bound_hit}
     agree = None
     if oracle_value is not None and not bound_hit:
-        agree = True
-        for t in terminals:
-            payload = _peek_send(t, "o")
-            if payload is None:
-                agree = False
-                continue
-            value, _cfg = read_back(t, payload[0], oracle_value)
-            if not value_equal(oracle_value, value):
-                agree = False
+        # no delivery on o reads as None, which equals no value
+        agree = all(value_equal(oracle_value, read_output(t, oracle_value))
+                    for t in terminals)
         data["all_terminals_agree"] = agree
         data["value"] = pretty(oracle_value)
     if args.format == "json":

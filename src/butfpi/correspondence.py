@@ -22,16 +22,14 @@ from typing import Union
 
 from butfpi.butf.eval import Diverged, EvalResult, Stuck, eval_expr
 from butfpi.butf.pretty import pretty
-from butfpi.butf.syntax import App, Array, Builtin, Expr, Lam, Num, Tup, is_value
+from butfpi.butf.syntax import App, Array, Builtin, Expr, Lam, Num, Tup
 from butfpi.epi.engine import (
     Config,
+    LiveSoup,
     Trace,
     barbs,
-    canonical_key,
-    enabled_redexes,
-    apply_redex,
+    explore,
     head_of,
-    insert_process,
     normalize,
     run,
 )
@@ -40,7 +38,6 @@ from butfpi.epi.syntax import (
     Chan,
     NameT,
     Nil,
-    Process,
     Recv,
     Send,
     Term,
@@ -98,55 +95,50 @@ def render_readback(r: ReadBack) -> str:
     raise TypeError(r)
 
 
-def _peek_send(config: Config, channel: str) -> tuple[Term, ...] | None:
-    """The (unconsumed) payload of a pending send on a free channel."""
-    for t in config.threads:
-        h = head_of(t.proc)
-        if (isinstance(h.core, Send) and isinstance(h.core.chan.base, NameT)
-                and h.core.chan.base.name == channel and h.core.chan.suffix is None):
-            return h.core.args
-    return None
-
-
 class _Prober:
-    """Injects administrative probe receivers into a quiesced soup."""
+    """Injects administrative probe receivers into one quiesced soup."""
 
     def __init__(self, config: Config, budget: int = 200_000):
-        self.config = config
+        self.soup = LiveSoup(config, admin_only=True)
         self.budget = budget
         self.counter = 0
 
-    def _fresh_probe(self) -> str:
+    def ask(self, handle: str, suffix, arity: int) -> tuple[Term, ...] | None:
+        """Receive ``arity`` values on ``handle.suffix``; None if none arrive."""
         while True:
             self.counter += 1
-            name = f"probe{self.counter}"
-            if name not in self.config.used:
-                return name
-
-    def ask(self, probe: Process, reply: str) -> tuple[Term, ...] | None:
-        self.config = insert_process(self.config, probe)
-        trace = run(self.config, policy="priority", budget=self.budget,
-                    stop_barb=reply, admin_only=True, permissive=True)
-        self.config = trace.config
-        return _peek_send(self.config, reply)
-
-    def recv_probe(self, base: str, suffix, params: list[str | None], reply: str,
-                   args: list[Term]) -> Process:
-        return Act(Recv(Chan(NameT(base), suffix), tuple(params)),
-                   Act(Send(Chan(NameT(reply)), tuple(args)), Nil()))
+            reply = f"probe{self.counter}"
+            if reply not in self.soup.used:
+                break
+        params = tuple(f"x{i}" for i in range(arity))
+        self.soup.insert(Act(Recv(Chan(NameT(handle), suffix), params),
+                             Act(Send(Chan(NameT(reply)), tuple(map(VarT, params))),
+                                 Nil())))
+        run(self.soup, policy="priority", budget=self.budget, stop_barb=reply,
+            permissive=True)
+        replies = self.soup.sends.get((reply, None))
+        return next(iter(replies.values())).core.args if replies else None
 
 
 def read_back(config: Config, result: Term, shape: Expr,
-              budget: int = 200_000) -> tuple[ReadBack, Config]:
+              budget: int = 200_000) -> ReadBack:
     """Decode ``result`` against the expected value ``shape``.
 
     The shape comes from the source-side oracle; it is required because the
     tuple channel is polyadic, so the arity to receive cannot be discovered
-    by probing.  Returns the decoded value and the soup after probing.
+    by probing.  All probes run on one soup built from ``config``.
     """
-    prober = _Prober(config, budget)
-    value = _decode(prober, result, shape)
-    return value, prober.config
+    return _decode(_Prober(config, budget), result, shape)
+
+
+def read_output(config: Config, shape: Expr | None,
+                budget: int = 200_000) -> ReadBack | None:
+    """Decode what a quiesced soup delivers on ``o``; None if it delivers nothing."""
+    for t in config.threads:
+        core = head_of(t.proc).core
+        if isinstance(core, Send) and core.chan == Chan(NameT("o")):
+            return read_back(config, core.args[0], shape, budget)
+    return None
 
 
 def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
@@ -167,9 +159,7 @@ def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
             if not isinstance(value, NameT):
                 return Incomplete("expected an array handle")
             h = value.name
-            reply = prober._fresh_probe()
-            got = prober.ask(
-                prober.recv_probe(h, "len", ["n"], reply, [VarT("n")]), reply)
+            got = prober.ask(h, "len", 1)
             if got is None:
                 return Incomplete(f"{h}.len")
             n = eval_term(got[0]).value
@@ -177,22 +167,16 @@ def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
                 return Incomplete(f"{h}.len reported {n}, expected {len(items)}")
             elements = []
             for i, item_shape in enumerate(items):
-                reply = prober._fresh_probe()
-                got = prober.ask(
-                    prober.recv_probe(h, i, ["i", "v"], reply, [VarT("v")]), reply)
+                got = prober.ask(h, i, 2)  # (index, element)
                 if got is None:
                     return Incomplete(f"{h}.{i}")
-                elements.append(_decode(prober, got[0], item_shape))
+                elements.append(_decode(prober, got[1], item_shape))
             return ArrayRB(tuple(elements))
         case Tup(items):
             if not isinstance(value, NameT):
                 return Incomplete("expected a tuple handle")
             h = value.name
-            reply = prober._fresh_probe()
-            params = [f"x{i}" for i in range(len(items))]
-            got = prober.ask(
-                prober.recv_probe(h, "tup", list(params), reply,
-                                  [VarT(x) for x in params]), reply)
+            got = prober.ask(h, "tup", len(items))
             if got is None:
                 return Incomplete(f"{h}.tup")
             return TupleRB(tuple(
@@ -247,16 +231,11 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
         config = normalize(translate(e, "o", opts))
     trace = run(config, policy=policy, seed=seed, budget=budget)
     important = trace.work
-    if trace.status == "timeout":
-        return RunReport(None, important, trace, "timeout")
-    if trace.status == "fault":
-        return RunReport(None, important, trace, "fault")
-    payload = _peek_send(trace.config, "o")
-    if payload is None:
+    if trace.status in ("timeout", "fault"):
+        return RunReport(None, important, trace, trace.status)
+    value = read_output(trace.config, shape, budget)
+    if value is None:
         return RunReport(None, important, trace, "stuck-in-process")
-    if shape is None:
-        return RunReport(None, important, trace, "ok")
-    value, _config = read_back(trace.config, payload[0], shape, budget)
     return RunReport(value, important, trace, "ok")
 
 
@@ -415,24 +394,8 @@ def check_value_barb(e: Expr, opts: TranslationOptions | None = None,
     bound was exhausted (large programs -- fall back to per-trace checks).
     """
     start = normalize(translate(e, "o", opts))
-    seen = {canonical_key(start)}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for c in frontier:
-            if any(name == "o" and pol == "out" for name, pol in barbs(c)):
-                return True
-            redexes, _diags = enabled_redexes(c)
-            for redex in redexes:
-                if redex.bullets > 0 or redex.rule == "FAULT":
-                    continue
-                succ, _step = apply_redex(c, redex)
-                key = canonical_key(succ)
-                if key in seen:
-                    continue
-                if len(seen) >= state_bound:
-                    return None
-                seen.add(key)
-                next_frontier.append(succ)
-        frontier = next_frontier
-    return False
+    terminals, bound_hit, _states = explore(start, state_bound, admin_only=True,
+                                            stop_barb="o")
+    if any(("o", "out") in barbs(t) for t in terminals):
+        return True
+    return None if bound_hit else False

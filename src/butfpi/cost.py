@@ -100,6 +100,7 @@ PREDICTED = {
     "map-over-iota": {"work": "affine", "span": "constant"},
     "nested-apps": {"work": "equals-n", "span": "equals-n"},
 }
+MIN_SIZES = 3  # fewest rows a shape check can judge
 
 
 @dataclass
@@ -184,8 +185,8 @@ def fit_check(table: ScalingTable, span_slack: int = 0) -> FitVerdict:
     Work linearity is exact first differences; span constancy allows at
     most ``span_slack`` between the extremes (zero by default).
     """
-    if len(table.rows) < 3:
-        raise ValueError("need at least 3 sizes for a shape check")
+    if len(table.rows) < MIN_SIZES:
+        raise ValueError(f"need at least {MIN_SIZES} sizes for a shape check")
     verdict = FitVerdict(table.family)
     predicted = table.predicted
     ns = [r.n for r in table.rows]

@@ -14,15 +14,19 @@ one.  The redexes of the soup are:
   still a step (the payload is lost).
 * THEN / ELSE -- a comparison thread whose operands evaluate now.
 
-``enabled_redexes`` lists them by scanning a ``Config``, which ``explore``
-does once per state.  ``run`` instead keeps a ``LiveSoup``: per-channel
-queues of pending sends, receives and broadcasts (the channel queues of
-Pict's abstract machine), the sorted redex list, the arity-mismatch count
-and the observable output barbs.  A step updates them only for the threads
-it consumes, folds or spawns, so its cost no longer grows with the soup;
-a replicated participant whose residual is itself stays untouched.  Both
+There are two reduction drivers: ``run`` follows one schedule (values,
+step counts, work and span), ``explore`` all of them (confluence, and the
+value/barb lemma under the same ``admin_only``/``stop_barb`` constraints).
+``explore`` lists each state's redexes by scanning a ``Config`` with
+``enabled_redexes``.  ``run`` steps a ``LiveSoup``: per-channel queues of
+pending sends, receives and broadcasts (the channel queues of Pict's
+abstract machine), the sorted redex list, the arity-mismatch count and the
+observable output barbs.  A step updates them only for the threads it
+consumes, folds or spawns, so its cost no longer grows with the soup.  Both
 paths form redexes with the same rule functions and fire them with the
 same ``_fire``, and the live list always equals the full scan's.
+Read-back keeps one soup for all its probes: each probe is
+``LiveSoup.insert``-ed and ``run`` steps that soup in place.
 
 A step is important when it consumes a bullet guarding a participating
 prefix, administrative otherwise.  Every thread carries a causal depth:
@@ -46,7 +50,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
-from butfpi.epi.pretty import pretty_process, render_chan
+from butfpi.epi.pretty import render_chan
 from butfpi.epi.syntax import (
     Act,
     _memo_on_instance,
@@ -230,13 +234,10 @@ def normalize(p: Process) -> Config:
 
 
 def insert_process(config: Config, p: Process, depth: int = 0) -> Config:
-    """Drop an extra process into an existing soup (used for read-back probes)."""
-    used = set(config.used) | set(free_names(p))
-    restricted = set(config.restricted)
-    builder = _Builder(used, restricted, config.next_tid)
-    builder.add(p, depth)
-    threads = config.threads + tuple(builder.new_threads)
-    return _make_config(threads, restricted, used, builder.next_tid)
+    """Drop an extra process into a copy of a soup."""
+    soup = LiveSoup(config)
+    soup.insert(p, depth)
+    return soup.config()
 
 
 def config_to_process(config: Config) -> Process:
@@ -575,15 +576,21 @@ class LiveSoup:
         self.mismatches = 0
         self.mismatched: dict[int, set[int]] = {}  # tid -> COMM partners of another arity
         self.out_barbs: Counter[str] = Counter()
-        for t in config.threads:
-            self.threads[t.tid] = t
-            self._index(t)
+        self._add(config.threads)
 
     def config(self) -> Config:
         return Config(frozenset(self.restricted), tuple(self.threads.values()),
                       frozenset(self.used), self.next_tid)
 
     # ---------------------------------------------------------- changes
+
+    def insert(self, proc: Process, depth: int = 0) -> None:
+        """Drop an extra process into the soup (read-back probes)."""
+        self.used |= free_names(proc)
+        builder = _Builder(self.used, self.restricted, self.next_tid)
+        builder.add(proc, depth)
+        self.next_tid = builder.next_tid
+        self._add(builder.new_threads)
 
     def fire(self, redex: Redex, index: int) -> Step:
         builder = _Builder(self.used, self.restricted, self.next_tid)
@@ -602,9 +609,7 @@ class LiveSoup:
                 new = replace(old, proc=residual)
                 self.threads[tid] = new
                 self._index(new)
-        for t in builder.new_threads:
-            self.threads[t.tid] = t
-            self._index(t)
+        self._add(builder.new_threads)
         return step
 
     def drop(self, tids: tuple[int, ...]) -> None:
@@ -620,6 +625,11 @@ class LiveSoup:
         self.restricted = set(collected.restricted)
 
     # ------------------------------------------------------------ index
+
+    def _add(self, threads: Iterable[Thread]) -> None:
+        for t in threads:
+            self.threads[t.tid] = t
+            self._index(t)
 
     def _index(self, t: Thread) -> None:
         tid, h = t.tid, head_of(t.proc)
@@ -705,9 +715,7 @@ class LiveSoup:
         self.mismatched.setdefault(rtid, set()).add(tid)
 
     def _list(self, redex: Redex | None) -> None:
-        if redex is None:
-            return
-        if self.admin_only and (redex.bullets > 0 or redex.rule == "FAULT"):
+        if redex is None or (self.admin_only and not _administrative(redex)):
             return
         i = bisect_left(self.keys, redex.participants)
         self.keys.insert(i, redex.participants)
@@ -719,6 +727,11 @@ class LiveSoup:
         if i < len(self.keys) and self.keys[i] == participants:
             del self.keys[i]
             del self.redexes[i]
+
+
+def _administrative(redex: Redex) -> bool:
+    """Whether an administrative-only reduction may fire ``redex``."""
+    return redex.bullets == 0 and redex.rule != "FAULT"
 
 
 def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None:
@@ -734,7 +747,7 @@ def _pick(redexes: list[Redex], policy: str, rng: random.Random | None) -> Redex
     return redexes[rng.randrange(len(redexes))]
 
 
-def run(config: Config, policy: str = "priority", seed: int = 0,
+def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         budget: int = 1_000_000, stop_barb: str | None = None,
         admin_only: bool = False, permissive: bool = False,
         gc: bool = False) -> Trace:
@@ -744,12 +757,13 @@ def run(config: Config, policy: str = "priority", seed: int = 0,
     ``"random"`` (uniform over enabled redexes, seeded).  ``admin_only``
     refuses to fire important redexes, which read-back probing uses to keep
     decoding free.  ``stop_barb`` halts as soon as the named channel is
-    observable.
+    observable.  A ``LiveSoup`` is stepped in place, under the
+    ``admin_only`` it was built with.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    soup = LiveSoup(config, admin_only)
+    soup = LiveSoup(config, admin_only) if isinstance(config, Config) else config
     trace = Trace()
     steps = trace.steps
     while True:
@@ -930,12 +944,16 @@ def canonical_key(config: Config) -> tuple:
 
 
 def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_000,
+            admin_only: bool = False, stop_barb: str | None = None,
             ) -> tuple[list[Config], bool, int]:
     """Breadth-first search of the reduction graph modulo canonical renaming.
 
     Returns terminal configs (no enabled redexes), whether a bound was hit,
     and the number of distinct states visited.  Arity mismatches and match
     faults are treated permissively (the offending thread blocks or drops).
+    ``admin_only`` and ``stop_barb`` mean what they mean to ``run``: only
+    administrative redexes fire, and a state where the named channel is
+    observable is terminal.
     """
     start = normalize_depths(config)
     seen = {canonical_key(start)}
@@ -950,7 +968,12 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
             break
         next_frontier: list[Config] = []
         for c in frontier:
-            redexes, _diagnostics = enabled_redexes(c)
+            if stop_barb is not None and (stop_barb, "out") in barbs(c):
+                redexes = []
+            else:
+                redexes, _diagnostics = enabled_redexes(c)
+                if admin_only:
+                    redexes = [r for r in redexes if _administrative(r)]
             fired = False
             for redex in redexes:
                 if redex.rule == "FAULT":

@@ -23,7 +23,6 @@ from butfpi.epi.syntax import (
     Process,
     Recv,
     Repl,
-    Send,
     Term,
     VarT,
 )

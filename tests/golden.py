@@ -1,11 +1,15 @@
-"""Golden CLI outputs: the byte-for-byte reports of ``simulate``, ``check``
-and ``cost`` on the corpus and on ``programs/``.
+"""Golden CLI outputs: the byte-for-byte reports of ``simulate``, ``check``,
+``cost`` and ``explore`` on the corpus and on ``programs/``.
 
 Each case is one ``butfpi.cli.dispatch`` call; its exit code and captured
-stdout are stored under ``tests/golden/<entry>.json`` and
-``test_golden.py`` requires the same bytes.  A golden file changes only
-together with a stated reason for the new output (a fixed bug, a new
-field): a refactor or an optimization must leave every file as it is.
+stdout are stored under ``tests/golden/<entry>.json`` (``explore`` under
+``tests/golden/explore/<entry>.json``) and ``test_golden.py`` requires the
+same bytes.  ``explore``'s state counts depend on what the process
+explored before (``canonical_key`` numbers thread skeletons process-wide),
+so its goldens are rendered together in one fresh interpreter, in a fixed
+order.  A golden file changes only together with a stated reason for the
+new output (a fixed bug, a new field): a refactor or an optimization must
+leave every file as it is.
 
 Regenerate all files from the current source with::
 
@@ -17,6 +21,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from butfpi.cli import dispatch
@@ -24,11 +31,17 @@ from corpus import CORPUS
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
+EXPLORE_GOLDEN = GOLDEN / "explore"
 PROGRAMS = TESTS.parent / "programs"
+SRC = TESTS.parent / "src"
 
 RANDOM_SEEDS = range(5)
 CHECK_SEEDS = 20
 COST_SEEDS = 4
+EXPLORE_RUN = ("explore", "--format", "json")
+# programs whose state space exceeds 2 000 states: too slow for a golden
+EXPLORE_SKIP = {"corpus-map-inc", "corpus-map-over-iota", "corpus-index-of-map",
+                "corpus-concat", "corpus-reduce", "program-map_inc"}
 
 
 def _program_runs() -> list[tuple[str, ...]]:
@@ -64,6 +77,17 @@ def cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     return out
 
 
+def explore_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Explore golden stem -> [(case label, full argv)], in rendering order."""
+    sources = [(f"corpus-{e.name}", e.source) for e in CORPUS
+               if e.outcome != "diverges"]
+    sources += [(f"program-{p.stem}", p.read_text(encoding="utf-8"))
+                for p in sorted(PROGRAMS.glob("*.butf"))]
+    label = " ".join(EXPLORE_RUN)
+    return {stem: [(label, (EXPLORE_RUN[0], "-e", source, *EXPLORE_RUN[1:]))]
+            for stem, source in sources if stem not in EXPLORE_SKIP}
+
+
 def render(argv: tuple[str, ...]) -> dict:
     """Exit code and stdout of one CLI call."""
     stdout = io.StringIO()
@@ -77,15 +101,33 @@ def render_file(runs: list[tuple[str, tuple[str, ...]]]) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def main() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    wanted = cases()
-    for stale in GOLDEN.glob("*.json"):
-        if stale.stem not in wanted:
+def render_explore_files() -> dict[str, str]:
+    """Every explore golden file, rendered in order in one fresh interpreter."""
+    path = os.pathsep.join(filter(None, (str(SRC), str(TESTS),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, __file__, "--print-explore"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def _write(directory: Path, files: dict[str, str]) -> None:
+    directory.mkdir(exist_ok=True)
+    for stale in directory.glob("*.json"):
+        if stale.stem not in files:
             stale.unlink()
-    for stem, runs in wanted.items():
-        (GOLDEN / f"{stem}.json").write_text(render_file(runs), encoding="utf-8")
-    print(f"wrote {len(wanted)} golden files to {GOLDEN}")
+    for stem, text in files.items():
+        (directory / f"{stem}.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(files)} golden files to {directory}")
+
+
+def main() -> None:
+    if sys.argv[1:] == ["--print-explore"]:
+        print(json.dumps({stem: render_file(runs)
+                          for stem, runs in explore_cases().items()}))
+        return
+    _write(GOLDEN, {stem: render_file(runs) for stem, runs in cases().items()})
+    _write(EXPLORE_GOLDEN, render_explore_files())
 
 
 if __name__ == "__main__":

@@ -16,11 +16,10 @@ from butfpi.butf.parse import parse
 from butfpi.butf.pretty import pretty
 from butfpi.butf.syntax import is_value
 from butfpi.correspondence import (
-    _peek_send,
     barb_before_important,
     check_program,
     check_value_barb,
-    read_back,
+    read_output,
     render_readback,
     value_equal,
 )
@@ -114,9 +113,8 @@ def test_criterion_2_translation_value_agreement(strict_reports, explorations, o
             oracle_value = oracles[entry.name].value
             assert terminals, entry.name
             for terminal in terminals:
-                payload = _peek_send(terminal, "o")
-                assert payload is not None, entry.name
-                decoded, _ = read_back(terminal, payload[0], oracle_value)
+                decoded = read_output(terminal, oracle_value)
+                assert decoded is not None, entry.name
                 assert value_equal(oracle_value, decoded), (
                     entry.name, render_readback(decoded))
 
@@ -234,9 +232,8 @@ def test_criterion_8_result_confluence(explorations, oracles):
             oracle_value = oracles[entry.name].value
             decoded_all = set()
             for terminal in terminals:
-                payload = _peek_send(terminal, "o")
-                assert payload is not None, entry.name
-                decoded, _ = read_back(terminal, payload[0], oracle_value)
+                decoded = read_output(terminal, oracle_value)
+                assert decoded is not None, entry.name
                 decoded_all.add(render_readback(decoded))
                 assert value_equal(oracle_value, decoded), entry.name
             assert len(decoded_all) == 1, (entry.name, decoded_all)

@@ -109,6 +109,40 @@ def test_scale_csv_and_exit(capsys):
     assert out.splitlines()[0] == "family,n,seed,work,span,admin_steps"
 
 
+def test_scale_needs_three_sizes_before_running(capsys):
+    code, out, err = run_cli(capsys, "scale", "--family", "nested-apps",
+                             "--sizes", "1,2")
+    assert code == 2 and out == "" and "at least 3 sizes" in err
+
+
+def test_scale_too_few_sizes_left_prints_table_and_fails(capsys):
+    # n = 3 and 4 need more than 8 steps, so only two sizes run
+    argv = ("scale", "--family", "nested-apps", "--sizes", "1,2,3,4", "--budget", "8")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert [r["n"] for r in data["table"]["rows"]] == [1, 2]
+    assert data["table"]["dropped"] == [3, 4]
+    assert data["verdict"]["passed"] is False
+    assert [c["name"] for c in data["verdict"]["checks"]] == ["sizes"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and "dropped: 3, 4" in out and "FAIL sizes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "-e", "5", "--seeds", "-1"),
+    ("check", "-e", "5", "--budget", "-3"),
+    ("cost", "-e", "5", "--seeds", "-2"),
+    ("simulate", "-e", "5", "--budget", "-1"),
+    ("scale", "--family", "nested-apps", "--sizes", "1,2,3", "--seeds", "-1"),
+    ("explore", "-e", "5", "--state-bound", "-1"),
+    ("explore", "-e", "5", "--depth-bound", "-5"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "non-negative" in err
+
+
 def test_explore_small(capsys):
     code, out, _ = run_cli(capsys, "explore", "-e", "(\\x. x) 5",
                            "--format", "json")

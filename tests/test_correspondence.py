@@ -111,6 +111,7 @@ def test_check_value_barb_examples():
 
 def test_check_value_barb_matches_is_value_on_corpus():
     from butfpi.correspondence import barb_before_important
+    unsettled = []
     for entry in TERMINATING:
         e = parse(entry.source)
         expect = is_value(e)
@@ -118,7 +119,11 @@ def test_check_value_barb_matches_is_value_on_corpus():
         # exhaustive where the administrative space is small; the per-trace
         # check below covers the searches that hit their bound
         assert got is expect or got is None, (entry.name, got, expect)
+        if got is None:
+            unsettled.append(entry.name)
         assert barb_before_important(e) is expect, entry.name
+    # the searches that hit the bound stay as few as they are
+    assert len(unsettled) <= 2, unsettled
 
 
 def test_report_json_shape():

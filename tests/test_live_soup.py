@@ -1,11 +1,11 @@
 """The live soup ``run`` steps on agrees with the pure engine at every step.
 
 ``CheckedSoup`` re-derives the whole index from the materialized config
-after every change ``run`` makes (build, fire, drop, collect) and compares
-it with ``enabled_redexes``, ``barbs`` and the diagnostics.  Each run is
-also replayed by ``reference_run``, the scheduling loop written over the
-pure ``enabled_redexes``/``apply_redex``, and the traces and final configs
-must be equal.
+after every change made to it (build, insert, fire, drop, collect) and
+compares it with ``enabled_redexes``, ``barbs`` and the diagnostics.  Each
+run is also replayed by ``reference_run``, the scheduling loop written over
+the pure ``enabled_redexes``/``apply_redex``, and the traces and final
+configs must be equal.
 """
 
 import random
@@ -13,8 +13,10 @@ from dataclasses import replace
 
 import pytest
 
+from butfpi import correspondence
+from butfpi.butf.eval import eval_expr
 from butfpi.butf.parse import parse
-from butfpi.correspondence import check_program
+from butfpi.correspondence import check_program, read_output, render_readback
 from butfpi.epi import engine
 from butfpi.epi.engine import (
     CommitFault,
@@ -25,6 +27,7 @@ from butfpi.epi.engine import (
     barbs,
     enabled_redexes,
     garbage_collect,
+    insert_process,
     normalize,
     run,
 )
@@ -36,9 +39,15 @@ from generators import random_closed_program, random_process, random_redex_confi
 
 class CheckedSoup(engine.LiveSoup):
     verified = 0
+    built = 0
 
     def __init__(self, config, admin_only=False):
         super().__init__(config, admin_only)
+        CheckedSoup.built += 1
+        self.verify()
+
+    def insert(self, proc, depth=0):
+        super().insert(proc, depth)
         self.verify()
 
     def fire(self, redex, index):
@@ -71,6 +80,7 @@ class CheckedSoup(engine.LiveSoup):
 @pytest.fixture
 def checked(monkeypatch):
     monkeypatch.setattr(engine, "LiveSoup", CheckedSoup)
+    monkeypatch.setattr(correspondence, "LiveSoup", CheckedSoup)
 
 
 def reference_run(config, policy="priority", seed=0, budget=1_000_000,
@@ -179,10 +189,36 @@ def test_generated_processes_agree(checked):
 
 
 def test_read_back_probes_are_checked(checked):
+    e = parse("map ((\\x. (x, x + 1)), iota 3)")
     before = CheckedSoup.verified
-    report = check_program(parse("map ((\\x. (x, x + 1)), iota 3)"), seeds=2)
+    report = check_program(e, seeds=2)
     assert report.status == "ok"
     assert CheckedSoup.verified > before
+    # the seven probes of one read-back (a length, three elements, three
+    # tuples) all run on one soup
+    quiesced = run(normalize(translate(e, "o"))).config
+    built = CheckedSoup.built
+    value = read_output(quiesced, eval_expr(e).value)
+    assert CheckedSoup.built == built + 1
+    assert render_readback(value) == "[(0, 1), (1, 2), (2, 3)]"
+
+
+@pytest.mark.parametrize("name", ["tuple-nested", "iota-3", "map-inc", "higher-order"])
+def test_probes_stepped_in_place_agree_with_fresh_runs(checked, name):
+    entry = next(e for e in TERMINATING if e.name == name)
+    config = run(normalize(translate(parse(entry.source), "o"))).config
+    soup = engine.LiveSoup(config, admin_only=True)
+    for text, reply in (("o(v). probe1<v>", "probe1"),
+                        ("probe1(w). probe2<w, w>", "probe2")):
+        probe = parse_process(text)
+        want = reference_run(insert_process(config, probe), stop_barb=reply,
+                             admin_only=True, permissive=True)
+        soup.insert(probe)
+        got = run(soup, stop_barb=reply, admin_only=True, permissive=True)
+        assert got.status == want.status == "barb"
+        assert got.steps == want.steps
+        assert got.config == want.config == soup.config()
+        config = got.config
 
 
 # ----------------------------------------------------------- edge shapes
