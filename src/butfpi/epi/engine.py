@@ -22,7 +22,9 @@ value/barb lemma under the same ``admin_only``/``stop_barb`` constraints).
 pending sends, receives and broadcasts (the channel queues of Pict's
 abstract machine), the sorted redex list, the arity-mismatch count and the
 observable output barbs.  A step updates them only for the threads it
-consumes, folds or spawns, so its cost no longer grows with the soup.  Both
+consumes, folds or spawns, so its cost no longer grows with the soup, and
+the threads it spawns share every subtree that substitution and renaming
+leave alone (see ``rewrite`` and ``_Builder``).  Both
 paths form redexes with the same rule functions and fire them with the
 same ``_fire``, and the live list always equals the full scan's.
 Read-back keeps one soup for all its probes: each probe is
@@ -77,6 +79,7 @@ from butfpi.epi.syntax import (
     eval_term,
     free_names,
     rewrite,
+    symbols,
     term_vars,
 )
 
@@ -148,39 +151,54 @@ def head_of(proc: Process) -> Head:
 # ------------------------------------------------------------ normalize
 
 class _Builder:
-    """Accumulates threads while hoisting restrictions and flattening parallels."""
+    """Accumulates threads while hoisting restrictions and flattening parallels.
 
-    def __init__(self, used: set[str], restricted: set[str], next_tid: int):
+    A restriction whose name is taken is renamed to a fresh variant.  The
+    renames of the restrictions above a subtree travel down with it as one
+    pending list and are applied once per thread it spawns, choosing the
+    same names as renaming each body in turn would.
+    """
+
+    def __init__(self, used: set[str], restricted: set[str], next_tid: int,
+                 floors: dict[str, int] | None = None):
         self.used = used
         self.restricted = restricted
         self.next_tid = next_tid
+        self.floors = {} if floors is None else floors  # see _fresh_variant
         self.new_threads: list[Thread] = []
 
-    def add(self, proc: Process, depth: int) -> None:
+    def add(self, proc: Process, depth: int,
+            renames: tuple[tuple[str, str], ...] = ()) -> None:
         match proc:
             case Nil():
                 return
             case Par(left, right):
-                self.add(left, depth)
-                self.add(right, depth)
+                self.add(left, depth, renames)
+                self.add(right, depth, renames)
             case New(name, body):
-                chosen = _fresh_variant(name, self.used)
+                if any(name == new for _, new in renames):
+                    # renaming the body would rename this binder first
+                    self.add(_renamed(proc, renames), depth)
+                    return
+                renames = tuple(r for r in renames if r[0] != name)  # shadowed
+                chosen = _fresh_variant(name, self.used, self.floors)
                 self.used.add(chosen)
                 self.restricted.add(chosen)
                 if chosen != name:
-                    body = rewrite(body, name_map={name: chosen})
-                self.add(body, depth)
+                    renames += ((name, chosen),)
+                self.add(body, depth, renames)
             case Bullet():
-                self._add_bulleted(proc, depth)
+                self._add_bulleted(proc, depth, renames)
             case Repl(body):
                 head_of(proc)  # raises on unguarded bodies
-                self._thread(proc, depth)
+                self._thread(_renamed(proc, renames), depth)
             case Act() | Match():
-                self._thread(proc, depth)
+                self._thread(_renamed(proc, renames), depth)
             case _:
                 raise TypeError(f"not a process: {proc!r}")
 
-    def _add_bulleted(self, proc: Process, depth: int) -> None:
+    def _add_bulleted(self, proc: Process, depth: int,
+                      renames: tuple[tuple[str, str], ...]) -> None:
         bullets = 0
         p = proc
         while isinstance(p, Bullet):
@@ -191,20 +209,38 @@ class _Builder:
                 inner: Process = body
                 for _ in range(bullets):
                     inner = Bullet(inner)
-                self.add(New(name, inner), depth)
+                self.add(New(name, inner), depth, renames)
             case Par():
                 raise EngineError("a bullet must guard a sequential process")
             case Nil():
                 self._thread(proc, depth)  # inert, kept for bullet accounting
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(proc, depth)
+                self._thread(_renamed(proc, renames), depth)
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
     def _thread(self, proc: Process, depth: int) -> None:
         self.new_threads.append(Thread(self.next_tid, proc, depth))
         self.next_tid += 1
+
+
+def _renamed(proc: Process, renames: tuple[tuple[str, str], ...]) -> Process:
+    """``proc`` with each ``(old, new)`` rename applied in turn by ``rewrite``.
+
+    When no binder of ``proc`` is one of the new names, no rename captures
+    and they commute (the old names are taken, the new ones were not), so
+    the renames that occur go through one ``rewrite``.
+    """
+    if not renames:
+        return proc
+    present = symbols(proc)
+    if all(new not in present for _, new in renames):
+        name_map = {old: new for old, new in renames if old in present}
+        return rewrite(proc, name_map=name_map) if name_map else proc
+    for old, new in renames:
+        proc = rewrite(proc, name_map={old: new})
+    return proc
 
 
 def _make_config(threads: tuple[Thread, ...], restricted: set[str],
@@ -565,6 +601,7 @@ class LiveSoup:
         self.admin_only = admin_only
         self.restricted = set(config.restricted)
         self.used = set(config.used)
+        self.floors: dict[str, int] = {}  # fresh-name probes ``used`` has ruled out
         self.next_tid = config.next_tid
         self.threads: dict[int, Thread] = {}
         self.sends: dict[tuple, dict[int, Head]] = {}
@@ -587,13 +624,13 @@ class LiveSoup:
     def insert(self, proc: Process, depth: int = 0) -> None:
         """Drop an extra process into the soup (read-back probes)."""
         self.used |= free_names(proc)
-        builder = _Builder(self.used, self.restricted, self.next_tid)
+        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors)
         builder.add(proc, depth)
         self.next_tid = builder.next_tid
         self._add(builder.new_threads)
 
     def fire(self, redex: Redex, index: int) -> Step:
-        builder = _Builder(self.used, self.restricted, self.next_tid)
+        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors)
         consumed, folded, step = _fire(redex, self.threads.__getitem__,
                                        self.restricted, builder, index)
         self.next_tid = builder.next_tid
@@ -758,12 +795,14 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     refuses to fire important redexes, which read-back probing uses to keep
     decoding free.  ``stop_barb`` halts as soon as the named channel is
     observable.  A ``LiveSoup`` is stepped in place, under the
-    ``admin_only`` it was built with.
+    ``admin_only`` it was built with; the caller owns it and reads
+    ``soup.config()`` when it needs one, so the trace carries no config.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    soup = LiveSoup(config, admin_only) if isinstance(config, Config) else config
+    owned = isinstance(config, Config)
+    soup = LiveSoup(config, admin_only) if owned else config
     trace = Trace()
     steps = trace.steps
     while True:
@@ -802,7 +841,8 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
                 break
             soup.drop(fault.tids)
             continue
-    trace.config = soup.config()
+    if owned:
+        trace.config = soup.config()
     return trace
 
 

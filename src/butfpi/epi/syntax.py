@@ -14,6 +14,7 @@ action prefixes (send, receive, broadcast), a one-shot importance marker
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Union
 
 LABELS = ("all", "tup", "len")
@@ -220,6 +221,12 @@ for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast,
              Nil, Par, Repl, New, Act, Bullet, Match):
     _cls.__hash__ = _cached_hash
 
+# ``rewrite`` reads this memo on every node it visits; a class default keeps
+# that a plain attribute load, where a miss would raise or a ``__dict__``
+# lookup would make every visited node allocate its instance dict
+for _cls in (Nil, Par, Repl, New, Act, Bullet, Match):
+    _cls._memo_symbols = None
+
 
 def par(*procs: Process) -> Process:
     """Right-nested parallel composition, dropping nothing."""
@@ -347,16 +354,74 @@ def free_process_vars(p: Process) -> frozenset[str]:
     raise TypeError(f"not a process: {p!r}")
 
 
+def _action_symbols(a: Action) -> frozenset[str]:
+    out = _action_names(a) | chan_vars(a.chan)
+    if isinstance(a, Recv):
+        return out | {x for x in a.params if x is not None}
+    for t in a.args:
+        out |= term_vars(t)
+    return out
+
+
+def _joined(base: frozenset[str], extra) -> frozenset[str]:
+    # reuse ``base`` when it already holds ``extra``: most nodes add nothing
+    # their continuation lacks, so chains share one set
+    return base if base.issuperset(extra) else base.union(extra)
+
+
+def symbols(p: Process) -> frozenset[str]:
+    """Every name and variable occurring in ``p``, binders and patterns included.
+
+    ``rewrite`` leaves a subtree whose symbols miss every mapped and
+    incoming identifier untouched.  A node ``rewrite`` rebuilt from one whose
+    symbols were known gets that set plus what the rewrite brought in,
+    without a walk; it may then hold identifiers substituted away, and the
+    readers of this set need only a superset.
+    """
+    known = p._memo_symbols
+    if known is None:
+        known = _compute_symbols(p)
+        object.__setattr__(p, "_memo_symbols", known)
+    return known
+
+
+def _compute_symbols(p: Process) -> frozenset[str]:
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return _joined(symbols(left), symbols(right))
+        case Repl(body) | Bullet(body):
+            return symbols(body)
+        case New(name, body):
+            return _joined(symbols(body), (name,))
+        case Act(action, cont):
+            return _joined(symbols(cont), _action_symbols(action))
+        case Match(left, _, right, then, orelse):
+            own = term_names(left) | term_vars(left) | term_names(right) | term_vars(right)
+            return _joined(_joined(symbols(then), symbols(orelse)), own)
+    raise TypeError(f"not a process: {p!r}")
+
+
 # ---------------------------------------------------------- rewriting
 
-def _fresh_variant(base: str, avoid: set[str]) -> str:
+def _fresh_variant(base: str, avoid: set[str],
+                   floors: dict[str, int] | None = None) -> str:
+    """``base`` if ``avoid`` lacks it, else the first ``root_i`` (i >= 2) it lacks.
+
+    ``floors`` maps a root to an index below which every variant is known
+    to be in ``avoid``.  A caller whose ``avoid`` only grows may pass the
+    same dict on every call to skip those probes; the result is the same.
+    """
     if base not in avoid:
         return base
     root = base.rstrip("0123456789_") or base
-    i = 2
+    i = 2 if floors is None else floors.get(root, 2)
     while True:
         candidate = f"{root}_{i}"
         if candidate not in avoid:
+            if floors is not None:
+                floors[root] = i
             return candidate
         i += 1
 
@@ -367,8 +432,16 @@ def rewrite(p: Process, var_map: dict[str, Term] | None = None,
 
     ``var_map`` maps receive-pattern variables to terms (usually evaluated
     numbers or names).  ``name_map`` renames free names.  Restriction
-    binders that would capture a name introduced by either map are renamed
-    to a fresh variant first.
+    binders that would capture a name introduced by either map, and
+    receive parameters that would capture an introduced variable, are
+    renamed to a fresh variant first.
+
+    The result shares structure with ``p``.  A subtree comes back as the
+    same object (``p`` itself included) when it has no free occurrence of
+    a mapped variable or name, none of its restriction binders is a name
+    the maps bring in, and none of its receive parameters is a variable
+    they bring in.  Only the paths down to changed nodes are copied, and
+    ``symbols`` lets branches that cannot change be skipped unvisited.
     """
     var_map = var_map or {}
     name_map = name_map or {}
@@ -381,6 +454,10 @@ def rewrite(p: Process, var_map: dict[str, Term] | None = None,
     incoming_vars: set[str] = set()
     for t in var_map.values():
         incoming_vars |= term_vars(t)
+    # a subtree none of whose symbols is a key or an incoming identifier
+    # rewrites to itself, under every map the walk below narrows these to
+    trigger = incoming | incoming_vars | set(var_map) | set(name_map)
+    brought = frozenset(incoming | incoming_vars)  # and the fresh binders chosen
 
     def sub_term(t: Term, vm: dict[str, Term], nm: dict[str, str]) -> Term:
         match t:
@@ -391,7 +468,10 @@ def rewrite(p: Process, var_map: dict[str, Term] | None = None,
             case VarT(name):
                 return vm.get(name, t)
             case OpT(op, left, right):
-                return OpT(op, sub_term(left, vm, nm), sub_term(right, vm, nm))
+                new_left, new_right = sub_term(left, vm, nm), sub_term(right, vm, nm)
+                if new_left is left and new_right is right:
+                    return t
+                return OpT(op, new_left, new_right)
         raise TypeError(f"not a term: {t!r}")
 
     def sub_suffix(sfx, vm, nm):
@@ -407,45 +487,85 @@ def rewrite(p: Process, var_map: dict[str, Term] | None = None,
         return sfx
 
     def sub_chan(c: Chan, vm, nm) -> Chan:
-        return Chan(sub_term(c.base, vm, nm), sub_suffix(c.suffix, vm, nm))
+        base, suffix = sub_term(c.base, vm, nm), sub_suffix(c.suffix, vm, nm)
+        return c if base is c.base and suffix is c.suffix else Chan(base, suffix)
+
+    def branch(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        # where siblings part, testing first lets the untouched ones be shared
+        return p if symbols(p).isdisjoint(trigger) else go(p, vm, nm)
 
     def go(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
         if not vm and not nm:
             return p
+        known = p._memo_symbols
+        if known is not None and known.isdisjoint(trigger):
+            return p
+        q = rebuild(p, vm, nm)
+        if known is not None and q is not p:
+            # q holds at most what p held and what the walk brought in; a
+            # superset serves every reader of symbols and spares a walk
+            object.__setattr__(q, "_memo_symbols",
+                               known if brought <= known else known | brought)
+        return q
+
+    def rebuild(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        nonlocal brought
         match p:
             case Nil():
                 return p
             case Par(left, right):
-                return Par(go(left, vm, nm), go(right, vm, nm))
+                new_left, new_right = branch(left, vm, nm), branch(right, vm, nm)
+                if new_left is left and new_right is right:
+                    return p
+                return Par(new_left, new_right)
             case Repl(body):
-                return Repl(go(body, vm, nm))
+                new_body = go(body, vm, nm)
+                return p if new_body is body else Repl(new_body)
             case Bullet(body):
-                return Bullet(go(body, vm, nm))
+                new_body = go(body, vm, nm)
+                return p if new_body is body else Bullet(new_body)
             case New(name, body):
                 if name in incoming:
                     fresh = _fresh_variant(name, incoming | all_names(body) | set(nm) | set(vm))
-                    body = go(body, {}, {name: fresh})
+                    brought |= {fresh}
+                    body = branch(body, {}, {name: fresh})
                     name = fresh
-                inner_nm = {k: v for k, v in nm.items() if k != name}
-                return New(name, go(body, vm, inner_nm))
+                inner_nm = {k: v for k, v in nm.items() if k != name} if name in nm else nm
+                new_body = branch(body, vm, inner_nm)
+                if name == p.name and new_body is p.body:
+                    return p
+                return New(name, new_body)
             case Act(action, cont):
                 chan = sub_chan(action.chan, vm, nm)
                 if isinstance(action, (Send, Bcast)):
                     args = tuple(sub_term(t, vm, nm) for t in action.args)
+                    new_cont = go(cont, vm, nm)
+                    if (chan is action.chan and new_cont is cont
+                            and all(map(is_, args, action.args))):
+                        return p
                     kind = Send if isinstance(action, Send) else Bcast
-                    return Act(kind(chan, args), go(cont, vm, nm))
+                    return Act(kind(chan, args), new_cont)
                 params = list(action.params)
                 inner_vm = {k: v for k, v in vm.items()
                             if k not in action.params}
                 for i, x in enumerate(params):
                     if x is not None and x in incoming_vars:
                         fresh = _fresh_variant(x, incoming_vars | free_process_vars(cont) | set(inner_vm))
+                        brought |= {fresh}
                         cont = go(cont, {x: VarT(fresh)}, {})
                         params[i] = fresh
-                return Act(Recv(chan, tuple(params)), go(cont, inner_vm, nm))
+                new_cont = go(cont, inner_vm, nm)
+                params = tuple(params)
+                if chan is action.chan and params == action.params and new_cont is p.cont:
+                    return p
+                return Act(Recv(chan, params), new_cont)
             case Match(left, op, right, then, orelse):
-                return Match(sub_term(left, vm, nm), op, sub_term(right, vm, nm),
-                             go(then, vm, nm), go(orelse, vm, nm))
+                new_left, new_right = sub_term(left, vm, nm), sub_term(right, vm, nm)
+                new_then, new_orelse = branch(then, vm, nm), branch(orelse, vm, nm)
+                if (new_left is left and new_right is right
+                        and new_then is then and new_orelse is orelse):
+                    return p
+                return Match(new_left, op, new_right, new_then, new_orelse)
         raise TypeError(f"not a process: {p!r}")
 
     return go(p, dict(var_map), dict(name_map))

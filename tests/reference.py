@@ -1,0 +1,180 @@
+"""Full-walk references for the path-copying rewriter and restriction hoisting.
+
+``reference_rewrite`` is the rewriter that rebuilds every node it visits,
+and ``SequentialBuilder`` hoists restrictions by renaming the whole body
+once per clashing binder, probing fresh names from ``root_2`` up every
+time (``_fresh_variant`` without floors).  ``rewrite`` and ``_Builder``
+must give equal results; ``sequential`` runs any engine call with the
+references swapped in.
+"""
+
+import pytest
+
+from butfpi.epi import engine
+from butfpi.epi.engine import EngineError, _Builder, head_of
+from butfpi.epi.syntax import (
+    Act,
+    Bcast,
+    Bullet,
+    Chan,
+    Match,
+    NameT,
+    New,
+    Nil,
+    NumT,
+    OpT,
+    Par,
+    Process,
+    Recv,
+    Repl,
+    Send,
+    Term,
+    VarT,
+    _fresh_variant,
+    all_names,
+    free_process_vars,
+    term_names,
+    term_vars,
+)
+
+
+def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
+                      name_map: dict[str, str] | None = None) -> Process:
+    """``rewrite`` as a walk that rebuilds every node it reaches."""
+    var_map = var_map or {}
+    name_map = name_map or {}
+    if not var_map and not name_map:
+        return p
+
+    incoming = set(name_map.values())
+    for t in var_map.values():
+        incoming |= term_names(t)
+    incoming_vars: set[str] = set()
+    for t in var_map.values():
+        incoming_vars |= term_vars(t)
+
+    def sub_term(t: Term, vm: dict[str, Term], nm: dict[str, str]) -> Term:
+        match t:
+            case NumT():
+                return t
+            case NameT(name):
+                return NameT(nm[name]) if name in nm else t
+            case VarT(name):
+                return vm.get(name, t)
+            case OpT(op, left, right):
+                return OpT(op, sub_term(left, vm, nm), sub_term(right, vm, nm))
+        raise TypeError(f"not a term: {t!r}")
+
+    def sub_suffix(sfx, vm, nm):
+        if isinstance(sfx, VarT):
+            if sfx.name in vm:
+                value = vm[sfx.name]
+                if isinstance(value, NumT):
+                    return value.value
+                return value  # a name here can never address a cell; kept inert
+            return sfx
+        if isinstance(sfx, NameT):
+            return NameT(nm[sfx.name]) if sfx.name in nm else sfx
+        return sfx
+
+    def sub_chan(c: Chan, vm, nm) -> Chan:
+        return Chan(sub_term(c.base, vm, nm), sub_suffix(c.suffix, vm, nm))
+
+    def go(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        if not vm and not nm:
+            return p
+        match p:
+            case Nil():
+                return p
+            case Par(left, right):
+                return Par(go(left, vm, nm), go(right, vm, nm))
+            case Repl(body):
+                return Repl(go(body, vm, nm))
+            case Bullet(body):
+                return Bullet(go(body, vm, nm))
+            case New(name, body):
+                if name in incoming:
+                    fresh = _fresh_variant(name, incoming | all_names(body) | set(nm) | set(vm))
+                    body = go(body, {}, {name: fresh})
+                    name = fresh
+                inner_nm = {k: v for k, v in nm.items() if k != name}
+                return New(name, go(body, vm, inner_nm))
+            case Act(action, cont):
+                chan = sub_chan(action.chan, vm, nm)
+                if isinstance(action, (Send, Bcast)):
+                    args = tuple(sub_term(t, vm, nm) for t in action.args)
+                    kind = Send if isinstance(action, Send) else Bcast
+                    return Act(kind(chan, args), go(cont, vm, nm))
+                params = list(action.params)
+                inner_vm = {k: v for k, v in vm.items()
+                            if k not in action.params}
+                for i, x in enumerate(params):
+                    if x is not None and x in incoming_vars:
+                        fresh = _fresh_variant(x, incoming_vars | free_process_vars(cont) | set(inner_vm))
+                        cont = go(cont, {x: VarT(fresh)}, {})
+                        params[i] = fresh
+                return Act(Recv(chan, tuple(params)), go(cont, inner_vm, nm))
+            case Match(left, op, right, then, orelse):
+                return Match(sub_term(left, vm, nm), op, sub_term(right, vm, nm),
+                             go(then, vm, nm), go(orelse, vm, nm))
+        raise TypeError(f"not a process: {p!r}")
+
+    return go(p, dict(var_map), dict(name_map))
+
+
+class SequentialBuilder(_Builder):
+    """``_Builder`` with one full-body rename per clashing restriction."""
+
+    def add(self, proc: Process, depth: int) -> None:
+        match proc:
+            case Nil():
+                return
+            case Par(left, right):
+                self.add(left, depth)
+                self.add(right, depth)
+            case New(name, body):
+                chosen = _fresh_variant(name, self.used)
+                self.used.add(chosen)
+                self.restricted.add(chosen)
+                if chosen != name:
+                    body = reference_rewrite(body, name_map={name: chosen})
+                self.add(body, depth)
+            case Bullet():
+                self._add_bulleted(proc, depth)
+            case Repl(body):
+                head_of(proc)
+                self._thread(proc, depth)
+            case Act() | Match():
+                self._thread(proc, depth)
+            case _:
+                raise TypeError(f"not a process: {proc!r}")
+
+    def _add_bulleted(self, proc: Process, depth: int) -> None:
+        bullets = 0
+        p = proc
+        while isinstance(p, Bullet):
+            bullets += 1
+            p = p.body
+        match p:
+            case New(name, body):
+                inner: Process = body
+                for _ in range(bullets):
+                    inner = Bullet(inner)
+                self.add(New(name, inner), depth)
+            case Par():
+                raise EngineError("a bullet must guard a sequential process")
+            case Nil():
+                self._thread(proc, depth)
+            case Repl() | Act() | Match():
+                head_of(proc)
+                self._thread(proc, depth)
+            case _:
+                raise TypeError(f"not a process: {p!r}")
+
+
+def sequential(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the engine hoisting and substituting by reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_Builder", SequentialBuilder)
+        mp.setattr(engine, "rewrite", reference_rewrite)
+        return fn(*args, **kwargs)

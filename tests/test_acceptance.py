@@ -98,6 +98,7 @@ def test_criterion_1_semantics_golden_corpus(oracles):
         assert elapsed < 5.0, f"corpus evaluation took {elapsed:.2f}s"
 
 
+@pytest.mark.slow
 def test_criterion_2_translation_value_agreement(strict_reports, explorations, oracles):
     with criterion(2, "translation value agreement"):
         for entry in TERMINATING:
@@ -221,6 +222,7 @@ def test_criterion_7_cost_shapes():
         assert elapsed < 60.0, f"scaling took {elapsed:.2f}s"
 
 
+@pytest.mark.slow
 def test_criterion_8_result_confluence(explorations, oracles):
     with criterion(8, "result confluence under exploration"):
         fully_explored = 0

@@ -18,9 +18,10 @@ from butfpi.epi.engine import (
 )
 from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
-from butfpi.epi.syntax import NameT, all_names, rewrite
+from butfpi.epi.syntax import Bullet, NameT, New, Par, all_names, rewrite
 from butfpi.translate import count_bullets
-from generators import random_process, random_redex_config
+from generators import NAME_POOL, random_process, random_redex_config
+from reference import sequential
 
 
 def norm(text):
@@ -72,6 +73,42 @@ def test_normalize_idempotent():
             continue
         again = normalize(config_to_process(c))
         assert canonical_key(again) == canonical_key(c), pretty_process(p)
+
+
+def test_normalize_matches_sequential_renames():
+    texts = [
+        "a<> | b<> | new a, b.( a<b> | b(x). a<x> | new a. new c.( a<c> | c<b> ) )",
+        # the name chosen for a is the next binder, which renaming captures
+        "a<> | new a. new a_2.( a<1> | a_2<2> | !c(x). new a_2. x<a_2, a> )",
+        "a<> | a_2<> | new a. new a_3. new a.( a<> | a_3<> | !c(x). new a_4. a_4<x> )",
+        "a<> | *new a. new a_2. a<a_2> | new b. *new a. new b. b<a>",
+        # the inner a shadows the outer one's rename, inside a capture
+        "a<> | new a.( a<1> | new a. !c(x). new a_3. a<a_3> )",
+        "h<> | h_2<> | " + " | ".join(f"new h. h<{i}>" for i in range(12)),
+    ]
+    for text in texts:
+        p = parse_process(text)
+        assert normalize(p) == sequential(normalize, p), text
+
+    rng = random.Random(29)
+    free = Par(parse_process("a<> | b<> | h<> | a_2<>"), parse_process("a_3<>"))
+    checked = 0
+    for _ in range(400):
+        p = random_process(rng, depth=3)
+        for _ in range(rng.randint(1, 5)):
+            p = New(rng.choice(NAME_POOL + ("a_2", "a_3", "h_2")), p)
+            if rng.random() < 0.3:
+                p = Bullet(p)
+            if rng.random() < 0.3:
+                p = Par(random_process(rng, depth=2), p)
+        p = Par(free, p)
+        try:
+            want = sequential(normalize, p)
+        except EngineError:
+            continue
+        assert normalize(p) == want, pretty_process(p)
+        checked += 1
+    assert checked > 200
 
 
 def test_normalize_rejects_unguarded_shapes():

@@ -35,6 +35,7 @@ from butfpi.epi.parse import parse_process
 from butfpi.translate import translate
 from corpus import STUCK, TERMINATING
 from generators import random_closed_program, random_process, random_redex_config
+from reference import sequential
 
 
 class CheckedSoup(engine.LiveSoup):
@@ -217,8 +218,34 @@ def test_probes_stepped_in_place_agree_with_fresh_runs(checked, name):
         got = run(soup, stop_barb=reply, admin_only=True, permissive=True)
         assert got.status == want.status == "barb"
         assert got.steps == want.steps
-        assert got.config == want.config == soup.config()
-        config = got.config
+        assert got.config is None  # the soup is the caller's to materialize
+        assert soup.config() == want.config
+        config = soup.config()
+
+
+def test_unfolds_match_sequential_renames(checked):
+    # every unfold of a server renames its restrictions, and the chosen
+    # names (some equal to later binders) reach the steps' channels
+    text = ("a<> | a_2<> | b<> | c<> "
+            "| !f(x, r). new a, b.( a<x> | a(z). b<z> | b(y). r<y> "
+            "| new c.( c<r> | c(w). w<x> | new a_3. (a_3<c> | a_3(u). 0) ) ) "
+            "| f<1, o> | f<2, o> | f<3, o> | *f<4, o>")
+    config = norm(text)
+    for seed in range(6):
+        got = run(config, policy="random", seed=seed)
+        want = sequential(run, config, policy="random", seed=seed)
+        assert got.status == "terminated"
+        assert got.steps == want.steps
+        assert got.config == want.config
+    soup = engine.LiveSoup(config)
+    reference = sequential(engine.LiveSoup, config)
+    for index in range(1, 30):
+        if not soup.redexes:
+            break
+        step = soup.fire(soup.redexes[-1], index)
+        assert step == sequential(reference.fire, reference.redexes[-1], index)
+        assert soup.config() == reference.config()
+    assert index > 20
 
 
 # ----------------------------------------------------------- edge shapes
