@@ -59,6 +59,11 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _sizes(text: str) -> list[int]:
+    """An argparse type: comma-separated non-negative integers."""
+    return [_count(x) for x in text.split(",") if x]
+
+
 def _read_program(args) -> Expr:
     if args.expr is not None:
         return parse(args.expr)
@@ -96,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a source program")
     _add_program_arg(p)
-    p.add_argument("--fuel", type=int, default=None, help="max reduction steps")
+    p.add_argument("--fuel", type=_count, default=None, help="max reduction steps")
     p.add_argument("--trace", action="store_true", help="print one line per step")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -135,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="scaling families vs predicted shapes")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma-separated strictly increasing sizes, e.g. 1,2,4,8")
     p.add_argument("--seeds", type=_count, default=0)
     p.add_argument("--budget", type=_count, default=None)
@@ -257,20 +262,15 @@ def cmd_cost(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    try:
-        sizes = [int(x) for x in args.sizes.split(",") if x]
-    except ValueError:
-        print("sizes must be integers", file=sys.stderr)
-        return 2
-    if len(sizes) < MIN_SIZES:
+    if len(args.sizes) < MIN_SIZES:
         raise _UsageError(f"need at least {MIN_SIZES} sizes for a shape check")
     budget = args.budget if args.budget is not None else 500_000
-    table = scaling_experiment(args.family, sizes, seeds=args.seeds, budget=budget)
+    table = scaling_experiment(args.family, args.sizes, seeds=args.seeds, budget=budget)
     if len(table.rows) >= MIN_SIZES:
         verdict = fit_check(table)
     else:  # the sizes that did not finish were dropped
         verdict = FitVerdict(args.family, [("sizes", False, (
-            f"{len(table.rows)} of {len(sizes)} sizes ran, need {MIN_SIZES}"))])
+            f"{len(table.rows)} of {len(args.sizes)} sizes ran, need {MIN_SIZES}"))])
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":

@@ -43,6 +43,7 @@ from butfpi.epi.syntax import (
     Term,
     TermError,
     VarT,
+    _fresh_variant,
     eval_term,
 )
 from butfpi.translate import TranslationOptions, translate
@@ -101,15 +102,10 @@ class _Prober:
     def __init__(self, config: Config, budget: int = 200_000):
         self.soup = LiveSoup(config, admin_only=True)
         self.budget = budget
-        self.counter = 0
 
     def ask(self, handle: str, suffix, arity: int) -> tuple[Term, ...] | None:
         """Receive ``arity`` values on ``handle.suffix``; None if none arrive."""
-        while True:
-            self.counter += 1
-            reply = f"probe{self.counter}"
-            if reply not in self.soup.used:
-                break
+        reply = _fresh_variant("probe", self.soup.used, self.soup.floors)
         params = tuple(f"x{i}" for i in range(arity))
         self.soup.insert(Act(Recv(Chan(NameT(handle), suffix), params),
                              Act(Send(Chan(NameT(reply)), tuple(map(VarT, params))),

@@ -850,13 +850,13 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
 
 @_memo_on_instance("_memo_template")
 def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
-    """Encode a thread with free-name occurrences abstracted out.
+    """Encode a thread as a skeleton with free-name occurrences abstracted out.
 
     Local binders (guarded restrictions, receive patterns) encode
     positionally, so fresh names picked during unfolding cannot split
     states.  Every other name occurrence becomes an indexed hole; the
-    returned occurrence list restores them.  Cached per process: threads
-    survive across many states during exploration.
+    returned occurrence list restores them.  Cached on the process node:
+    threads survive across many states during exploration.
     """
     occs: list[str] = []
 
@@ -916,49 +916,32 @@ def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
                 return ("m", op, enc_term(left, env), enc_term(right, env),
                         go(then, env, depth), go(orelse, env, depth))
 
-    skeleton = go(proc, {}, 0)
-    return _intern_skeleton(skeleton), tuple(occs)
+    # rendered as a string, which caches its hash: a table lookup of the
+    # skeleton then costs no walk of it
+    return repr(go(proc, {}, 0)), tuple(occs)
 
 
-_SKELETONS: dict = {}
-
-
-def _intern_skeleton(skeleton) -> int:
-    sid = _SKELETONS.get(skeleton)
-    if sid is None:
-        sid = len(_SKELETONS)
-        _SKELETONS[skeleton] = sid
-    return sid
-
-
-# interning table: canonical thread form -> small id (exact, never collides)
-_INTERN: dict = {}
-
-
-def _intern(key) -> int:
-    tid = _INTERN.get(key)
-    if tid is None:
-        tid = len(_INTERN)
-        _INTERN[key] = tid
-    return tid
-
-
-def canonical_key(config: Config) -> tuple:
+def canonical_key(config: Config, table: dict) -> tuple:
     """A hashable form identifying configs up to renaming of restricted names.
 
-    Two configs with equal keys are alpha-equivalent soups (depths and
-    thread identities ignored).  The converse can miss: symmetric configs
-    may canonicalize differently, which only costs deduplication, never
-    soundness.  Keys are multisets of interned canonical thread forms, so
-    holding hundreds of thousands of them stays cheap.
+    Two configs with equal keys under one ``table`` are alpha-equivalent
+    soups (depths and thread identities ignored).  The converse can miss:
+    symmetric configs may canonicalize differently, which only costs
+    deduplication, never soundness.  ``table`` numbers thread skeletons and
+    canonical thread forms in the order the keys computed with it first see
+    them; the skeleton numbers order the threads, so keys are comparable
+    only under one table, and ``explore`` owns one per search.  Keys are
+    multisets of thread-form numbers, so holding hundreds of thousands of
+    them stays cheap.
     """
     restricted = config.restricted
     templates = [_thread_template(t.proc) for t in config.threads]
 
-    # order threads by skeleton and name-blinded occurrences, then number
-    # restricted names by first appearance in that order
+    # order threads by skeleton number and name-blinded occurrences, then
+    # number restricted names by first appearance in that order
     blinded = sorted(
-        ((skel, tuple((0, 0) if n in restricted else (1, n) for n in occs), occs)
+        ((table.setdefault(skel, len(table)),
+          tuple((0, 0) if n in restricted else (1, n) for n in occs), occs)
          for skel, occs in templates))
 
     def assign(ordering) -> list[tuple]:
@@ -980,7 +963,8 @@ def canonical_key(config: Config) -> tuple:
 
     keyed = assign(blinded)
     keyed = assign(sorted((k[0], k[1], k[2]) for k in keyed))
-    return tuple(sorted(_intern((skel, parts)) for skel, parts, _ in keyed))
+    return tuple(sorted(table.setdefault((skel, parts), len(table))
+                        for skel, parts, _ in keyed))
 
 
 def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_000,
@@ -996,7 +980,8 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     observable is terminal.
     """
     start = normalize_depths(config)
-    seen = {canonical_key(start)}
+    table: dict = {}
+    seen = {canonical_key(start, table)}
     frontier = [start]
     terminals: list[Config] = []
     terminal_keys: set = set()
@@ -1024,7 +1009,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
                 fired = True
-                key = canonical_key(succ)
+                key = canonical_key(succ, table)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -1033,7 +1018,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                     return terminals, bound_hit, len(seen)
                 next_frontier.append(succ)
             if not fired:
-                key = canonical_key(c)
+                key = canonical_key(c, table)
                 if key not in terminal_keys:
                     terminal_keys.add(key)
                     terminals.append(c)

@@ -18,8 +18,6 @@ the test suite exercises along full runs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from butfpi.epi.syntax import (
     Act,
     Bcast,
@@ -38,6 +36,7 @@ from butfpi.epi.syntax import (
     Send,
     Term,
     VarT,
+    _memo_on_instance,
 )
 
 OUT, HAN, SIG, COL, CTR, VAL = "output", "handle", "signal", "collection", "counter", "value"
@@ -269,18 +268,14 @@ def _label(action) -> str:
     return text
 
 
-@lru_cache(maxsize=65536)
-def _diagnose_cached(p: Process) -> str | None:
+@_memo_on_instance("_memo_diagnose")
+def diagnose(p: Process) -> str | None:
+    """None when ``p`` is in the translation grammar, else a path and reason."""
     try:
         _check(p, {}, "", False)
         return None
     except _Ill as ill:
         return str(ill)
-
-
-def diagnose(p: Process) -> str | None:
-    """None when ``p`` is in the translation grammar, else a path and reason."""
-    return _diagnose_cached(p)
 
 
 def well_behaved(p: Process) -> bool:
@@ -290,7 +285,7 @@ def well_behaved(p: Process) -> bool:
 def config_well_behaved(config) -> str | None:
     """Check every thread of a soup; restriction hoisting is grammar-neutral."""
     for t in config.threads:
-        problem = _diagnose_cached(t.proc)
+        problem = diagnose(t.proc)
         if problem is not None:
             return f"thread {t.tid}{problem}"
     return None

@@ -4,12 +4,9 @@
 Each case is one ``butfpi.cli.dispatch`` call; its exit code and captured
 stdout are stored under ``tests/golden/<entry>.json`` (``explore`` under
 ``tests/golden/explore/<entry>.json``) and ``test_golden.py`` requires the
-same bytes.  ``explore``'s state counts depend on what the process
-explored before (``canonical_key`` numbers thread skeletons process-wide),
-so its goldens are rendered together in one fresh interpreter, in a fixed
-order.  A golden file changes only together with a stated reason for the
-new output (a fixed bug, a new field): a refactor or an optimization must
-leave every file as it is.
+same bytes.  A golden file changes only together with a stated reason for
+the new output (a fixed bug, a new field): a refactor or an optimization
+must leave every file as it is.
 
 Regenerate all files from the current source with::
 
@@ -21,9 +18,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from butfpi.cli import dispatch
@@ -33,7 +27,6 @@ TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 EXPLORE_GOLDEN = GOLDEN / "explore"
 PROGRAMS = TESTS.parent / "programs"
-SRC = TESTS.parent / "src"
 
 RANDOM_SEEDS = range(5)
 CHECK_SEEDS = 20
@@ -78,7 +71,7 @@ def cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
 
 
 def explore_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Explore golden stem -> [(case label, full argv)], in rendering order."""
+    """Explore golden stem -> [(case label, full argv)]."""
     sources = [(f"corpus-{e.name}", e.source) for e in CORPUS
                if e.outcome != "diverges"]
     sources += [(f"program-{p.stem}", p.read_text(encoding="utf-8"))
@@ -101,16 +94,6 @@ def render_file(runs: list[tuple[str, tuple[str, ...]]]) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def render_explore_files() -> dict[str, str]:
-    """Every explore golden file, rendered in order in one fresh interpreter."""
-    path = os.pathsep.join(filter(None, (str(SRC), str(TESTS),
-                                         os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, __file__, "--print-explore"],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
-
-
 def _write(directory: Path, files: dict[str, str]) -> None:
     directory.mkdir(exist_ok=True)
     for stale in directory.glob("*.json"):
@@ -122,12 +105,9 @@ def _write(directory: Path, files: dict[str, str]) -> None:
 
 
 def main() -> None:
-    if sys.argv[1:] == ["--print-explore"]:
-        print(json.dumps({stem: render_file(runs)
-                          for stem, runs in explore_cases().items()}))
-        return
     _write(GOLDEN, {stem: render_file(runs) for stem, runs in cases().items()})
-    _write(EXPLORE_GOLDEN, render_explore_files())
+    _write(EXPLORE_GOLDEN, {stem: render_file(runs)
+                            for stem, runs in explore_cases().items()})
 
 
 if __name__ == "__main__":

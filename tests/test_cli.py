@@ -137,6 +137,8 @@ def test_scale_too_few_sizes_left_prints_table_and_fails(capsys):
     ("scale", "--family", "nested-apps", "--sizes", "1,2,3", "--seeds", "-1"),
     ("explore", "-e", "5", "--state-bound", "-1"),
     ("explore", "-e", "5", "--depth-bound", "-5"),
+    ("run", "-e", "5", "--fuel", "-5"),
+    ("scale", "--family", "array-of-apps", "--sizes=-2,-1,0"),
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -7,17 +7,11 @@ from golden import (
     GOLDEN,
     cases,
     explore_cases,
-    render_explore_files,
     render_file,
 )
 
 CASES = cases()
 EXPLORE_CASES = explore_cases()
-
-
-@pytest.fixture(scope="module")
-def explore_files():
-    return render_explore_files()
 
 
 def test_golden_files_match_cases():
@@ -33,6 +27,6 @@ def test_golden_bytes(stem):
 
 
 @pytest.mark.parametrize("stem", sorted(EXPLORE_CASES))
-def test_explore_golden_bytes(stem, explore_files):
+def test_explore_golden_bytes(stem):
     expected = (EXPLORE_GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
-    assert explore_files[stem] == expected
+    assert render_file(EXPLORE_CASES[stem]) == expected
