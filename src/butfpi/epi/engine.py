@@ -30,6 +30,15 @@ same ``_fire``, and the live list always equals the full scan's.
 Read-back keeps one soup for all its probes: each probe is
 ``LiveSoup.insert``-ed and ``run`` steps that soup in place.
 
+``explore`` keys every successor with ``canonical_key``, and sibling states
+share most of their threads and fire the same receives.  One search
+therefore shares that work, through memos that live no longer than it: the
+receive substitutions it has made (``_received``), the key entry of each
+thread, kept on the process node under a token of the search, and the
+templates of renamed threads, derived from the unrenamed process (see
+``_renamed``).  With ``stop_barb`` the search returns at the first state it
+expands that shows the barb.
+
 A step is important when it consumes a bullet guarding a participating
 prefix, administrative otherwise.  Every thread carries a causal depth:
 continuations inherit the maximum participant depth, plus one on important
@@ -156,15 +165,18 @@ class _Builder:
     A restriction whose name is taken is renamed to a fresh variant.  The
     renames of the restrictions above a subtree travel down with it as one
     pending list and are applied once per thread it spawns, choosing the
-    same names as renaming each body in turn would.
+    same names as renaming each body in turn would.  With ``templates`` set
+    (successors that ``explore`` keys), a renamed thread gets its
+    ``_thread_template`` from the unrenamed one, which sibling states share.
     """
 
     def __init__(self, used: set[str], restricted: set[str], next_tid: int,
-                 floors: dict[str, int] | None = None):
+                 floors: dict[str, int] | None = None, templates: bool = False):
         self.used = used
         self.restricted = restricted
         self.next_tid = next_tid
         self.floors = {} if floors is None else floors  # see _fresh_variant
+        self.templates = templates
         self.new_threads: list[Thread] = []
 
     def add(self, proc: Process, depth: int,
@@ -191,9 +203,9 @@ class _Builder:
                 self._add_bulleted(proc, depth, renames)
             case Repl(body):
                 head_of(proc)  # raises on unguarded bodies
-                self._thread(_renamed(proc, renames), depth)
+                self._thread(_renamed(proc, renames, self.templates), depth)
             case Act() | Match():
-                self._thread(_renamed(proc, renames), depth)
+                self._thread(_renamed(proc, renames, self.templates), depth)
             case _:
                 raise TypeError(f"not a process: {proc!r}")
 
@@ -216,7 +228,7 @@ class _Builder:
                 self._thread(proc, depth)  # inert, kept for bullet accounting
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(_renamed(proc, renames), depth)
+                self._thread(_renamed(proc, renames, self.templates), depth)
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
@@ -225,22 +237,41 @@ class _Builder:
         self.next_tid += 1
 
 
-def _renamed(proc: Process, renames: tuple[tuple[str, str], ...]) -> Process:
+def _renamed(proc: Process, renames: tuple[tuple[str, str], ...],
+             template: bool = False) -> Process:
     """``proc`` with each ``(old, new)`` rename applied in turn by ``rewrite``.
 
     When no binder of ``proc`` is one of the new names, no rename captures
     and they commute (the old names are taken, the new ones were not), so
     the renames that occur go through one ``rewrite``.
+
+    With ``template``, the result's ``_thread_template`` is set from
+    ``proc``'s without a walk: renaming changes free-name occurrences only
+    (binders encode by position), so the skeleton stays and each entry of
+    the occurrence list is renamed as ``rewrite`` renamed it.
     """
     if not renames:
         return proc
     present = symbols(proc)
     if all(new not in present for _, new in renames):
         name_map = {old: new for old, new in renames if old in present}
-        return rewrite(proc, name_map=name_map) if name_map else proc
+        if not name_map:
+            return proc
+        renamed = rewrite(proc, name_map=name_map)
+        if template:
+            skeleton, occs = _thread_template(proc)
+            object.__setattr__(renamed, "_memo_template",
+                               (skeleton, tuple(name_map.get(n, n) for n in occs)))
+        return renamed
+    renamed = proc
     for old, new in renames:
-        proc = rewrite(proc, name_map={old: new})
-    return proc
+        renamed = rewrite(renamed, name_map={old: new})
+    if template and renamed is not proc:
+        skeleton, occs = _thread_template(proc)
+        for old, new in renames:
+            occs = tuple(new if n == old else n for n in occs)
+        object.__setattr__(renamed, "_memo_template", (skeleton, occs))
+    return renamed
 
 
 def _make_config(threads: tuple[Thread, ...], restricted: set[str],
@@ -421,14 +452,32 @@ class CommitFault(Exception):
         self.tids = tids
 
 
+def _received(rh: Head, values: tuple[Term, ...], subst: dict | None) -> Process:
+    """A receiver's continuation with ``values`` substituted for its parameters.
+
+    ``subst``, a dict owned by one search, memoizes the result on the
+    continuation, parameters and values, which determine it: sibling
+    states fire the same receives with the same values.
+    """
+    if subst is not None:
+        key = (rh.cont, rh.core.params, values)
+        cont = subst.get(key)
+        if cont is None:
+            cont = subst[key] = _received(rh, values, None)
+        return cont
+    mapping = {x: v for x, v in zip(rh.core.params, values) if x is not None}
+    return rewrite(rh.cont, var_map=mapping)
+
+
 def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
-          builder: _Builder, index: int) -> tuple[set[int], dict[int, Process], Step]:
+          builder: _Builder, index: int, subst: dict | None = None,
+          ) -> tuple[set[int], dict[int, Process], Step]:
     """Fire one redex: spawn its continuations into ``builder``.
 
     Returns the participants consumed, the folded residual of each
     replicated participant (outer bullets consumed), and the step.  Raises
     ``CommitFault``, before spawning anything, if commit-time evaluation
-    fails.
+    fails.  ``subst`` memoizes receive substitutions (see ``_received``).
     """
     consumed: set[int] = set()
     folded: dict[int, Process] = {}
@@ -452,10 +501,9 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         r = thread(redex.participants[1])
         sh, rh = head_of(s.proc), head_of(r.proc)
         try:
-            values = [eval_term(a) for a in sh.core.args]
+            values = tuple(eval_term(a) for a in sh.core.args)
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
-        mapping = {x: v for x, v in zip(rh.core.params, values) if x is not None}
         depth_after = max(s.depth, r.depth) + inc
         for t, h in ((s, sh), (r, rh)):
             if h.repl:
@@ -463,13 +511,13 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             else:
                 consumed.add(t.tid)
         builder.add(sh.cont, depth_after)
-        builder.add(rewrite(rh.cont, var_map=mapping), depth_after)
+        builder.add(_received(rh, values, subst), depth_after)
         channel_text = render_chan(sh.core.chan)
     elif redex.rule == "BROAD":
         s = thread(redex.participants[0])
         sh = head_of(s.proc)
         try:
-            values = [eval_term(a) for a in sh.core.args]
+            values = tuple(eval_term(a) for a in sh.core.args)
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
         channel_text = render_chan(sh.core.chan)
@@ -485,8 +533,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             r = thread(rtid)
             rh = head_of(r.proc)
             depths.append(r.depth)
-            mapping = {x: v for x, v in zip(rh.core.params, values) if x is not None}
-            receiver_conts.append(rewrite(rh.cont, var_map=mapping))
+            receiver_conts.append(_received(rh, values, subst))
             if rh.repl:
                 folded[rtid] = rh.residual
             else:
@@ -510,12 +557,21 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     return consumed, folded, step
 
 
-def apply_redex(config: Config, redex: Redex) -> tuple[Config, Step]:
-    """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails."""
+def apply_redex(config: Config, redex: Redex,
+                subst: dict | None = None) -> tuple[Config, Step]:
+    """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails.
+
+    ``subst`` is the memo of receive substitutions of the search that calls
+    (see ``_received``).  Within a search every successor is keyed, so the
+    threads that hoisting renames then also get their ``_thread_template``
+    from the unrenamed process (see ``_renamed``).
+    """
     used = set(config.used)
     restricted = set(config.restricted)
-    builder = _Builder(used, restricted, config.next_tid)
-    consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0)
+    builder = _Builder(used, restricted, config.next_tid,
+                       templates=subst is not None)
+    consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0,
+                                   subst)
     threads = tuple(
         replace(t, proc=folded[t.tid]) if t.tid in folded else t
         for t in config.threads if t.tid not in consumed
@@ -921,7 +977,15 @@ def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
     return repr(go(proc, {}, 0)), tuple(occs)
 
 
-def canonical_key(config: Config, table: dict) -> tuple:
+def _key_entry(proc: Process, restricted: frozenset[str], table: dict) -> tuple:
+    """A thread's ``canonical_key`` entry: its skeleton's number in ``table``,
+    its occurrences with restricted names blinded, and its occurrences."""
+    skeleton, occs = _thread_template(proc)
+    return (table.setdefault(skeleton, len(table)),
+            tuple((0, 0) if n in restricted else (1, n) for n in occs), occs)
+
+
+def canonical_key(config: Config, table: dict, cache: object | None = None) -> tuple:
     """A hashable form identifying configs up to renaming of restricted names.
 
     Two configs with equal keys under one ``table`` are alpha-equivalent
@@ -933,16 +997,31 @@ def canonical_key(config: Config, table: dict) -> tuple:
     only under one table, and ``explore`` owns one per search.  Keys are
     multisets of thread-form numbers, so holding hundreds of thousands of
     them stays cheap.
+
+    ``cache`` is a token owned by one search.  Each thread's entry (see
+    ``_key_entry``) is kept on its process node, tagged with the token, and
+    read back from there by later keys with the same token, so a key
+    computes entries only for the threads new since the states before it.
+    That is sound because within one search every name keeps its
+    restricted or free status: restricted names are fresh when they are
+    hoisted and never freed.  Without ``cache`` every entry is computed.
     """
     restricted = config.restricted
-    templates = [_thread_template(t.proc) for t in config.threads]
+    if cache is None:
+        entries = [_key_entry(t.proc, restricted, table) for t in config.threads]
+    else:
+        entries = []
+        for t in config.threads:
+            proc = t.proc
+            memo = proc._memo_entry
+            if memo is None or memo[0] is not cache:
+                memo = (cache, _key_entry(proc, restricted, table))
+                object.__setattr__(proc, "_memo_entry", memo)
+            entries.append(memo[1])
 
     # order threads by skeleton number and name-blinded occurrences, then
     # number restricted names by first appearance in that order
-    blinded = sorted(
-        ((table.setdefault(skel, len(table)),
-          tuple((0, 0) if n in restricted else (1, n) for n in occs), occs)
-         for skel, occs in templates))
+    blinded = sorted(entries)
 
     def assign(ordering) -> list[tuple]:
         numbers: dict[str, int] = {}
@@ -962,7 +1041,7 @@ def canonical_key(config: Config, table: dict) -> tuple:
         return keyed
 
     keyed = assign(blinded)
-    keyed = assign(sorted((k[0], k[1], k[2]) for k in keyed))
+    keyed = assign(sorted(keyed))
     return tuple(sorted(table.setdefault((skel, parts), len(table))
                         for skel, parts, _ in keyed))
 
@@ -977,14 +1056,26 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     faults are treated permissively (the offending thread blocks or drops).
     ``admin_only`` and ``stop_barb`` mean what they mean to ``run``: only
     administrative redexes fire, and a state where the named channel is
-    observable is terminal.
+    observable is terminal.  The search returns as soon as it expands such
+    a state, with that state as the last terminal and no bound hit; a state
+    only discovered does not stop it, so the bounds cut the search where
+    they would without the goal.
+
+    Sibling states share most threads and fire the same receives, so the
+    search shares that work through three memos that live only as long as
+    it does: a dict of receive substitutions (``_received``), a token that
+    tags each thread's ``canonical_key`` entry on its process node, and the
+    templates ``apply_redex`` derives for renamed threads.  A state is keyed
+    once, when it is found; a terminal needs no second key, as no state
+    enters the frontier twice.
     """
     start = normalize_depths(config)
     table: dict = {}
-    seen = {canonical_key(start, table)}
+    cache = object()  # tags this search's key entries on the process nodes
+    subst: dict = {}
+    seen = {canonical_key(start, table, cache)}
     frontier = [start]
     terminals: list[Config] = []
-    terminal_keys: set = set()
     bound_hit = False
     depth = 0
     while frontier:
@@ -994,22 +1085,24 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
         next_frontier: list[Config] = []
         for c in frontier:
             if stop_barb is not None and (stop_barb, "out") in barbs(c):
-                redexes = []
-            else:
-                redexes, _diagnostics = enabled_redexes(c)
-                if admin_only:
-                    redexes = [r for r in redexes if _administrative(r)]
-            fired = False
+                terminals.append(c)
+                return terminals, False, len(seen)
+            redexes, _diagnostics = enabled_redexes(c)
+            if admin_only:
+                redexes = [r for r in redexes if _administrative(r)]
+            if not redexes:
+                # frontier states have distinct keys: no terminal repeats
+                terminals.append(c)
+                continue
             for redex in redexes:
                 if redex.rule == "FAULT":
                     succ = _drop_threads(c, redex.participants)
                 else:
                     try:
-                        succ, _step = apply_redex(c, redex)
+                        succ, _step = apply_redex(c, redex, subst)
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
-                fired = True
-                key = canonical_key(succ, table)
+                key = canonical_key(succ, table, cache)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -1017,11 +1110,6 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                     bound_hit = True
                     return terminals, bound_hit, len(seen)
                 next_frontier.append(succ)
-            if not fired:
-                key = canonical_key(c, table)
-                if key not in terminal_keys:
-                    terminal_keys.add(key)
-                    terminals.append(c)
         frontier = next_frontier
         depth += 1
     if frontier:

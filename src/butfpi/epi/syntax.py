@@ -226,6 +226,7 @@ for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast,
 # lookup would make every visited node allocate its instance dict
 for _cls in (Nil, Par, Repl, New, Act, Bullet, Match):
     _cls._memo_symbols = None
+    _cls._memo_entry = None  # ``canonical_key``'s per-search thread entry
 
 
 def par(*procs: Process) -> Process:

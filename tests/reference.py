@@ -1,17 +1,32 @@
-"""Full-walk references for the path-copying rewriter and restriction hoisting.
+"""Full-walk references for the path-copying rewriter, restriction hoisting
+and the state search.
 
 ``reference_rewrite`` is the rewriter that rebuilds every node it visits,
 and ``SequentialBuilder`` hoists restrictions by renaming the whole body
 once per clashing binder, probing fresh names from ``root_2`` up every
 time (``_fresh_variant`` without floors).  ``rewrite`` and ``_Builder``
 must give equal results; ``sequential`` runs any engine call with the
-references swapped in.
+references swapped in.  ``reference_explore`` is the search that computes
+every key from scratch and shares nothing between states, and
+``checking_entries`` checks the key entries ``explore`` caches.
 """
 
 import pytest
 
 from butfpi.epi import engine
-from butfpi.epi.engine import EngineError, _Builder, head_of
+from butfpi.epi.engine import (
+    CommitFault,
+    EngineError,
+    _administrative,
+    _Builder,
+    _drop_threads,
+    apply_redex,
+    barbs,
+    canonical_key,
+    enabled_redexes,
+    head_of,
+    normalize_depths,
+)
 from butfpi.epi.syntax import (
     Act,
     Bcast,
@@ -178,3 +193,86 @@ def sequential(fn, *args, **kwargs):
         mp.setattr(engine, "_Builder", SequentialBuilder)
         mp.setattr(engine, "rewrite", reference_rewrite)
         return fn(*args, **kwargs)
+
+
+def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100_000,
+                      admin_only: bool = False, stop_barb: str | None = None):
+    """``explore`` as the loop that keys every successor and every terminal
+    from scratch, with no memo of substitutions, templates or key entries,
+    and searches on after a ``stop_barb`` state."""
+    start = normalize_depths(config)
+    table: dict = {}
+    seen = {canonical_key(start, table)}
+    frontier = [start]
+    terminals = []
+    terminal_keys: set = set()
+    bound_hit = False
+    depth = 0
+    while frontier:
+        if depth >= depth_bound:
+            bound_hit = True
+            break
+        next_frontier = []
+        for c in frontier:
+            if stop_barb is not None and (stop_barb, "out") in barbs(c):
+                redexes = []
+            else:
+                redexes, _diagnostics = enabled_redexes(c)
+                if admin_only:
+                    redexes = [r for r in redexes if _administrative(r)]
+            fired = False
+            for redex in redexes:
+                if redex.rule == "FAULT":
+                    succ = _drop_threads(c, redex.participants)
+                else:
+                    try:
+                        succ, _step = apply_redex(c, redex)
+                    except CommitFault as fault:
+                        succ = _drop_threads(c, fault.tids)
+                fired = True
+                key = canonical_key(succ, table)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > state_bound:
+                    bound_hit = True
+                    return terminals, bound_hit, len(seen)
+                next_frontier.append(succ)
+            if not fired:
+                key = canonical_key(c, table)
+                if key not in terminal_keys:
+                    terminal_keys.add(key)
+                    terminals.append(c)
+        frontier = next_frontier
+        depth += 1
+    if frontier:
+        bound_hit = True
+    return terminals, bound_hit, len(seen)
+
+
+def checking_entries(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with every cached ``canonical_key`` checked.
+
+    Each key computed with a search's cache must equal the key computed
+    from scratch, and each thread's cached entry the entry computed afresh
+    in the state at hand.  Returns the result and the number of entries
+    checked.
+    """
+    real = engine.canonical_key
+    checked = 0
+
+    def key(config, table, cache=None):
+        nonlocal checked
+        got = real(config, table, cache)
+        if cache is not None:
+            for t in config.threads:
+                tag, entry = t.proc._memo_entry
+                assert tag is cache
+                assert entry == engine._key_entry(t.proc, config.restricted, table)
+                checked += 1
+            assert got == real(config, table)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "canonical_key", key)
+        return fn(*args, **kwargs), checked

@@ -241,3 +241,13 @@ def test_criterion_8_result_confluence(explorations, oracles):
             assert len(decoded_all) == 1, (entry.name, decoded_all)
         # the corpus must actually exercise this criterion broadly
         assert fully_explored >= 25, fully_explored
+
+
+@pytest.mark.slow
+def test_full_explorations_keep_their_state_counts(explorations):
+    # the largest searches that finish; sharing work between the states of
+    # a search must merge exactly the states it merged before
+    counts = {name: explorations[name][1:]
+              for name in ("map-inc", "map-over-iota", "index-of-map")}
+    assert counts == {"map-inc": (False, 15093), "map-over-iota": (False, 14617),
+                      "index-of-map": (False, 12807)}

@@ -1,0 +1,234 @@
+"""``explore`` shares work between the states of one search, and searches
+exactly as the loop that computes everything afresh.
+
+``reference_explore`` keys every successor and every terminal from
+scratch and memoizes nothing; ``checking_entries`` checks every key entry
+``explore`` takes from its cache against one computed in the state at
+hand, which is the invariant the cache relies on: within one search, a
+name keeps its restricted or free status.
+"""
+
+import random
+import sys
+from dataclasses import fields, is_dataclass
+
+import pytest
+
+from butfpi.butf.parse import parse
+from butfpi.correspondence import check_value_barb
+from butfpi.epi import engine
+from butfpi.epi.engine import (
+    EngineError,
+    _renamed,
+    _thread_template,
+    barbs,
+    canonical_key,
+    explore,
+    normalize,
+)
+from butfpi.epi.parse import parse_process
+from butfpi.epi.pretty import pretty_process
+from butfpi.epi.syntax import (
+    Act,
+    Bullet,
+    Chan,
+    Match,
+    NameT,
+    New,
+    Nil,
+    NumT,
+    Par,
+    Recv,
+    Repl,
+    Send,
+    VarT,
+    all_names,
+    symbols,
+)
+from butfpi.translate import translate
+from corpus import CORPUS
+from generators import NAME_POOL, random_closed_program, random_process, random_redex_config
+from golden import EXPLORE_SKIP
+from reference import checking_entries, reference_explore
+
+
+def _same_search(make_config, **kwargs) -> int:
+    """Explore two fresh copies of one config, by ``explore`` (checking its
+    cached entries) and by the reference; returns the states explored."""
+    want = reference_explore(make_config(), **kwargs)
+    got, checked = checking_entries(explore, make_config(), **kwargs)
+    assert got[1:] == want[1:]  # bound_hit, states
+    assert got[0] == want[0]  # the same terminal configs, in the same order
+    table: dict = {}
+    assert ([canonical_key(t, table) for t in got[0]]
+            == [canonical_key(t, table) for t in want[0]])
+    assert checked > 0
+    return got[2]
+
+
+@pytest.mark.parametrize("entry", [e for e in CORPUS
+                                   if f"corpus-{e.name}" not in EXPLORE_SKIP],
+                         ids=lambda e: e.name)
+def test_explore_matches_reference_on_corpus(entry):
+    # every entry but the five large ones fits in 2 000 states; omega must
+    # stop at the same state
+    _same_search(lambda: normalize(translate(parse(entry.source))),
+                 state_bound=2000, depth_bound=10**9)
+
+
+def test_explore_matches_reference_on_generated_programs():
+    rng = random.Random(61)
+    finished = 0
+    for _ in range(40):
+        e = random_closed_program(rng, depth=3)
+        try:
+            normalize(translate(e))
+        except (EngineError, RecursionError):
+            continue
+        states = _same_search(lambda: normalize(translate(e)), state_bound=300)
+        finished += states <= 300
+        _same_search(lambda: normalize(translate(e)), state_bound=300, admin_only=True)
+    assert finished >= 20, finished
+
+
+def test_explore_matches_reference_on_generated_processes():
+    rng = random.Random(67)
+    searched = 0
+    for _ in range(150):
+        p = random_redex_config(rng)
+        try:
+            normalize(p)
+        except EngineError:
+            continue
+        _same_search(lambda: normalize(p), state_bound=200)
+        searched += 1
+    assert searched >= 100, searched
+
+
+def test_key_entries_do_not_outlive_their_search():
+    config = normalize(translate(parse("map ((\\x. x), [7, 8])")))
+    first = explore(config)
+    # the second search starts from the nodes the first one keyed and must
+    # recompute, not reuse, the entries the first one left on them
+    again, checked = checking_entries(explore, config)
+    assert again[1:] == first[1:] == reference_explore(config)[1:]
+    assert checked > 0
+
+
+def test_a_search_holds_nothing_alive_once_it_returns(monkeypatch):
+    grabbed = {}
+    key, fire = engine.canonical_key, engine.apply_redex
+
+    def grabbing_key(config, table, cache=None):
+        grabbed["table"], grabbed["cache"] = table, cache
+        return key(config, table, cache)
+
+    def grabbing_fire(config, redex, subst=None):
+        grabbed["subst"] = subst
+        return fire(config, redex, subst)
+
+    monkeypatch.setattr(engine, "canonical_key", grabbing_key)
+    monkeypatch.setattr(engine, "apply_redex", grabbing_fire)
+    terminals, _, _ = explore(normalize(translate(parse("map ((\\x. x), [7, 8])"))))
+    assert grabbed["table"] and grabbed["subst"]
+    # only ``grabbed`` refers to the table and the memo (getrefcount adds one)
+    table_refs = sys.getrefcount(grabbed["table"])
+    subst_refs = sys.getrefcount(grabbed["subst"])
+    assert (table_refs, subst_refs) == (2, 2)
+    # the nodes keep the bare token, which refers to nothing
+    assert type(grabbed["cache"]) is object and terminals
+
+
+def test_receives_sharing_a_continuation_substitute_their_own_parameters():
+    # one continuation object under two receives that bind different names
+    cont = Act(Send(Chan(NameT("o")), (VarT("x"), VarT("y"))), Nil())
+    p = Par(Par(Act(Recv(Chan(NameT("c")), ("x",)), cont),
+                Act(Recv(Chan(NameT("d")), ("y",)), cont)),
+            Par(Act(Send(Chan(NameT("c")), (NumT(1),)), Nil()),
+                Act(Send(Chan(NameT("d")), (NumT(1),)), Nil())))
+    _same_search(lambda: normalize(p))
+
+
+# value barbs at the parent of the early exit, on every entry that does not
+# diverge; equal at both bounds
+BARB_BY_ADMIN_STEPS = {
+    "num", "lambda-id", "array-lit", "array-empty", "tuple-pair",
+    "tuple-unary", "tuple-empty", "tuple-nested",
+}
+BARB_SEARCH_UNSETTLED = {"map-inc", "index-of-map"}
+
+
+@pytest.mark.parametrize("bound", (2000, 4000))
+def test_check_value_barb_answers_are_pinned(bound):
+    for entry in CORPUS:
+        if entry.outcome == "diverges":
+            continue
+        want = (True if entry.name in BARB_BY_ADMIN_STEPS
+                else None if entry.name in BARB_SEARCH_UNSETTLED else False)
+        assert check_value_barb(parse(entry.source), state_bound=bound) is want, entry.name
+
+
+def test_stop_barb_search_returns_at_the_first_barb_state_it_expands():
+    config = normalize(parse_process("c<2> | c(x). o<x> | d<1> | d(y). 0"))
+    terminals, bound_hit, states = explore(config, admin_only=True, stop_barb="o")
+    # the start's two successors are both discovered before the barb state
+    # among them is expanded
+    assert (bound_hit, states) == (False, 3)
+    assert [("o", "out") in barbs(t) for t in terminals] == [True]
+    want, want_hit, want_states = reference_explore(config, admin_only=True,
+                                                    stop_barb="o")
+    assert (want_hit, want_states) == (False, 4)
+    assert [("o", "out") in barbs(t) for t in want] == [True, True]
+
+
+# ------------------------------------------------- derived templates
+
+def _fresh_copy(x):
+    """A structurally equal copy sharing no node, and so no memo, with ``x``."""
+    if is_dataclass(x):
+        return type(x)(*(_fresh_copy(getattr(x, f.name)) for f in fields(x)))
+    if isinstance(x, tuple):
+        return tuple(_fresh_copy(v) for v in x)
+    return x
+
+
+def _binders(p) -> set[str]:
+    match p:
+        case New(name, body):
+            return {name} | _binders(body)
+        case Par(left, right):
+            return _binders(left) | _binders(right)
+        case Repl(body) | Bullet(body):
+            return _binders(body)
+        case Act(_, cont):
+            return _binders(cont)
+        case Match(then=then, orelse=orelse):
+            return _binders(then) | _binders(orelse)
+    return set()
+
+
+def test_renamed_templates_match_fresh_copies():
+    rng = random.Random(71)
+    seen = {"composed": 0, "sequential": 0, "binder": 0}
+    for _ in range(1500):
+        p = random_process(rng, 4)
+        names = sorted(all_names(p) | set(NAME_POOL))
+        binders = sorted(_binders(p))
+        renames = []
+        for _ in range(rng.randint(1, 4)):
+            if binders and rng.random() < 0.25:
+                new = rng.choice(binders)  # a binder equal to a new name
+            else:
+                new = rng.choice(("a_2", "h_3", "z", "k_2") + NAME_POOL)
+            renames.append((rng.choice(names), new))
+        renamed = _renamed(p, tuple(renames), template=True)
+        if renamed is p:
+            continue
+        copy = _fresh_copy(renamed)
+        assert copy == renamed and "_memo_template" not in vars(copy)
+        derived = vars(renamed)["_memo_template"]
+        assert derived == _thread_template(copy), (pretty_process(p), renames)
+        present = symbols(p)
+        seen["sequential" if any(new in present for _, new in renames) else "composed"] += 1
+        seen["binder"] += any(new in binders for _, new in renames)
+    assert min(seen.values()) >= 200, seen
