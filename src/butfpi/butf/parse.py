@@ -18,8 +18,8 @@ The grammar, lowest precedence first::
                | '(' expr (',' expr)+ ')'               -- tuple
                | '[' (expr (',' expr)*)? ']'            -- array
 
-``--`` starts a comment running to end of line.  Identifiers are
-``[A-Za-z_][A-Za-z0-9_]*``; ``if then else map iota size`` are reserved.
+The lexical rules are those of ``butfpi.lexer``, shared with the process
+syntax; ``if then else map iota size`` are reserved.
 Infix arithmetic ``a + b`` is sugar for the uncurried builtin applied to a
 pair, ``App(Builtin add, (a, b))``.  A ``-`` directly before a number in
 operand position is a negative literal; after an operand it is subtraction.
@@ -30,166 +30,38 @@ Indexing is whitespace sensitive, as in FUTHARK: ``a[i]`` indexes, while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from butfpi.butf.syntax import App, Array, Builtin, Expr, If, Index, Lam, Num, Tup, Var
+from butfpi.lexer import OP_NAMES, ParseError, Parser, tokenize
 
 KEYWORDS = {"if", "then", "else", "map", "iota", "size"}
-_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_BUILTINS = ("map", "iota", "size")
 _SYMBOLS = ("\\", ".", "(", ")", "[", "]", ",", "+", "-", "*", "/")
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+def _infix(name: str, left: Expr, right: Expr) -> Expr:
+    return App(Builtin(name), Tup((left, right)))
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "ident" | "kw" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
-    glued: bool = False  # no whitespace between this token and the previous one
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    glued = False
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            glued = False
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            glued = False
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            glued = False
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("num", text[i:j], start_line, start_col, glued))
-            col += j - i
-            i = j
-            glued = True
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, start_line, start_col, glued))
-            col += j - i
-            i = j
-            glued = True
-            continue
-        if c in _SYMBOLS:
-            toks.append(Token("sym", c, start_line, start_col, glued))
-            i += 1
-            col += 1
-            glued = True
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            raise self.error(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def at_sym(self, *syms: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text in syms
-
-    # -- grammar --
-
+class _Parser(Parser):
     def expr(self) -> Expr:
-        if self.at_sym("\\"):
-            self.next()
+        if self.accept("\\"):
             tok = self.peek()
             if tok.kind != "ident":
                 raise self.error("expected parameter name after '\\'")
             self.next()
-            self.expect_sym(".")
+            self.expect(".")
             return Lam(tok.text, self.expr())
-        if self.peek().kind == "kw" and self.peek().text == "if":
-            self.next()
+        if self.accept("if"):
             cond = self.expr()
-            self.expect_kw("then")
+            self.expect("then")
             then = self.expr()
-            self.expect_kw("else")
+            self.expect("else")
             return If(cond, then, self.expr())
-        return self.addsub()
-
-    def addsub(self) -> Expr:
-        left = self.muldiv()
-        while self.at_sym("+", "-"):
-            op = self.next().text
-            left = App(Builtin(_OP_NAMES[op]), Tup((left, self.muldiv())))
-        return left
-
-    def muldiv(self) -> Expr:
-        left = self.app()
-        while self.at_sym("*", "/"):
-            op = self.next().text
-            left = App(Builtin(_OP_NAMES[op]), Tup((left, self.app())))
-        return left
-
-    def _at_atom_start(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("num", "ident"):
-            return True
-        if tok.kind == "kw" and tok.text in ("map", "iota", "size"):
-            return True
-        return tok.kind == "sym" and tok.text in ("(", "[")
+        return self.binary(self.app, _infix)
 
     def app(self) -> Expr:
         e = self.postfix()
-        while self._at_atom_start():
+        while self.peek().kind in ("num", "ident") or self.at(*_BUILTINS, "(", "["):
             e = App(e, self.postfix())
         return e
 
@@ -197,10 +69,10 @@ class _Parser:
         # `a[i]` (no space) is indexing; `f [1, 2]` (spaced) applies f to an
         # array literal, mirroring how FUTHARK separates the two
         e = self.atom()
-        while self.at_sym("[") and self.peek().glued:
+        while self.at("[") and self.peek().glued:
             self.next()
             idx = self.expr()
-            self.expect_sym("]")
+            self.expect("]")
             e = Index(e, idx)
         return e
 
@@ -209,63 +81,38 @@ class _Parser:
         if tok.kind == "num":
             self.next()
             return Num(int(tok.text))
-        if tok.kind == "sym" and tok.text == "-" and self.peek(1).kind == "num":
+        if self.at("-") and self.peek(1).kind == "num":
             self.next()
             return Num(-int(self.next().text))
         if tok.kind == "ident":
             self.next()
             return Var(tok.text)
-        if tok.kind == "kw" and tok.text in ("map", "iota", "size"):
-            self.next()
+        if self.accept(*_BUILTINS):
             return Builtin(tok.text)
-        if tok.kind == "sym" and tok.text == "[":
-            self.next()
-            items: list[Expr] = []
-            if not self.at_sym("]"):
-                items.append(self.expr())
-                while self.at_sym(","):
-                    self.next()
-                    items.append(self.expr())
-            self.expect_sym("]")
-            return Array(tuple(items))
-        if tok.kind == "sym" and tok.text == "(":
-            self.next()
-            if self.at_sym(")"):
-                self.next()
+        if self.accept("["):
+            return Array(tuple(self.listed("]", self.expr)))
+        if self.accept("("):
+            if self.accept(")"):
                 return Tup(())
             # operator section: (+) (-) (*) (/)
-            if self.at_sym("+", "-", "*", "/") and self._next_is_rparen():
+            if self.at("+", "-", "*", "/") and self.peek(1).text == ")":
                 op = self.next().text
                 self.next()
-                return Builtin(_OP_NAMES[op])
+                return Builtin(OP_NAMES[op])
             first = self.expr()
-            if self.at_sym(")"):
-                self.next()
+            if self.accept(")"):
                 return first
-            if self.at_sym(","):
-                self.next()
-                if self.at_sym(")"):
-                    self.next()
+            if self.accept(","):
+                if self.accept(")"):
                     return Tup((first,))
-                items = [first, self.expr()]
-                while self.at_sym(","):
-                    self.next()
-                    items.append(self.expr())
-                self.expect_sym(")")
-                return Tup(tuple(items))
+                return Tup((first, *self.listed(")", self.expr)))
             raise self.error("expected ')' or ',' in parenthesized expression")
-        raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
-
-    def _next_is_rparen(self) -> bool:
-        nxt = self.peek(1)
-        return nxt.kind == "sym" and nxt.text == ")"
+        raise self.expected("an expression")
 
 
 def parse(text: str) -> Expr:
     """Parse a BUTF program.  Free variables are allowed."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text, _SYMBOLS, KEYWORDS, ParseError))
     e = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    parser.end()
     return e

@@ -11,7 +11,8 @@ Subcommands::
     explore    exhaustive state-space search for small programs
 
 Exit codes: 0 success (and checks passed), 1 a check failed, 2 usage or
-parse errors.  JSON output is byte-stable for a fixed argv and seed; text
+parse errors, 3 the input is too large or too deeply nested for the
+interpreter's recursion limit.  JSON output is byte-stable for a fixed argv and seed; text
 output is for humans and may change.
 """
 
@@ -23,15 +24,16 @@ import os
 import sys
 
 from butfpi.butf.eval import EvalResult, Stuck, eval_expr
-from butfpi.butf.parse import ParseError, parse
+from butfpi.butf.parse import parse
 from butfpi.butf.pretty import pretty
 from butfpi.butf.syntax import Expr
 from butfpi.correspondence import check_program, read_output, value_equal
 from butfpi.cost import (FAMILIES, MIN_SIZES, FitVerdict, fit_check, measure,
                           scaling_experiment)
 from butfpi.epi.engine import EngineError, barbs, explore, normalize, run
-from butfpi.epi.parse import ProcessParseError, parse_process
+from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
+from butfpi.lexer import ParseError
 from butfpi.translate import TranslationOptions, translate
 from butfpi.ugrammar import diagnose
 
@@ -331,7 +333,7 @@ def dispatch(argv: list[str]) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ParseError, ProcessParseError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, ValueError, _UsageError) as exc:
@@ -340,6 +342,9 @@ def dispatch(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        print(f"error: input too large or too deeply nested: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -21,7 +21,8 @@ Grammar::
     termatom::= num | '-' num | ident | '(' term ')'
     cmp     ::= '<' | '>' | '<=' | '>=' | '=' | '==' | '!='
 
-``--`` comments run to end of line.  Identifier occurrences are resolved
+The lexical rules are those of ``butfpi.lexer``, shared with the source
+syntax; no word is reserved.  Identifier occurrences are resolved
 lexically: bound by an enclosing ``new`` they are names, bound by a receive
 pattern they are variables, and free identifiers are names.  A restriction
 extends over the following sequential process only; parenthesize for wider
@@ -29,8 +30,6 @@ scope, e.g. ``new a.( P | Q )``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from butfpi.epi.syntax import (
     Act,
@@ -52,108 +51,22 @@ from butfpi.epi.syntax import (
     Term,
     VarT,
 )
+from butfpi.lexer import ParseError, Parser, tokenize
 
-_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-_TWO_CHAR = ("<=", ">=", "!=", "==")
-_ONE_CHAR = "|!*.,()<>[]=:+-/"
-
-
-class ProcessParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+_SYMBOLS = ("<=", ">=", "!=", "==", *"|!*.,()<>[]=:+-/")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "ident" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+class ProcessParseError(ParseError):
+    """A syntax error in process text."""
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if c in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token("sym", two, line, col))
-            col += 2
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(Token("sym", c, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ProcessParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ProcessParseError:
-        tok = self.peek()
-        return ProcessParseError(message, tok.line, tok.col)
-
-    def at(self, *syms: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text in syms
-
-    def expect(self, sym: str) -> Token:
-        if not self.at(sym):
-            tok = self.peek()
-            raise self.error(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
+class _Parser(Parser):
+    error_class = ProcessParseError
 
     def ident(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+            raise self.expected(what)
         self.next()
         return tok.text
 
@@ -166,8 +79,7 @@ class _Parser:
 
     def process(self, env: dict[str, str]) -> Process:
         first = self.seq(env)
-        if self.at("|"):
-            self.next()
+        if self.accept("|"):
             return Par(first, self.process(env))
         return first
 
@@ -176,8 +88,7 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "new":
             self.next()
             names = [self.ident("a name after 'new'")]
-            while self.at(","):
-                self.next()
+            while self.accept(","):
                 names.append(self.ident("a name"))
             self.expect(".")
             inner = dict(env)
@@ -187,77 +98,53 @@ class _Parser:
             for name in reversed(names):
                 body = New(name, body)
             return body
-        if self.at("!"):
-            self.next()
+        if self.accept("!"):
             return Repl(self.seq(env))
-        if self.at("*"):
-            self.next()
+        if self.accept("*"):
             return Bullet(self.seq(env))
-        if self.at("["):
-            self.next()
+        if self.accept("["):
             left = self.term(env)
             cmp_tok = self.peek()
-            if not self.at("<", ">", "<=", ">=", "=", "==", "!="):
+            if not self.accept("<", ">", "<=", ">=", "=", "==", "!="):
                 raise self.error("expected a comparator in match")
-            self.next()
             op = "=" if cmp_tok.text == "==" else cmp_tok.text
             right = self.term(env)
             self.expect("]")
             then = self.seq(env)
             orelse: Process = Nil()
-            if self.at(","):
-                self.next()
+            if self.accept(","):
                 orelse = self.seq(env)
             return Match(left, op, right, then, orelse)
         if tok.kind == "num" and tok.text == "0":
             self.next()
             return Nil()
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             inner = self.process(env)
             self.expect(")")
             return inner
         if tok.kind == "ident":
             return self.action_seq(env)
-        raise self.error(f"expected a process, found {tok.text or 'end of input'!r}")
+        raise self.expected("a process")
 
     def action_seq(self, env: dict[str, str]) -> Process:
         chan = self.chan(env)
-        if self.at("("):
-            self.next()
-            params: list[str | None] = []
-            if not self.at(")"):
-                params.append(self.pattern())
-                while self.at(","):
-                    self.next()
-                    params.append(self.pattern())
-            self.expect(")")
+        if self.accept("("):
+            params: list[str | None] = self.listed(")", self.pattern)
             inner = dict(env)
             for x in params:
                 if x is not None:
                     inner[x] = "var"
             cont = self.continuation(inner)
             return Act(Recv(chan, tuple(params)), cont)
-        broadcast = False
-        if self.at(":"):
-            self.next()
-            broadcast = True
-        if not self.at("<"):
+        broadcast = self.accept(":")
+        if not self.accept("<"):
             raise self.error("expected '<', '(' or ':<' after channel")
-        self.next()
-        args: list[Term] = []
-        if not self.at(">"):
-            args.append(self.term(env))
-            while self.at(","):
-                self.next()
-                args.append(self.term(env))
-        self.expect(">")
+        args: list[Term] = self.listed(">", self.term, env)
         action = (Bcast if broadcast else Send)(chan, tuple(args))
         return Act(action, self.continuation(env))
 
     def continuation(self, env: dict[str, str]) -> Process:
-        if self.at("."):
-            self.next()
+        if self.accept("."):
             return self.seq(env)
         return Nil()
 
@@ -267,9 +154,8 @@ class _Parser:
 
     def chan(self, env: dict[str, str]) -> Chan:
         base = self.resolve(self.ident("a channel"), env)
-        if not self.at("."):
+        if not self.accept("."):
             return Chan(base)
-        self.next()
         tok = self.peek()
         if tok.kind == "num":
             self.next()
@@ -288,18 +174,7 @@ class _Parser:
     # -- terms --
 
     def term(self, env: dict[str, str]) -> Term:
-        left = self.factor(env)
-        while self.at("+", "-"):
-            op = self.next().text
-            left = OpT(_OP_NAMES[op], left, self.factor(env))
-        return left
-
-    def factor(self, env: dict[str, str]) -> Term:
-        left = self.termatom(env)
-        while self.at("*", "/"):
-            op = self.next().text
-            left = OpT(_OP_NAMES[op], left, self.termatom(env))
-        return left
+        return self.binary(self.termatom, OpT, env)
 
     def termatom(self, env: dict[str, str]) -> Term:
         tok = self.peek()
@@ -312,19 +187,16 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             return self.resolve(tok.text, env)
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             inner = self.term(env)
             self.expect(")")
             return inner
-        raise self.error(f"expected a term, found {tok.text or 'end of input'!r}")
+        raise self.expected("a term")
 
 
 def parse_process(text: str) -> Process:
     """Parse process text.  Free identifiers become free names."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text, _SYMBOLS, (), ProcessParseError))
     p = parser.process({})
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ProcessParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    parser.end()
     return p

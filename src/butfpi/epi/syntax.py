@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Union
 
+from butfpi.butf.eval import apply_arith
+
 LABELS = ("all", "tup", "len")
 COMPARATORS = ("<", ">", "<=", ">=", "=", "!=")
 
@@ -52,22 +54,6 @@ class OpT:
 Term = Union[NumT, NameT, VarT, OpT]
 
 
-def _arith(op: str, a: int, b: int) -> int:
-    # division truncates toward zero, matching the source language
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise TermError("division by zero")
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def eval_term(t: Term) -> NumT | NameT:
     """Fold arithmetic over numbers; names are opaque fixed points."""
     match t:
@@ -79,7 +65,10 @@ def eval_term(t: Term) -> NumT | NameT:
             lv, rv = eval_term(left), eval_term(right)
             if isinstance(lv, NameT) or isinstance(rv, NameT):
                 raise TermError("arithmetic on a channel name")
-            return NumT(_arith(op, lv.value, rv.value))
+            try:
+                return NumT(apply_arith(op, lv.value, rv.value))
+            except ZeroDivisionError:
+                raise TermError("division by zero") from None
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -119,6 +119,17 @@ _RECV_SHAPES = {
     (CTR, "none"): (1, (VAL,)),
 }
 
+# (arity or None for any, the fault when the payload misses it)
+_SEND_SHAPES = {
+    (OUT, "none"): (1, "output must deliver exactly one value"),
+    (HAN, "idx"): (2, "cell must carry (index, value)"),
+    (HAN, "len"): (1, "length server must carry one value"),
+    (HAN, "tup"): (None, "tuple payload must be values"),
+    (COL, "none"): (2, "collection send must carry (index, value)"),
+    (SIG, "none"): (0, "signals are empty"),
+    (CTR, "none"): (1, "counter must carry one value"),
+}
+
 # replication is reserved for servers: function bodies, cell faces,
 # collection readers, counters, and the replicated data senders
 _REPLICABLE_RECV = {(HAN, "none"), (HAN, "all"), (COL, "none"), (CTR, "none")}
@@ -198,38 +209,17 @@ def _check_send(action: Send, cont: Process, shape, env, path, replicated) -> No
             raise _Ill(path, "function reply slot is not an output channel")
         _check(cont, env, label, False)  # calls may sequence further protocol
         return
-    if shape == (COL, "none") and not isinstance(cont, Nil):
-        # the index generator sequences its next counter token behind the
-        # delivery of the current pair
-        if len(action.args) != 2 or not all(_is_value_term(t, env) for t in action.args):
-            raise _Ill(path, "collection send must carry (index, value)")
-        _check(cont, env, label, False)
-        return
-    if not isinstance(cont, Nil):
+    # the index generator sequences its next counter token behind the
+    # delivery of the current collection pair
+    if not isinstance(cont, Nil) and shape != (COL, "none"):
         raise _Ill(path, f"send on {shape} carries a continuation")
-    if shape == (OUT, "none"):
-        if len(action.args) != 1 or not _is_value_term(action.args[0], env):
-            raise _Ill(path, "output must deliver exactly one value")
-    elif shape == (HAN, "idx"):
-        if len(action.args) != 2 or not all(_is_value_term(t, env) for t in action.args):
-            raise _Ill(path, "cell must carry (index, value)")
-    elif shape == (HAN, "len"):
-        if len(action.args) != 1 or not _is_value_term(action.args[0], env):
-            raise _Ill(path, "length server must carry one value")
-    elif shape == (HAN, "tup"):
-        if not all(_is_value_term(t, env) for t in action.args):
-            raise _Ill(path, "tuple payload must be values")
-    elif shape == (COL, "none"):
-        if len(action.args) != 2 or not all(_is_value_term(t, env) for t in action.args):
-            raise _Ill(path, "collection send must carry (index, value)")
-    elif shape == (SIG, "none"):
-        if action.args:
-            raise _Ill(path, "signals are empty")
-    elif shape == (CTR, "none"):
-        if len(action.args) != 1 or not _is_value_term(action.args[0], env):
-            raise _Ill(path, "counter must carry one value")
-    else:
+    if shape not in _SEND_SHAPES:
         raise _Ill(path, f"no send production for {shape}")
+    arity, fault = _SEND_SHAPES[shape]
+    if ((arity is not None and len(action.args) != arity)
+            or not all(_is_value_term(t, env) for t in action.args)):
+        raise _Ill(path, fault)
+    _check(cont, env, label, False)
 
 
 def _check_bcast(action: Bcast, cont: Process, shape, env, path, replicated) -> None:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from butfpi import cli
 from butfpi.cli import build_parser, dispatch
 
 
@@ -37,6 +38,22 @@ def test_run_json(capsys):
 def test_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "run", "-e", "5 +")
     assert code == 2 and "parse error" in err
+
+
+def test_process_parse_error_exit_two(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--raw", "a<1")
+    assert code == 2 and err == "parse error: 1:4: expected '>', found 'end of input'\n"
+
+
+def test_stack_exhaustion_exit_three(capsys, monkeypatch):
+    # stands in for an input deep enough to exhaust the interpreter's stack
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "cmd_translate", overflow)
+    code, out, err = run_cli(capsys, "translate", "-e", "5")
+    assert code == 3 and out == ""
+    assert err == ("error: input too large or too deeply nested: "
+                   "maximum recursion depth exceeded\n")
 
 
 def test_usage_error_exit_two(capsys):

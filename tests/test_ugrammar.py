@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from butfpi.butf.parse import parse
 from butfpi.epi.engine import CommitFault, apply_redex, enabled_redexes, normalize
 from butfpi.epi.parse import parse_process
@@ -36,6 +38,26 @@ def test_shape_violations_have_diagnostics():
     assert diagnose(parse_process("o<1, 2>")) is not None
     assert diagnose(parse_process("!o(v). 0")) is not None  # outputs are not servers
     assert diagnose(parse_process("[h < 0] o<1>, 0")) is not None
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("o<1, 2>", ": output must deliver exactly one value"),
+    ("h<1>", ": function call must carry (value, output)"),
+    ("h<o, o>", ": function argument is not a value"),
+    ("h<1, h>", ": function reply slot is not an output channel"),
+    ("h.0<1, o>", ": cell must carry (index, value)"),
+    ("h.len<d>", ": length server must carry one value"),
+    ("h.tup<1, o>", ": tuple payload must be values"),
+    ("vals<1>", ": collection send must carry (index, value)"),
+    ("vals<o, 1>.c<1>", ": collection send must carry (index, value)"),
+    ("d<1>", ": signals are empty"),
+    ("c<>", ": counter must carry one value"),
+    ("o.1<1>", ": no send production for ('output', 'idx')"),
+    ("o<1>.d<>", ": send on ('output', 'none') carries a continuation"),
+    ("!o<1>", ".repl: send on ('output', 'none') cannot be replicated"),
+])
+def test_send_productions_diagnose_bad_payloads(text, fault):
+    assert diagnose(parse_process(text)) == fault
 
 
 def test_translations_well_behaved_on_corpus():
