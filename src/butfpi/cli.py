@@ -130,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_arg(p)
     _add_mode_flags(p)
     p.add_argument("--seeds", type=_count, default=20)
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--budget", type=_count, default=200_000)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("cost", help="work/span measurement")
     _add_program_arg(p)
     _add_mode_flags(p)
     p.add_argument("--seeds", type=_count, default=0)
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--budget", type=_count, default=500_000)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("scale", help="scaling families vs predicted shapes")
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma-separated strictly increasing sizes, e.g. 1,2,4,8")
     p.add_argument("--seeds", type=_count, default=0)
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--budget", type=_count, default=500_000)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("explore", help="exhaustive exploration of small programs")
@@ -233,8 +233,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     e = _read_program(args)
-    budget = args.budget if args.budget is not None else 200_000
-    report = check_program(e, seeds=args.seeds, budget=budget, opts=_options(args))
+    report = check_program(e, seeds=args.seeds, budget=args.budget, opts=_options(args))
     if args.format == "json":
         _emit(report.to_dict(), "json")
     else:
@@ -253,8 +252,7 @@ def cmd_check(args) -> int:
 
 def cmd_cost(args) -> int:
     e = _read_program(args)
-    budget = args.budget if args.budget is not None else 500_000
-    report = measure(e, seeds=args.seeds, budget=budget, opts=_options(args))
+    report = measure(e, seeds=args.seeds, budget=args.budget, opts=_options(args))
     if args.format == "json":
         _emit(report.to_dict(), "json")
     else:
@@ -266,8 +264,8 @@ def cmd_cost(args) -> int:
 def cmd_scale(args) -> int:
     if len(args.sizes) < MIN_SIZES:
         raise _UsageError(f"need at least {MIN_SIZES} sizes for a shape check")
-    budget = args.budget if args.budget is not None else 500_000
-    table = scaling_experiment(args.family, args.sizes, seeds=args.seeds, budget=budget)
+    table = scaling_experiment(args.family, args.sizes, seeds=args.seeds,
+                               budget=args.budget)
     if len(table.rows) >= MIN_SIZES:
         verdict = fit_check(table)
     else:  # the sizes that did not finish were dropped

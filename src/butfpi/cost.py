@@ -152,7 +152,11 @@ def scaling_experiment(family: str, sizes: list[int], seeds: int = 0,
         raise ValueError("sizes must be strictly increasing")
     table = ScalingTable(family)
     for n in sizes:
-        report = measure(FAMILIES[family](n), seeds=seeds, budget=budget, opts=opts)
+        try:
+            report = measure(FAMILIES[family](n), seeds=seeds, budget=budget, opts=opts)
+        except RecursionError:  # too deep for the interpreter's stack
+            table.dropped.append(n)
+            continue
         if report.status != "ok":
             table.dropped.append(n)
             continue

@@ -17,18 +17,18 @@ one.  The redexes of the soup are:
 There are two reduction drivers: ``run`` follows one schedule (values,
 step counts, work and span), ``explore`` all of them (confluence, and the
 value/barb lemma under the same ``admin_only``/``stop_barb`` constraints).
-``explore`` lists each state's redexes by scanning a ``Config`` with
-``enabled_redexes``.  ``run`` steps a ``LiveSoup``: per-channel queues of
-pending sends, receives and broadcasts (the channel queues of Pict's
-abstract machine), the sorted redex list, the arity-mismatch count and the
-observable output barbs.  A step updates them only for the threads it
-consumes, folds or spawns, so its cost no longer grows with the soup, and
-the threads it spawns share every subtree that substitution and renaming
-leave alone (see ``rewrite`` and ``_Builder``).  Both
-paths form redexes with the same rule functions and fire them with the
-same ``_fire``, and the live list always equals the full scan's.
-Read-back keeps one soup for all its probes: each probe is
-``LiveSoup.insert``-ed and ``run`` steps that soup in place.
+Both read a soup's redexes, arity diagnostics and output barbs from one
+index, ``LiveSoup``: per-channel queues of pending sends, receives and
+broadcasts (the channel queues of Pict's abstract machine), the sorted
+redex list, the arity-mismatch count and the observable output barbs.
+``run`` steps one soup in place; a step updates the index only for the
+threads it consumes, folds or spawns, so its cost no longer grows with the
+soup, and the threads it spawns share every subtree that substitution and
+renaming leave alone (see ``rewrite`` and ``_Builder``).  ``explore``
+builds a soup for each state it expands and fires each redex with
+``apply_redex`` on the state's ``Config``; both drivers fire through the
+same ``_fire``.  Read-back keeps one soup for all its probes: each probe
+is ``LiveSoup.insert``-ed and ``run`` steps that soup in place.
 
 ``explore`` keys every successor with ``canonical_key``, and sibling states
 share most of their threads and fire the same receives.  One search
@@ -328,10 +328,6 @@ class Redex:
     bullets: int = 0
     reason: str | None = None
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.participants
-
 
 def _chan_key(c: Chan) -> tuple[str, object] | None:
     if not isinstance(c.base, NameT):
@@ -389,48 +385,10 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
     Diagnostics report arity mismatches between a send and a receive on the
     same channel; strict-mode runs treat them as faults, permissive runs
-    ignore them.
+    ignore them.  Both come from the ``LiveSoup`` index of the soup.
     """
-    sends: list[tuple[int, tuple, Head]] = []
-    recvs: dict[tuple, list[tuple[int, Head]]] = {}  # key -> [(tid, head)]
-    bcasts: list[tuple[int, tuple, Head]] = []
-    redexes: list[Redex] = []
-    diagnostics: list[str] = []
-
-    for t in config.threads:
-        h = head_of(t.proc)
-        if h.core is None:
-            continue
-        if isinstance(h.core, Match):
-            redex = _match_redex(t.tid, h)
-            if redex is not None:
-                redexes.append(redex)
-            continue
-        key = _chan_key(h.core.chan)
-        if key is None:
-            continue
-        if isinstance(h.core, Send):
-            sends.append((t.tid, key, h))
-        elif isinstance(h.core, Bcast):
-            bcasts.append((t.tid, key, h))
-        else:
-            recvs.setdefault(key, []).append((t.tid, h))
-
-    for tid, key, h in sends:
-        for rtid, rh in recvs.get(key, ()):
-            redex = _comm_redex(key, tid, h, rtid, rh)
-            if isinstance(redex, str):
-                diagnostics.append(redex)
-            else:
-                redexes.append(redex)
-
-    for tid, key, h in bcasts:
-        redex, mismatches = _broad_redex(key, tid, h, recvs.get(key, ()))
-        diagnostics.extend(mismatches)
-        redexes.append(redex)
-
-    redexes.sort(key=lambda r: r.key)
-    return redexes, diagnostics
+    soup = LiveSoup(config)
+    return list(soup.redexes), soup.diagnostics()
 
 
 # ---------------------------------------------------------------- steps
@@ -640,17 +598,17 @@ class Trace:
 
 
 class LiveSoup:
-    """The mutable, channel-indexed soup that ``run`` steps on.
+    """The mutable, channel-indexed soup: the one index of a soup's redexes.
 
     Holds the threads by tid (in soup order), the pending sends, receives
-    and broadcasts of each evaluated channel, the sorted list of enabled
-    redexes, the number of arity mismatches, and how many threads show
-    each observable output barb.  A step updates the index only for the
-    threads it consumes, folds or spawns, so its cost follows the
-    participants and their channels rather than the whole soup.  At every
-    point ``redexes`` equals ``enabled_redexes(self.config())[0]`` (with
-    important and FAULT redexes left out under ``admin_only``) and
-    ``mismatches`` the length of its diagnostics.
+    and broadcasts of each evaluated channel, the enabled redexes sorted
+    by participants (important and FAULT redexes left out under
+    ``admin_only``), the number of arity mismatches, whose texts
+    ``diagnostics`` gives, and how many threads show each observable
+    output barb.  ``run`` steps a soup in place and ``explore`` builds one
+    per state it expands.  A step updates the index only for the threads
+    it consumes, folds or spawns, so its cost follows the participants and
+    their channels rather than the whole soup.
     """
 
     def __init__(self, config: Config, admin_only: bool = False):
@@ -674,6 +632,33 @@ class LiveSoup:
     def config(self) -> Config:
         return Config(frozenset(self.restricted), tuple(self.threads.values()),
                       frozenset(self.used), self.next_tid)
+
+    def diagnostics(self) -> list[str]:
+        """The texts of the ``mismatches`` arity mismatches, in soup order:
+        COMM mismatches by sender, each sender's receivers in turn, then
+        BROAD mismatches by broadcaster."""
+        if not self.mismatches:
+            return []
+        # queues group threads by channel, and a fire re-appends a
+        # replicated receiver whose head it changed: sort by soup position
+        order = {tid: i for i, tid in enumerate(self.threads)}
+
+        def pending(queues: dict[tuple, dict[int, Head]]) -> list[tuple]:
+            return sorted(((tid, key, h) for key, queue in queues.items()
+                           for tid, h in queue.items()), key=lambda e: order[e[0]])
+
+        def receivers(key: tuple) -> list[tuple[int, Head]]:
+            return sorted(self.recvs.get(key, {}).items(), key=lambda e: order[e[0]])
+
+        texts: list[str] = []
+        for tid, key, h in pending(self.sends):
+            for rtid, rh in receivers(key):
+                redex = _comm_redex(key, tid, h, rtid, rh)
+                if isinstance(redex, str):
+                    texts.append(redex)
+        for tid, key, h in pending(self.bcasts):
+            texts.extend(_broad_redex(key, tid, h, receivers(key))[1])
+        return texts
 
     # ---------------------------------------------------------- changes
 
@@ -868,10 +853,8 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
             trace.status = "barb"
             break
         if soup.mismatches and not permissive:
-            # rare, and always the end of the run: the full scan gives the
-            # diagnostics in their documented order
             trace.status = "fault"
-            trace.faults.extend(enabled_redexes(soup.config())[1])
+            trace.faults.extend(soup.diagnostics())
             break
         redexes = soup.redexes
         if not redexes:
@@ -1059,7 +1042,8 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     observable is terminal.  The search returns as soon as it expands such
     a state, with that state as the last terminal and no bound hit; a state
     only discovered does not stop it, so the bounds cut the search where
-    they would without the goal.
+    they would without the goal.  Each expanded state's redexes and output
+    barbs come from a ``LiveSoup`` built on it, as ``run``'s do.
 
     Sibling states share most threads and fire the same receives, so the
     search shares that work through three memos that live only as long as
@@ -1084,12 +1068,11 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
             break
         next_frontier: list[Config] = []
         for c in frontier:
-            if stop_barb is not None and (stop_barb, "out") in barbs(c):
+            soup = LiveSoup(c, admin_only)
+            if stop_barb is not None and soup.out_barbs[stop_barb]:
                 terminals.append(c)
                 return terminals, False, len(seen)
-            redexes, _diagnostics = enabled_redexes(c)
-            if admin_only:
-                redexes = [r for r in redexes if _administrative(r)]
+            redexes = soup.redexes
             if not redexes:
                 # frontier states have distinct keys: no terminal repeats
                 terminals.append(c)

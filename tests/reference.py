@@ -6,9 +6,11 @@ and ``SequentialBuilder`` hoists restrictions by renaming the whole body
 once per clashing binder, probing fresh names from ``root_2`` up every
 time (``_fresh_variant`` without floors).  ``rewrite`` and ``_Builder``
 must give equal results; ``sequential`` runs any engine call with the
-references swapped in.  ``reference_explore`` is the search that computes
-every key from scratch and shares nothing between states, and
-``checking_entries`` checks the key entries ``explore`` caches.
+references swapped in.  ``reference_enabled_redexes`` lists a soup's
+redexes and arity diagnostics by scanning the whole ``Config``, with no
+``LiveSoup``.  ``reference_explore`` is the search that computes every key
+from scratch and shares nothing between states, and ``checking_entries``
+checks the key entries ``explore`` caches.
 """
 
 import pytest
@@ -16,14 +18,20 @@ import pytest
 from butfpi.epi import engine
 from butfpi.epi.engine import (
     CommitFault,
+    Config,
     EngineError,
+    Head,
+    Redex,
     _administrative,
+    _broad_redex,
     _Builder,
+    _chan_key,
+    _comm_redex,
     _drop_threads,
+    _match_redex,
     apply_redex,
     barbs,
     canonical_key,
-    enabled_redexes,
     head_of,
     normalize_depths,
 )
@@ -195,11 +203,61 @@ def sequential(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def reference_enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
+    """``enabled_redexes`` as one scan over the whole soup.
+
+    Redexes are sorted by participants.  Diagnostics come in soup order:
+    COMM mismatches by sender, each sender's receivers in turn, then BROAD
+    mismatches by broadcaster.
+    """
+    sends: list[tuple[int, tuple, Head]] = []
+    recvs: dict[tuple, list[tuple[int, Head]]] = {}  # key -> [(tid, head)]
+    bcasts: list[tuple[int, tuple, Head]] = []
+    redexes: list[Redex] = []
+    diagnostics: list[str] = []
+
+    for t in config.threads:
+        h = head_of(t.proc)
+        if h.core is None:
+            continue
+        if isinstance(h.core, Match):
+            redex = _match_redex(t.tid, h)
+            if redex is not None:
+                redexes.append(redex)
+            continue
+        key = _chan_key(h.core.chan)
+        if key is None:
+            continue
+        if isinstance(h.core, Send):
+            sends.append((t.tid, key, h))
+        elif isinstance(h.core, Bcast):
+            bcasts.append((t.tid, key, h))
+        else:
+            recvs.setdefault(key, []).append((t.tid, h))
+
+    for tid, key, h in sends:
+        for rtid, rh in recvs.get(key, ()):
+            redex = _comm_redex(key, tid, h, rtid, rh)
+            if isinstance(redex, str):
+                diagnostics.append(redex)
+            else:
+                redexes.append(redex)
+
+    for tid, key, h in bcasts:
+        redex, mismatches = _broad_redex(key, tid, h, recvs.get(key, ()))
+        diagnostics.extend(mismatches)
+        redexes.append(redex)
+
+    redexes.sort(key=lambda r: r.participants)
+    return redexes, diagnostics
+
+
 def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100_000,
                       admin_only: bool = False, stop_barb: str | None = None):
-    """``explore`` as the loop that keys every successor and every terminal
-    from scratch, with no memo of substitutions, templates or key entries,
-    and searches on after a ``stop_barb`` state."""
+    """``explore`` as the loop that lists redexes by the full scan, keys
+    every successor and every terminal from scratch, with no memo of
+    substitutions, templates or key entries, and searches on after a
+    ``stop_barb`` state."""
     start = normalize_depths(config)
     table: dict = {}
     seen = {canonical_key(start, table)}
@@ -217,7 +275,7 @@ def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100
             if stop_barb is not None and (stop_barb, "out") in barbs(c):
                 redexes = []
             else:
-                redexes, _diagnostics = enabled_redexes(c)
+                redexes, _diagnostics = reference_enabled_redexes(c)
                 if admin_only:
                     redexes = [r for r in redexes if _administrative(r)]
             fired = False

@@ -146,6 +146,24 @@ def test_scale_too_few_sizes_left_prints_table_and_fails(capsys):
     assert code == 1 and "dropped: 3, 4" in out and "FAIL sizes" in out
 
 
+def test_scale_drops_a_size_too_deep_for_the_stack(capsys):
+    # a chain of 128 applications exhausts the interpreter's stack; the
+    # sizes measured before it are kept
+    argv = ("scale", "--family", "nested-apps", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--sizes", "8,16,64,128")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert [r["n"] for r in data["table"]["rows"]] == [8, 16, 64]
+    assert data["table"]["dropped"] == [128]
+    assert data["verdict"]["passed"] is True
+    code, out, _ = run_cli(capsys, *argv, "--sizes", "16,64,128")
+    assert code == 1
+    data = json.loads(out)
+    assert [r["n"] for r in data["table"]["rows"]] == [16, 64]
+    assert data["table"]["dropped"] == [128]
+    assert [c["name"] for c in data["verdict"]["checks"]] == ["sizes"]
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "-e", "5", "--seeds", "-1"),
     ("check", "-e", "5", "--budget", "-3"),

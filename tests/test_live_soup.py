@@ -2,10 +2,10 @@
 
 ``CheckedSoup`` re-derives the whole index from the materialized config
 after every change made to it (build, insert, fire, drop, collect) and
-compares it with ``enabled_redexes``, ``barbs`` and the diagnostics.  Each
-run is also replayed by ``reference_run``, the scheduling loop written over
-the pure ``enabled_redexes``/``apply_redex``, and the traces and final
-configs must be equal.
+compares it with ``reference_enabled_redexes`` (the full scan), ``barbs``
+and the diagnostics.  Each run is also replayed by ``reference_run``, the
+scheduling loop written over the scan and the pure ``apply_redex``, and
+the traces and final configs must be equal.
 """
 
 import random
@@ -22,10 +22,12 @@ from butfpi.epi.engine import (
     CommitFault,
     EngineError,
     Trace,
+    _administrative,
     _drop_threads,
     apply_redex,
     barbs,
     enabled_redexes,
+    explore,
     garbage_collect,
     insert_process,
     normalize,
@@ -33,9 +35,9 @@ from butfpi.epi.engine import (
 )
 from butfpi.epi.parse import parse_process
 from butfpi.translate import translate
-from corpus import STUCK, TERMINATING
+from corpus import CORPUS, STUCK, TERMINATING
 from generators import random_closed_program, random_process, random_redex_config
-from reference import sequential
+from reference import reference_enabled_redexes, sequential
 
 
 class CheckedSoup(engine.LiveSoup):
@@ -66,12 +68,13 @@ class CheckedSoup(engine.LiveSoup):
 
     def verify(self):
         config = self.config()
-        redexes, diagnostics = enabled_redexes(config)
+        redexes, diagnostics = reference_enabled_redexes(config)
         if self.admin_only:
             redexes = [r for r in redexes if r.bullets == 0 and r.rule != "FAULT"]
         assert self.redexes == redexes
         assert self.keys == [r.participants for r in redexes]
         assert self.mismatches == len(diagnostics)
+        assert self.diagnostics() == diagnostics
         assert all(n >= 0 for n in self.out_barbs.values())
         assert ({name for name, n in self.out_barbs.items() if n}
                 == {name for name, pol in barbs(config) if pol == "out"})
@@ -96,7 +99,7 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
                 name == stop_barb for name, pol in barbs(config) if pol == "out"):
             trace.status = "barb"
             break
-        redexes, diagnostics = enabled_redexes(config)
+        redexes, diagnostics = reference_enabled_redexes(config)
         if diagnostics and not permissive:
             trace.status = "fault"
             trace.faults.extend(diagnostics)
@@ -110,7 +113,7 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
             trace.status = "timeout"
             break
         if policy == "priority":
-            redex = min(redexes, key=lambda r: r.key)
+            redex = min(redexes, key=lambda r: r.participants)
         else:
             redex = redexes[rng.randrange(len(redexes))]
         if redex.rule == "FAULT":
@@ -248,6 +251,49 @@ def test_unfolds_match_sequential_renames(checked):
     assert index > 20
 
 
+def test_enabled_redexes_matches_reference_scan(monkeypatch):
+    def same(config):
+        assert enabled_redexes(config) == reference_enabled_redexes(config)
+
+    for entry in CORPUS:
+        same(normalize(translate(parse(entry.source), "o")))
+    rng = random.Random(47)
+    for i in range(300):
+        p = random_process(rng, depth=4) if i % 2 else random_redex_config(rng)
+        try:
+            same(normalize(p))
+        except EngineError:
+            continue
+    # every state explore expands, with and without admin_only
+    expanded = []
+
+    class Recording(engine.LiveSoup):
+        def __init__(self, config, admin_only=False):
+            super().__init__(config, admin_only)
+            expanded.append((config, admin_only, self.redexes))
+
+    monkeypatch.setattr(engine, "LiveSoup", Recording)
+    configs = [normalize(translate(parse(source), "o"))
+               for source in ("map ((\\x. (x, x)), [3, 5])", "(\\f. f 3) (\\x. x + 1)",
+                              "[1, 2][5]")]
+    configs.append(norm("c<1, 2> | c(x). 0 | c:<1, 2, 3> | c(y, z). 0 "
+                        "| c<7> | *!c(w). c<w, w> | d<> | d(u). 0"))
+    for config in configs:
+        for admin_only in (False, True):
+            explore(config, admin_only=admin_only)
+    monkeypatch.undo()
+    assert len(expanded) > 1000
+    mismatched = 0
+    for config, admin_only, redexes in expanded:
+        want, diagnostics = reference_enabled_redexes(config)
+        if admin_only:
+            want = [r for r in want if _administrative(r)]
+        assert redexes == want
+        assert enabled_redexes(config)[1] == diagnostics
+        mismatched += bool(diagnostics)
+    assert mismatched
+
+
 # ----------------------------------------------------------- edge shapes
 
 def test_strict_arity_mismatches_report_every_diagnostic_in_order(checked):
@@ -272,6 +318,10 @@ def test_arity_mismatch_appearing_mid_run(checked):
     # the mismatched send is consumed by its other receiver: no diagnostics left
     tr = agree(norm("c<1, 2> | c(x). 0 | c(y, z). 0 | c:<3> | *!c(w). 0"),
                permissive=True)
+    assert tr.status == "terminated" and len(tr.steps) == 2
+    # the first fire spends the replicated receiver's bullet and queues it
+    # again behind c(y, z); its diagnostics keep soup order
+    tr = agree(norm("*!c(w). 0 | c(y, z). 0 | c<1> | c:<1, 2, 3>"), permissive=True)
     assert tr.status == "terminated" and len(tr.steps) == 2
 
 
