@@ -31,13 +31,19 @@ same ``_fire``.  Read-back keeps one soup for all its probes: each probe
 is ``LiveSoup.insert``-ed and ``run`` steps that soup in place.
 
 ``explore`` keys every successor with ``canonical_key``, and sibling states
-share most of their threads and fire the same receives.  One search
-therefore shares that work, through memos that live no longer than it: the
-receive substitutions it has made (``_received``), the key entry of each
-thread, kept on the process node under a token of the search, and the
-templates of renamed threads, derived from the unrenamed process (see
-``_renamed``).  With ``stop_barb`` the search returns at the first state it
-expands that shows the barb.
+share most of their threads, fire the same receives and hoist the same
+restrictions.  One search therefore shares that work, through memos that
+live no longer than it: one dict of the receive substitutions it has made
+(``_received``) and of the threads its hoisting renames (``_Builder``),
+each renamed thread carrying a template derived from the unrenamed process
+(see ``_renamed``), and the key entry of each thread, kept on the process
+node under a token of the search.  With ``stop_barb`` the search returns
+at the first state it expands that shows the barb.
+
+Syntax trees are immutable and acyclic, and the engine keeps them so: no
+memo on a node refers back to that node (see ``head_of``), and no walk
+builds a recursive closure.  The trees a step drops are then freed by
+reference counting alone, and the cyclic collector never has to find them.
 
 A step is important when it consumes a bullet guarding a participating
 prefix, administrative otherwise.  Every thread carries a causal depth:
@@ -126,11 +132,28 @@ class Head:
     cont: Process | None  # continuation once the prefix fires (branch for Match)
     bullets: int  # bullets consumed by a fire
     repl: bool  # folded replication: the thread survives a fire
-    residual: Process | None  # what a replicated thread becomes after a fire
+    # what a replicated thread becomes after a fire, when its outer bullets
+    # change it; None when it stays as it is, so that a head memoized on a
+    # process never refers back to that process
+    residual: Process | None
 
 
-@_memo_on_instance("_memo_head")
 def head_of(proc: Process) -> Head:
+    """The head of a thread, memoized on its process node.
+
+    An unbulleted comparison is the core of its own head, so its head is
+    not kept: the memo would be a reference cycle through the node, left
+    for the cyclic collector.  Building that head again is cheap.
+    """
+    head = proc._memo_head
+    if head is None:
+        head = _head(proc)
+        if head.core is not proc:
+            object.__setattr__(proc, "_memo_head", head)
+    return head
+
+
+def _head(proc: Process) -> Head:
     bullets = 0
     p = proc
     while isinstance(p, Bullet):
@@ -142,7 +165,7 @@ def head_of(proc: Process) -> Head:
         while isinstance(inner, Bullet):
             copy_bullets += 1
             inner = inner.body
-        residual = p  # outer bullets are consumed by the first fire
+        residual = p if bullets else None  # the first fire spends outer bullets
         if isinstance(inner, Act):
             return Head(inner.action, inner.cont, bullets + copy_bullets, True, residual)
         if isinstance(inner, Match):
@@ -165,18 +188,22 @@ class _Builder:
     A restriction whose name is taken is renamed to a fresh variant.  The
     renames of the restrictions above a subtree travel down with it as one
     pending list and are applied once per thread it spawns, choosing the
-    same names as renaming each body in turn would.  With ``templates`` set
-    (successors that ``explore`` keys), a renamed thread gets its
-    ``_thread_template`` from the unrenamed one, which sibling states share.
+    same names as renaming each body in turn would.
+
+    ``memo`` is a dict owned by one ``explore`` search, whose successors it
+    keys.  A renamed thread then gets its ``_thread_template`` from the
+    unrenamed one, and the dict memoizes it on the process and the renames,
+    so sibling states that hoist the same restrictions the same way share
+    the thread, and with it its key entry.
     """
 
     def __init__(self, used: set[str], restricted: set[str], next_tid: int,
-                 floors: dict[str, int] | None = None, templates: bool = False):
+                 floors: dict[str, int] | None = None, memo: dict | None = None):
         self.used = used
         self.restricted = restricted
         self.next_tid = next_tid
         self.floors = {} if floors is None else floors  # see _fresh_variant
-        self.templates = templates
+        self.memo = memo
         self.new_threads: list[Thread] = []
 
     def add(self, proc: Process, depth: int,
@@ -203,9 +230,9 @@ class _Builder:
                 self._add_bulleted(proc, depth, renames)
             case Repl(body):
                 head_of(proc)  # raises on unguarded bodies
-                self._thread(_renamed(proc, renames, self.templates), depth)
+                self._thread(self._renamed(proc, renames), depth)
             case Act() | Match():
-                self._thread(_renamed(proc, renames, self.templates), depth)
+                self._thread(self._renamed(proc, renames), depth)
             case _:
                 raise TypeError(f"not a process: {proc!r}")
 
@@ -228,13 +255,23 @@ class _Builder:
                 self._thread(proc, depth)  # inert, kept for bullet accounting
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(_renamed(proc, renames, self.templates), depth)
+                self._thread(self._renamed(proc, renames), depth)
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
     def _thread(self, proc: Process, depth: int) -> None:
         self.new_threads.append(Thread(self.next_tid, proc, depth))
         self.next_tid += 1
+
+    def _renamed(self, proc: Process, renames: tuple[tuple[str, str], ...]) -> Process:
+        memo = self.memo
+        if memo is None or not renames:
+            return _renamed(proc, renames)
+        key = (proc, renames)  # receive substitutions key on triples
+        renamed = memo.get(key)
+        if renamed is None:
+            renamed = memo[key] = _renamed(proc, renames, template=True)
+        return renamed
 
 
 def _renamed(proc: Process, renames: tuple[tuple[str, str], ...],
@@ -427,16 +464,22 @@ def _received(rh: Head, values: tuple[Term, ...], subst: dict | None) -> Process
     return rewrite(rh.cont, var_map=mapping)
 
 
+def _residual(t: Thread, h: Head) -> Process:
+    """What replicated thread ``t``, headed by ``h``, becomes after a fire."""
+    return t.proc if h.residual is None else h.residual
+
+
 def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
-          builder: _Builder, index: int, subst: dict | None = None,
-          ) -> tuple[set[int], dict[int, Process], Step]:
+          builder: _Builder, index: int) -> tuple[set[int], dict[int, Process], Step]:
     """Fire one redex: spawn its continuations into ``builder``.
 
     Returns the participants consumed, the folded residual of each
     replicated participant (outer bullets consumed), and the step.  Raises
     ``CommitFault``, before spawning anything, if commit-time evaluation
-    fails.  ``subst`` memoizes receive substitutions (see ``_received``).
+    fails.  The builder's search memo, if any, also memoizes receive
+    substitutions (see ``_received``).
     """
+    subst = builder.memo
     consumed: set[int] = set()
     folded: dict[int, Process] = {}
     important = redex.bullets > 0
@@ -450,7 +493,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         branch = m.then if redex.branch_then else m.orelse
         depth_after = t.depth + inc
         if h.repl:
-            folded[t.tid] = h.residual
+            folded[t.tid] = _residual(t, h)
         else:
             consumed.add(t.tid)
         builder.add(branch, depth_after)
@@ -465,7 +508,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         depth_after = max(s.depth, r.depth) + inc
         for t, h in ((s, sh), (r, rh)):
             if h.repl:
-                folded[t.tid] = h.residual
+                folded[t.tid] = _residual(t, h)
             else:
                 consumed.add(t.tid)
         builder.add(sh.cont, depth_after)
@@ -483,7 +526,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             channel_text = ":" + channel_text  # observable broadcast label
         depths = [s.depth]
         if sh.repl:
-            folded[s.tid] = sh.residual
+            folded[s.tid] = _residual(s, sh)
         else:
             consumed.add(s.tid)
         receiver_conts: list[Process] = []
@@ -493,7 +536,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             depths.append(r.depth)
             receiver_conts.append(_received(rh, values, subst))
             if rh.repl:
-                folded[rtid] = rh.residual
+                folded[rtid] = _residual(r, rh)
             else:
                 consumed.add(rtid)
         depth_after = max(depths) + inc
@@ -519,22 +562,24 @@ def apply_redex(config: Config, redex: Redex,
                 subst: dict | None = None) -> tuple[Config, Step]:
     """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails.
 
-    ``subst`` is the memo of receive substitutions of the search that calls
-    (see ``_received``).  Within a search every successor is keyed, so the
-    threads that hoisting renames then also get their ``_thread_template``
-    from the unrenamed process (see ``_renamed``).
+    ``subst`` is the memo of the search that calls: it holds the receive
+    substitutions (see ``_received``) and the threads that hoisting renames
+    (see ``_Builder``), which within a search get their ``_thread_template``
+    from the unrenamed process, as every successor is keyed.
     """
     used = set(config.used)
     restricted = set(config.restricted)
-    builder = _Builder(used, restricted, config.next_tid,
-                       templates=subst is not None)
-    consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0,
-                                   subst)
-    threads = tuple(
-        replace(t, proc=folded[t.tid]) if t.tid in folded else t
-        for t in config.threads if t.tid not in consumed
-    ) + tuple(builder.new_threads)
-    return _make_config(threads, restricted, used, builder.next_tid), step
+    builder = _Builder(used, restricted, config.next_tid, memo=subst)
+    consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0)
+    # one tuple of the final size: a tuple built from a generator is
+    # allocated larger and shrunk, and each such tuple that dies strands a
+    # block in the interpreter's per-size tuple free lists, which only a
+    # full collection empties (about 1.5 MB after ten explores of
+    # ``map ((\x. (x, x)), [a, b])``)
+    threads = [replace(t, proc=folded[t.tid]) if t.tid in folded else t
+               for t in config.threads if t.tid not in consumed]
+    threads += builder.new_threads
+    return _make_config(tuple(threads), restricted, used, builder.next_tid), step
 
 
 def _drop_threads(config: Config, tids: tuple[int, ...]) -> Config:
@@ -898,66 +943,78 @@ def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
     threads survive across many states during exploration.
     """
     occs: list[str] = []
-
-    def enc_name(name: str, env: dict[str, int]):
-        if name in env:
-            return ("b", env[name])
-        occs.append(name)
-        return ("N", len(occs) - 1)
-
-    def enc_term(t: Term, env: dict[str, int]):
-        match t:
-            case NumT(v):
-                return ("n", v)
-            case NameT(name):
-                return enc_name(name, env)
-            case VarT(name):
-                return ("v", env[name]) if name in env else ("v?", name)
-            case OpT(op, left, right):
-                return ("op", op, enc_term(left, env), enc_term(right, env))
-
-    def enc_chan(c: Chan, env: dict[str, int]):
-        sfx = c.suffix
-        if isinstance(sfx, (VarT, NameT)):
-            sfx = enc_term(sfx, env)
-        return (enc_term(c.base, env), sfx)
-
-    def go(p: Process, env: dict[str, int], depth: int):
-        match p:
-            case Nil():
-                return ("0",)
-            case Par(left, right):
-                return ("|", go(left, env, depth), go(right, env, depth))
-            case Repl(body):
-                return ("!", go(body, env, depth))
-            case Bullet(body):
-                return ("*", go(body, env, depth))
-            case New(name, body):
-                return ("new", go(body, {**env, name: depth}, depth + 1))
-            case Act(action, cont):
-                tag = {Send: "snd", Recv: "rcv", Bcast: "bct"}[type(action)]
-                if isinstance(action, Recv):
-                    inner = dict(env)
-                    d = depth
-                    shape = []
-                    for x in action.params:
-                        if x is None:
-                            shape.append("_")
-                        else:
-                            inner[x] = d
-                            shape.append(d)
-                            d += 1
-                    return (tag, enc_chan(action.chan, env), tuple(shape),
-                            go(cont, inner, d))
-                payload = tuple(enc_term(t, env) for t in action.args)
-                return (tag, enc_chan(action.chan, env), payload, go(cont, env, depth))
-            case Match(left, op, right, then, orelse):
-                return ("m", op, enc_term(left, env), enc_term(right, env),
-                        go(then, env, depth), go(orelse, env, depth))
-
     # rendered as a string, which caches its hash: a table lookup of the
     # skeleton then costs no walk of it
-    return repr(go(proc, {}, 0)), tuple(occs)
+    return repr(_enc_process(proc, {}, 0, occs)), tuple(occs)
+
+
+# ``_thread_template``'s encoders are module functions, not closures: a
+# recursive closure is a reference cycle, left for the cyclic collector
+
+def _enc_name(name: str, env: dict[str, int], occs: list[str]):
+    if name in env:
+        return ("b", env[name])
+    occs.append(name)
+    return ("N", len(occs) - 1)
+
+
+def _enc_term(t: Term, env: dict[str, int], occs: list[str]):
+    match t:
+        case NumT(v):
+            return ("n", v)
+        case NameT(name):
+            return _enc_name(name, env, occs)
+        case VarT(name):
+            return ("v", env[name]) if name in env else ("v?", name)
+        case OpT(op, left, right):
+            return ("op", op, _enc_term(left, env, occs), _enc_term(right, env, occs))
+
+
+def _enc_chan(c: Chan, env: dict[str, int], occs: list[str]):
+    sfx = c.suffix
+    if isinstance(sfx, (VarT, NameT)):
+        sfx = _enc_term(sfx, env, occs)
+    return (_enc_term(c.base, env, occs), sfx)
+
+
+_ACTION_TAGS = {Send: "snd", Recv: "rcv", Bcast: "bct"}
+
+
+def _enc_process(p: Process, env: dict[str, int], depth: int, occs: list[str]):
+    match p:
+        case Nil():
+            return ("0",)
+        case Par(left, right):
+            return ("|", _enc_process(left, env, depth, occs),
+                    _enc_process(right, env, depth, occs))
+        case Repl(body):
+            return ("!", _enc_process(body, env, depth, occs))
+        case Bullet(body):
+            return ("*", _enc_process(body, env, depth, occs))
+        case New(name, body):
+            return ("new", _enc_process(body, {**env, name: depth}, depth + 1, occs))
+        case Act(action, cont):
+            tag = _ACTION_TAGS[type(action)]
+            if isinstance(action, Recv):
+                inner = dict(env)
+                d = depth
+                shape = []
+                for x in action.params:
+                    if x is None:
+                        shape.append("_")
+                    else:
+                        inner[x] = d
+                        shape.append(d)
+                        d += 1
+                return (tag, _enc_chan(action.chan, env, occs), tuple(shape),
+                        _enc_process(cont, inner, d, occs))
+            payload = tuple(_enc_term(t, env, occs) for t in action.args)
+            return (tag, _enc_chan(action.chan, env, occs), payload,
+                    _enc_process(cont, env, depth, occs))
+        case Match(left, op, right, then, orelse):
+            return ("m", op, _enc_term(left, env, occs), _enc_term(right, env, occs),
+                    _enc_process(then, env, depth, occs),
+                    _enc_process(orelse, env, depth, occs))
 
 
 def _key_entry(proc: Process, restricted: frozenset[str], table: dict) -> tuple:
@@ -1045,11 +1102,12 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     they would without the goal.  Each expanded state's redexes and output
     barbs come from a ``LiveSoup`` built on it, as ``run``'s do.
 
-    Sibling states share most threads and fire the same receives, so the
-    search shares that work through three memos that live only as long as
-    it does: a dict of receive substitutions (``_received``), a token that
-    tags each thread's ``canonical_key`` entry on its process node, and the
-    templates ``apply_redex`` derives for renamed threads.  A state is keyed
+    Sibling states share most threads, fire the same receives and hoist
+    the same restrictions, so the search shares that work through memos
+    that live only as long as it does: a dict of receive substitutions
+    (``_received``) and of renamed threads with their templates
+    (``_Builder``), and a token that tags each thread's ``canonical_key``
+    entry on its process node.  A state is keyed
     once, when it is found; a terminal needs no second key, as no state
     enters the frontier twice.
     """

@@ -210,12 +210,14 @@ for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast,
              Nil, Par, Repl, New, Act, Bullet, Match):
     _cls.__hash__ = _cached_hash
 
-# ``rewrite`` reads this memo on every node it visits; a class default keeps
-# that a plain attribute load, where a miss would raise or a ``__dict__``
-# lookup would make every visited node allocate its instance dict
+# ``rewrite`` reads the symbols memo on every node it visits, and the engine
+# its memos on every thread; a class default keeps that a plain attribute
+# load, where a miss would raise or a ``__dict__`` lookup would make every
+# visited node allocate its instance dict
 for _cls in (Nil, Par, Repl, New, Act, Bullet, Match):
     _cls._memo_symbols = None
     _cls._memo_entry = None  # ``canonical_key``'s per-search thread entry
+    _cls._memo_head = None  # the engine's ``head_of``
 
 
 def par(*procs: Process) -> Process:
@@ -432,133 +434,180 @@ def rewrite(p: Process, var_map: dict[str, Term] | None = None,
     the maps bring in, and none of its receive parameters is a variable
     they bring in.  Only the paths down to changed nodes are copied, and
     ``symbols`` lets branches that cannot change be skipped unvisited.
+
+    Every step of a run spawns continuations through here, so the walk is
+    one ``_Rewrite`` object and plain methods: it builds no closures, and
+    so leaves no reference cycle for the cyclic collector to find.
     """
-    var_map = var_map or {}
-    name_map = name_map or {}
     if not var_map and not name_map:
         return p
-
+    var_map = var_map or {}
+    name_map = name_map or {}
     incoming = set(name_map.values())
-    for t in var_map.values():
-        incoming |= term_names(t)
     incoming_vars: set[str] = set()
     for t in var_map.values():
-        incoming_vars |= term_vars(t)
-    # a subtree none of whose symbols is a key or an incoming identifier
-    # rewrites to itself, under every map the walk below narrows these to
-    trigger = incoming | incoming_vars | set(var_map) | set(name_map)
-    brought = frozenset(incoming | incoming_vars)  # and the fresh binders chosen
+        cls = type(t)
+        if cls is NameT:
+            incoming.add(t.name)
+        elif cls is VarT:
+            incoming_vars.add(t.name)
+        elif cls is not NumT:
+            incoming |= term_names(t)
+            incoming_vars |= term_vars(t)
+    return _Rewrite(incoming, incoming_vars, var_map, name_map).go(p, var_map, name_map)
 
-    def sub_term(t: Term, vm: dict[str, Term], nm: dict[str, str]) -> Term:
-        match t:
-            case NumT():
-                return t
-            case NameT(name):
-                return NameT(nm[name]) if name in nm else t
-            case VarT(name):
-                return vm.get(name, t)
-            case OpT(op, left, right):
-                new_left, new_right = sub_term(left, vm, nm), sub_term(right, vm, nm)
-                if new_left is left and new_right is right:
-                    return t
-                return OpT(op, new_left, new_right)
-        raise TypeError(f"not a term: {t!r}")
 
-    def sub_suffix(sfx, vm, nm):
-        if isinstance(sfx, VarT):
-            if sfx.name in vm:
-                value = vm[sfx.name]
-                if isinstance(value, NumT):
-                    return value.value
-                return value  # a name here can never address a cell; kept inert
-            return sfx
-        if isinstance(sfx, NameT):
-            return NameT(nm[sfx.name]) if sfx.name in nm else sfx
-        return sfx
+def _sub_term(t: Term, vm: dict[str, Term], nm: dict[str, str]) -> Term:
+    cls = type(t)
+    if cls is NumT:
+        return t
+    if cls is VarT:
+        return vm.get(t.name, t)
+    if cls is NameT:
+        return NameT(nm[t.name]) if t.name in nm else t
+    if cls is OpT:
+        left, right = t.left, t.right
+        new_left, new_right = _sub_term(left, vm, nm), _sub_term(right, vm, nm)
+        if new_left is left and new_right is right:
+            return t
+        return OpT(t.op, new_left, new_right)
+    raise TypeError(f"not a term: {t!r}")
 
-    def sub_chan(c: Chan, vm, nm) -> Chan:
-        base, suffix = sub_term(c.base, vm, nm), sub_suffix(c.suffix, vm, nm)
-        return c if base is c.base and suffix is c.suffix else Chan(base, suffix)
 
-    def branch(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
-        # where siblings part, testing first lets the untouched ones be shared
-        return p if symbols(p).isdisjoint(trigger) else go(p, vm, nm)
+def _sub_chan(c: Chan, vm: dict[str, Term], nm: dict[str, str]) -> Chan:
+    base = _sub_term(c.base, vm, nm)
+    suffix = sfx = c.suffix
+    cls = type(sfx)
+    if cls is VarT:
+        if sfx.name in vm:
+            suffix = vm[sfx.name]
+            if type(suffix) is NumT:
+                suffix = suffix.value
+            # a name here can never address a cell; it is kept inert
+    elif cls is NameT:
+        if sfx.name in nm:
+            suffix = NameT(nm[sfx.name])
+    return c if base is c.base and suffix is sfx else Chan(base, suffix)
 
-    def go(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+
+class _Rewrite:
+    """The state of one ``rewrite`` walk.
+
+    ``incoming`` and ``incoming_vars`` are the names and variables the maps
+    bring in; ``trigger`` adds the mapped keys, and a subtree none of whose
+    symbols is in it rewrites to itself under every map the walk narrows
+    them to.  ``brought`` is what a rebuilt node may hold beyond its old
+    symbols: the incoming identifiers and the fresh binders chosen so far.
+    """
+
+    __slots__ = ("incoming", "incoming_vars", "trigger", "brought")
+
+    def __init__(self, incoming: set[str], incoming_vars: set[str],
+                 var_map: dict[str, Term], name_map: dict[str, str]):
+        self.incoming = incoming
+        self.incoming_vars = incoming_vars
+        self.trigger = incoming.union(incoming_vars, var_map, name_map)
+        self.brought = frozenset(incoming | incoming_vars)
+
+    def go(self, p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
         if not vm and not nm:
             return p
         known = p._memo_symbols
-        if known is not None and known.isdisjoint(trigger):
+        if known is not None and known.isdisjoint(self.trigger):
             return p
-        q = rebuild(p, vm, nm)
+        rebuild = _REBUILD.get(type(p))
+        if rebuild is None:
+            raise TypeError(f"not a process: {p!r}")
+        q = rebuild(self, p, vm, nm)
         if known is not None and q is not p:
             # q holds at most what p held and what the walk brought in; a
             # superset serves every reader of symbols and spares a walk
+            brought = self.brought
             object.__setattr__(q, "_memo_symbols",
                                known if brought <= known else known | brought)
         return q
 
-    def rebuild(p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
-        nonlocal brought
-        match p:
-            case Nil():
-                return p
-            case Par(left, right):
-                new_left, new_right = branch(left, vm, nm), branch(right, vm, nm)
-                if new_left is left and new_right is right:
-                    return p
-                return Par(new_left, new_right)
-            case Repl(body):
-                new_body = go(body, vm, nm)
-                return p if new_body is body else Repl(new_body)
-            case Bullet(body):
-                new_body = go(body, vm, nm)
-                return p if new_body is body else Bullet(new_body)
-            case New(name, body):
-                if name in incoming:
-                    fresh = _fresh_variant(name, incoming | all_names(body) | set(nm) | set(vm))
-                    brought |= {fresh}
-                    body = branch(body, {}, {name: fresh})
-                    name = fresh
-                inner_nm = {k: v for k, v in nm.items() if k != name} if name in nm else nm
-                new_body = branch(body, vm, inner_nm)
-                if name == p.name and new_body is p.body:
-                    return p
-                return New(name, new_body)
-            case Act(action, cont):
-                chan = sub_chan(action.chan, vm, nm)
-                if isinstance(action, (Send, Bcast)):
-                    args = tuple(sub_term(t, vm, nm) for t in action.args)
-                    new_cont = go(cont, vm, nm)
-                    if (chan is action.chan and new_cont is cont
-                            and all(map(is_, args, action.args))):
-                        return p
-                    kind = Send if isinstance(action, Send) else Bcast
-                    return Act(kind(chan, args), new_cont)
-                params = list(action.params)
-                inner_vm = {k: v for k, v in vm.items()
-                            if k not in action.params}
-                for i, x in enumerate(params):
-                    if x is not None and x in incoming_vars:
-                        fresh = _fresh_variant(x, incoming_vars | free_process_vars(cont) | set(inner_vm))
-                        brought |= {fresh}
-                        cont = go(cont, {x: VarT(fresh)}, {})
-                        params[i] = fresh
-                new_cont = go(cont, inner_vm, nm)
-                params = tuple(params)
-                if chan is action.chan and params == action.params and new_cont is p.cont:
-                    return p
-                return Act(Recv(chan, params), new_cont)
-            case Match(left, op, right, then, orelse):
-                new_left, new_right = sub_term(left, vm, nm), sub_term(right, vm, nm)
-                new_then, new_orelse = branch(then, vm, nm), branch(orelse, vm, nm)
-                if (new_left is left and new_right is right
-                        and new_then is then and new_orelse is orelse):
-                    return p
-                return Match(new_left, op, new_right, new_then, new_orelse)
-        raise TypeError(f"not a process: {p!r}")
+    def branch(self, p: Process, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        # where siblings part, testing first lets the untouched ones be shared
+        return p if symbols(p).isdisjoint(self.trigger) else self.go(p, vm, nm)
 
-    return go(p, dict(var_map), dict(name_map))
+    def act(self, p: Act, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        action, cont = p.action, p.cont
+        chan = _sub_chan(action.chan, vm, nm)
+        kind = type(action)
+        if kind is not Recv:
+            old_args = action.args
+            args = tuple([_sub_term(t, vm, nm) for t in old_args])
+            new_cont = self.go(cont, vm, nm)
+            if (chan is action.chan and new_cont is cont
+                    and all(map(is_, args, old_args))):
+                return p
+            return Act(kind(chan, args), new_cont)
+        params = action.params
+        inner_vm = vm
+        for x in params:
+            if x in vm:  # a parameter shadows a mapped variable
+                inner_vm = {k: v for k, v in vm.items() if k not in params}
+                break
+        if not self.incoming_vars.isdisjoint(params):
+            incoming_vars = self.incoming_vars
+            renamed = list(params)
+            for i, x in enumerate(renamed):
+                if x is not None and x in incoming_vars:
+                    fresh = _fresh_variant(x, incoming_vars | free_process_vars(cont) | set(inner_vm))
+                    self.brought |= {fresh}
+                    cont = self.go(cont, {x: VarT(fresh)}, {})
+                    renamed[i] = fresh
+            params = tuple(renamed)
+        new_cont = self.go(cont, inner_vm, nm)
+        if chan is action.chan and params == action.params and new_cont is p.cont:
+            return p
+        return Act(Recv(chan, params), new_cont)
+
+    def par(self, p: Par, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        left, right = p.left, p.right
+        new_left, new_right = self.branch(left, vm, nm), self.branch(right, vm, nm)
+        if new_left is left and new_right is right:
+            return p
+        return Par(new_left, new_right)
+
+    def new(self, p: New, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        name, body = p.name, p.body
+        if name in self.incoming:
+            fresh = _fresh_variant(name, self.incoming | all_names(body) | set(nm) | set(vm))
+            self.brought |= {fresh}
+            body = self.branch(body, {}, {name: fresh})
+            name = fresh
+        inner_nm = {k: v for k, v in nm.items() if k != name} if name in nm else nm
+        new_body = self.branch(body, vm, inner_nm)
+        if name == p.name and new_body is p.body:
+            return p
+        return New(name, new_body)
+
+    def match(self, p: Match, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        left, right, then, orelse = p.left, p.right, p.then, p.orelse
+        new_left, new_right = _sub_term(left, vm, nm), _sub_term(right, vm, nm)
+        new_then, new_orelse = self.branch(then, vm, nm), self.branch(orelse, vm, nm)
+        if (new_left is left and new_right is right
+                and new_then is then and new_orelse is orelse):
+            return p
+        return Match(new_left, p.op, new_right, new_then, new_orelse)
+
+    def repl(self, p: Repl, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        body = self.go(p.body, vm, nm)
+        return p if body is p.body else Repl(body)
+
+    def bullet(self, p: Bullet, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        body = self.go(p.body, vm, nm)
+        return p if body is p.body else Bullet(body)
+
+    def nil(self, p: Nil, vm: dict[str, Term], nm: dict[str, str]) -> Process:
+        return p
+
+
+_REBUILD = {Act: _Rewrite.act, Par: _Rewrite.par, New: _Rewrite.new,
+            Match: _Rewrite.match, Repl: _Rewrite.repl, Bullet: _Rewrite.bullet,
+            Nil: _Rewrite.nil}
 
 
 def alpha_equal_process(p: Process, q: Process) -> bool:

@@ -1,4 +1,7 @@
+import gc
 import random
+import types
+import weakref
 
 import pytest
 
@@ -13,6 +16,7 @@ from butfpi.epi.engine import (
     enabled_redexes,
     explore,
     garbage_collect,
+    head_of,
     insert_process,
     normalize,
     run,
@@ -437,3 +441,59 @@ def test_trace_dict_schema():
     assert data["steps"][0]["kind"] == "important"
     assert data["barbs"] == ["o:out"]
     assert data["status"] == "terminated"
+
+
+# ----------------------------------------------------------------- cycles
+
+def _cyclic_garbage_of(fn) -> list:
+    """What the cyclic collector finds unreachable once ``fn()`` has run."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _engine_walk(obj) -> bool:
+    """A function of ``rewrite`` or ``_thread_template``, or a cell holding one."""
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:  # an empty cell
+            return False
+    return (isinstance(obj, types.FunctionType)
+            and obj.__qualname__.startswith(("rewrite", "_thread_template")))
+
+
+def test_run_and_explore_leave_no_syntax_cycles():
+    def work():
+        run(normalize(translate(parse("map ((\\x. x * x + 1), iota 8)"))))
+        explore(normalize(translate(parse("map ((\\x. (x, x)), [3, 5])"))))
+
+    garbage = _cyclic_garbage_of(work)
+    left = [o for o in garbage
+            if type(o).__module__.startswith("butfpi.epi") or _engine_walk(o)]
+    assert not left, sorted({type(o).__name__ for o in left})
+
+
+def test_head_of_leaves_threads_to_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in ("!c(x). d<x>", "*!c(x). d<x>", "[1 = 1] a<>, b<>", "c(x). d<x>"):
+            proc = parse_process(text)
+            head_of(proc)
+            freed = weakref.ref(proc)
+            del proc
+            assert freed() is None, text
+    finally:
+        if enabled:
+            gc.enable()

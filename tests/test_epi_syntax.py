@@ -147,9 +147,18 @@ def _random_maps(rng):
     return var_map, name_map
 
 
+def _untouched(p, var_map, name_map, incoming, incoming_vars) -> bool:
+    """Whether no free variable, free name, binder or parameter of ``p``
+    meets the maps, so that ``rewrite`` must hand ``p`` back as it is."""
+    names, params = _binders(p)
+    return (free_process_vars(p).isdisjoint(var_map)
+            and free_names(p).isdisjoint(name_map)
+            and names.isdisjoint(incoming) and params.isdisjoint(incoming_vars))
+
+
 def test_rewrite_matches_full_walk_reference():
     rng = random.Random(17)
-    seen = {"binder": 0, "param": 0, "shadow": 0, "shared": 0}
+    seen = {"binder": 0, "param": 0, "shadow": 0, "shared": 0, "root": 0}
     for _ in range(1500):
         p = Par(random_process(rng, 4, FREE_VARS), random_process(rng, 4, FREE_VARS))
         var_map, name_map = _random_maps(rng)
@@ -165,12 +174,13 @@ def test_rewrite_matches_full_walk_reference():
         seen["binder"] += bool(names & incoming)
         seen["param"] += bool(params & incoming_vars)
         seen["shadow"] += bool(names & set(name_map) or params & set(var_map))
+        # shared exactly when untouched, at the root as on each branch
+        untouched = _untouched(p, var_map, name_map, incoming, incoming_vars)
+        assert (got is p) == untouched, pretty_process(p)
+        seen["root"] += untouched and bool(var_map or name_map)
         for side in ("left", "right"):
             sub = getattr(p, side)
-            names, params = _binders(sub)
-            if (free_process_vars(sub).isdisjoint(var_map)
-                    and free_names(sub).isdisjoint(name_map)
-                    and names.isdisjoint(incoming) and params.isdisjoint(incoming_vars)):
+            if _untouched(sub, var_map, name_map, incoming, incoming_vars):
                 assert getattr(got, side) is sub
                 seen["shared"] += 1
     assert min(seen.values()) > 50, seen

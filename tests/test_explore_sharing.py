@@ -131,6 +131,9 @@ def test_a_search_holds_nothing_alive_once_it_returns(monkeypatch):
     monkeypatch.setattr(engine, "apply_redex", grabbing_fire)
     terminals, _, _ = explore(normalize(translate(parse("map ((\\x. x), [7, 8])"))))
     assert grabbed["table"] and grabbed["subst"]
+    # the memo holds hoisting renames (keyed on pairs) besides receive
+    # substitutions (keyed on triples)
+    assert {len(k) for k in grabbed["subst"]} == {2, 3}
     # only ``grabbed`` refers to the table and the memo (getrefcount adds one)
     table_refs = sys.getrefcount(grabbed["table"])
     subst_refs = sys.getrefcount(grabbed["subst"])
@@ -232,3 +235,75 @@ def test_renamed_templates_match_fresh_copies():
         seen["sequential" if any(new in present for _, new in renames) else "composed"] += 1
         seen["binder"] += any(new in binders for _, new in renames)
     assert min(seen.values()) >= 200, seen
+
+
+# ------------------------------------------------ shared hoisting renames
+
+def _renaming_search(make_config, **kwargs) -> tuple[int, int]:
+    """Explore a config with its key entries checked, keeping the search's
+    memo, and check each renamed thread in it against a memo-free rename.
+
+    Returns the renamed threads the search spawned and the distinct
+    (process, renames) pairs among them.
+    """
+    grabbed = {}
+    fire, plain, shared = engine.apply_redex, engine._renamed, engine._Builder._renamed
+    computed = spawned = 0
+
+    def grabbing_fire(config, redex, subst=None):
+        grabbed["memo"] = subst
+        return fire(config, redex, subst)
+
+    def counting(proc, renames, template=False):
+        nonlocal computed
+        computed += template
+        return plain(proc, renames, template)
+
+    def spawning(builder, proc, renames):
+        nonlocal spawned
+        spawned += builder.memo is not None and bool(renames)
+        return shared(builder, proc, renames)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "apply_redex", grabbing_fire)
+        mp.setattr(engine, "_renamed", counting)
+        mp.setattr(engine._Builder, "_renamed", spawning)
+        _, checked = checking_entries(explore, make_config(), **kwargs)
+    assert checked > 0
+    memo = grabbed.get("memo") or {}
+    renamed_threads = {k: v for k, v in memo.items() if len(k) == 2}
+    assert computed == len(renamed_threads)  # each pair is renamed once
+    for (proc, renames), renamed in renamed_threads.items():
+        assert renamed == _renamed(_fresh_copy(proc), renames), pretty_process(proc)
+        if renamed is not proc:
+            copy = _fresh_copy(renamed)
+            assert vars(renamed)["_memo_template"] == _thread_template(copy)
+    return spawned, len(renamed_threads)
+
+
+def test_shared_renames_match_memo_free_renames_on_corpus():
+    spawned = distinct = 0
+    for entry in CORPUS:
+        if f"corpus-{entry.name}" in EXPLORE_SKIP:
+            continue
+        more, pairs = _renaming_search(lambda: normalize(translate(parse(entry.source))),
+                                       state_bound=1000, depth_bound=10**9)
+        spawned += more
+        distinct += pairs
+    # sibling states hoist the same restrictions the same way
+    assert distinct >= 20 and spawned > 50 * distinct, (spawned, distinct)
+
+
+def test_shared_renames_match_memo_free_renames_on_generated_programs():
+    rng = random.Random(73)
+    spawned = distinct = 0
+    for _ in range(60):
+        e = random_closed_program(rng, depth=3)
+        try:
+            normalize(translate(e))
+        except (EngineError, RecursionError):
+            continue
+        more, pairs = _renaming_search(lambda: normalize(translate(e)), state_bound=500)
+        spawned += more
+        distinct += pairs
+    assert distinct > 20 and spawned > 10 * distinct, (spawned, distinct)
