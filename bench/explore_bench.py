@@ -1,15 +1,18 @@
 """Time ``explore`` on three searches, for one or more source trees.
 
     python bench/explore_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 3 --out BENCH_6.json
+        --repeat 5 --out BENCH_10.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory, translates and normalizes the program, then times one
 ``explore`` call with ``perf_counter``.  A row gives the states visited,
-whether a bound was hit, the terminals found, the keys computed (calls of
-``canonical_key``), the seconds of each run and their median, and the peak
-RSS of the run (``ru_maxrss``).  Runs of the trees alternate, so a drift in
-the host's speed falls on all of them.
+whether a bound was hit, the terminals found, the successors generated,
+the successors skipped as duplicates without a key, the full keys computed
+(calls of ``canonical_key``, the start state's included), the seconds of
+each run and their median, and the peak RSS of the run (``ru_maxrss``).
+A tree without the pre-check (``_entry_multiset``) keys every successor.
+Runs of the trees alternate, so a drift in the host's speed falls on all
+of them.
 """
 
 from __future__ import annotations
@@ -42,22 +45,29 @@ from butfpi.epi import engine
 from butfpi.translate import translate
 
 source, kwargs = json.loads(sys.argv[1])
-keys = 0
-plain = engine.canonical_key
+calls = {"canonical_key": 0, "_entry_multiset": 0}
 
-def counting(*args, **kw):
-    global keys
-    keys += 1
-    return plain(*args, **kw)
+def counting(name):
+    plain = getattr(engine, name)
 
-engine.canonical_key = counting
+    def count(*args, **kw):
+        calls[name] += 1
+        return plain(*args, **kw)
+    return count
+
+pre_check = hasattr(engine, "_entry_multiset")
+for name in calls if pre_check else ["canonical_key"]:
+    setattr(engine, name, counting(name))
 config = engine.normalize(translate(parse(source)))
 started = time.perf_counter()
 terminals, bound_hit, states = engine.explore(config, **kwargs)
 seconds = time.perf_counter() - started
+keys = calls["canonical_key"]
+successors = calls["_entry_multiset"] if pre_check else keys - 1
 print(json.dumps({
     "states": states, "bound_hit": bound_hit, "terminals": len(terminals),
-    "keys": keys, "seconds": seconds,
+    "successors": successors, "skipped": successors - (keys - 1), "keys": keys,
+    "seconds": seconds,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -94,7 +104,7 @@ def main() -> None:
     rows = []
     for (label, search), results in runs.items():
         first = results[0]
-        fixed = ("states", "bound_hit", "terminals", "keys")
+        fixed = ("states", "bound_hit", "terminals", "successors", "skipped", "keys")
         assert all(r[k] == first[k] for r in results for k in fixed), (label, search)
         seconds = [round(r["seconds"], 3) for r in results]
         rows.append({

@@ -135,35 +135,37 @@ def substitute(e: Expr, x: str, v: Expr) -> Expr:
     fresh identifier first.  The evaluator only ever substitutes values, but
     the function is defined for arbitrary ``v``.
     """
-    fv_v = free_vars(v)
+    return _substitute(e, x, v, free_vars(v))
 
-    def go(e: Expr) -> Expr:
-        match e:
-            case Num() | Builtin():
+
+def _substitute(e: Expr, x: str, v: Expr, fv_v: frozenset[str]) -> Expr:
+    # a module function, not a recursive closure: the closure would be a
+    # reference cycle left for the cyclic collector on every call
+    match e:
+        case Num() | Builtin():
+            return e
+        case Var(name):
+            return v if name == x else e
+        case Array(items):
+            return Array(tuple(_substitute(it, x, v, fv_v) for it in items))
+        case Tup(items):
+            return Tup(tuple(_substitute(it, x, v, fv_v) for it in items))
+        case Index(target, index):
+            return Index(_substitute(target, x, v, fv_v), _substitute(index, x, v, fv_v))
+        case App(fun, arg):
+            return App(_substitute(fun, x, v, fv_v), _substitute(arg, x, v, fv_v))
+        case If(cond, then, orelse):
+            return If(_substitute(cond, x, v, fv_v), _substitute(then, x, v, fv_v),
+                      _substitute(orelse, x, v, fv_v))
+        case Lam(param, body):
+            if param == x or x not in free_vars(body):
                 return e
-            case Var(name):
-                return v if name == x else e
-            case Array(items):
-                return Array(tuple(go(it) for it in items))
-            case Tup(items):
-                return Tup(tuple(go(it) for it in items))
-            case Index(target, index):
-                return Index(go(target), go(index))
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case If(cond, then, orelse):
-                return If(go(cond), go(then), go(orelse))
-            case Lam(param, body):
-                if param == x or x not in free_vars(body):
-                    return e
-                if param in fv_v:
-                    renamed = fresh_name(param, fv_v | free_vars(body) | {x})
-                    body = substitute(body, param, Var(renamed))
-                    param = renamed
-                return Lam(param, go(body))
-        raise TypeError(f"not an expression: {e!r}")
-
-    return go(e)
+            if param in fv_v:
+                renamed = fresh_name(param, fv_v | free_vars(body) | {x})
+                body = substitute(body, param, Var(renamed))
+                param = renamed
+            return Lam(param, _substitute(body, x, v, fv_v))
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def alpha_equal(a: Expr, b: Expr) -> bool:

@@ -30,15 +30,18 @@ builds a soup for each state it expands and fires each redex with
 same ``_fire``.  Read-back keeps one soup for all its probes: each probe
 is ``LiveSoup.insert``-ed and ``run`` steps that soup in place.
 
-``explore`` keys every successor with ``canonical_key``, and sibling states
+``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
 restrictions.  One search therefore shares that work, through memos that
 live no longer than it: one dict of the receive substitutions it has made
 (``_received``) and of the threads its hoisting renames (``_Builder``),
 each renamed thread carrying a template derived from the unrenamed process
 (see ``_renamed``), and the key entry of each thread, kept on the process
-node under a token of the search.  With ``stop_barb`` the search returns
-at the first state it expands that shows the barb.
+node under a token of the search together with the entry's number.  A
+successor whose multiset of entry numbers was already keyed in the level
+being built is a duplicate without a key, as its key is a function of
+that multiset; only the others are keyed in full.  With ``stop_barb`` the
+search returns at the first state it expands that shows the barb.
 
 Syntax trees are immutable and acyclic, and the engine keeps them so: no
 memo on a node refers back to that node (see ``head_of``), and no walk
@@ -103,7 +106,12 @@ class EngineError(Exception):
     """A process shape the engine does not execute (unguarded replication, ...)."""
 
 
-@dataclass(frozen=True)
+# Thread, Head, Redex and Step are records that nothing mutates once built.
+# Slotted and unfrozen, they build in a third or less of a frozen
+# dataclass's time (``explore`` builds them for every successor);
+# ``unsafe_hash`` keeps them hashable by value.
+
+@dataclass(slots=True, unsafe_hash=True)
 class Thread:
     tid: int
     proc: Process
@@ -124,7 +132,7 @@ class Config:
         raise KeyError(tid)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Head:
     """The consumable prefix of a thread."""
 
@@ -136,6 +144,8 @@ class Head:
     # change it; None when it stays as it is, so that a head memoized on a
     # process never refers back to that process
     residual: Process | None
+    # ``_chan_key`` of an action's channel; None for a match or an inert thread
+    key: tuple[str, object] | None
 
 
 def head_of(proc: Process) -> Head:
@@ -167,16 +177,17 @@ def _head(proc: Process) -> Head:
             inner = inner.body
         residual = p if bullets else None  # the first fire spends outer bullets
         if isinstance(inner, Act):
-            return Head(inner.action, inner.cont, bullets + copy_bullets, True, residual)
+            return Head(inner.action, inner.cont, bullets + copy_bullets, True, residual,
+                        _chan_key(inner.action.chan))
         if isinstance(inner, Match):
-            return Head(inner, None, bullets + copy_bullets, True, residual)
+            return Head(inner, None, bullets + copy_bullets, True, residual, None)
         raise EngineError("replication must guard an action or a match")
     if isinstance(p, Act):
-        return Head(p.action, p.cont, bullets, False, None)
+        return Head(p.action, p.cont, bullets, False, None, _chan_key(p.action.chan))
     if isinstance(p, Match):
-        return Head(p, None, bullets, False, None)
+        return Head(p, None, bullets, False, None, None)
     if isinstance(p, Nil):
-        return Head(None, None, bullets, False, None)
+        return Head(None, None, bullets, False, None, None)
     raise AssertionError(f"non-normalized thread process: {p!r}")
 
 
@@ -356,7 +367,7 @@ def config_to_process(config: Config) -> Process:
 
 # -------------------------------------------------------------- redexes
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Redex:
     rule: str  # COMM | BROAD | THEN | ELSE | FAULT
     participants: tuple[int, ...]  # sender first, then receivers in tid order
@@ -430,7 +441,7 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
 # ---------------------------------------------------------------- steps
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
     index: int
     kind: str  # "important" | "administrative"
@@ -546,15 +557,8 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     else:
         raise ValueError(f"cannot apply redex {redex.rule}")
 
-    step = Step(
-        index=index,
-        kind="important" if important else "administrative",
-        rule=redex.rule,
-        channel=channel_text,
-        participants=redex.participants,
-        depth_after=depth_after,
-        bullets=redex.bullets,
-    )
+    step = Step(index, "important" if important else "administrative", redex.rule,
+                channel_text, redex.participants, depth_after, redex.bullets)
     return consumed, folded, step
 
 
@@ -595,9 +599,7 @@ def barbs(config: Config) -> frozenset[tuple[str, str]]:
     out: set[tuple[str, str]] = set()
     for t in config.threads:
         h = head_of(t.proc)
-        if h.core is None or isinstance(h.core, Match):
-            continue
-        key = _chan_key(h.core.chan)
+        key = h.key
         if key is None or key[0] in config.restricted:
             continue
         polarity = "in" if isinstance(h.core, Recv) else "out"
@@ -762,7 +764,7 @@ class LiveSoup:
         if isinstance(core, Match):
             self._list(_match_redex(tid, h))
             return
-        key = _chan_key(core.chan)
+        key = h.key
         if key is None:
             return
         if isinstance(core, Recv):
@@ -794,7 +796,7 @@ class LiveSoup:
         if isinstance(core, Match):
             self._unlist((tid,))
             return
-        key = _chan_key(core.chan)
+        key = h.key
         if key is None:
             return
         if isinstance(core, Recv):
@@ -1025,26 +1027,58 @@ def _key_entry(proc: Process, restricted: frozenset[str], table: dict) -> tuple:
             tuple((0, 0) if n in restricted else (1, n) for n in occs), occs)
 
 
+def _remember_entry(proc: Process, restricted: frozenset[str], table: dict,
+                    cache: object) -> tuple:
+    """Compute ``proc``'s key entry and keep it on the node as its
+    ``_memo_entry``: the search token ``cache``, the entry, and the entry's
+    number in ``table``."""
+    entry = _key_entry(proc, restricted, table)
+    memo = (cache, entry, table.setdefault(entry, len(table)))
+    object.__setattr__(proc, "_memo_entry", memo)
+    return memo
+
+
+def _entry_multiset(config: Config, table: dict, cache: object) -> tuple[int, ...]:
+    """The sorted numbers of ``config``'s thread entries in one search.
+
+    ``canonical_key`` reads nothing of a config but the multiset of its
+    thread entries, and within a search a number stands for one entry (see
+    ``canonical_key``'s ``cache``), so two configs with equal multisets
+    have equal keys.  Computes the entries it lacks, as the key would.
+    """
+    restricted = config.restricted
+    numbers = []
+    for t in config.threads:
+        memo = t.proc._memo_entry
+        if memo is None or memo[0] is not cache:
+            memo = _remember_entry(t.proc, restricted, table, cache)
+        numbers.append(memo[2])
+    numbers.sort()
+    return tuple(numbers)
+
+
 def canonical_key(config: Config, table: dict, cache: object | None = None) -> tuple:
     """A hashable form identifying configs up to renaming of restricted names.
 
     Two configs with equal keys under one ``table`` are alpha-equivalent
     soups (depths and thread identities ignored).  The converse can miss:
     symmetric configs may canonicalize differently, which only costs
-    deduplication, never soundness.  ``table`` numbers thread skeletons and
-    canonical thread forms in the order the keys computed with it first see
-    them; the skeleton numbers order the threads, so keys are comparable
-    only under one table, and ``explore`` owns one per search.  Keys are
+    deduplication, never soundness.  ``table`` numbers thread skeletons,
+    canonical thread forms and, under a ``cache``, thread entries in the
+    order the keys computed with it first see them; the skeleton numbers
+    order the threads, so keys are comparable only under one table, and
+    ``explore`` owns one per search.  Keys are
     multisets of thread-form numbers, so holding hundreds of thousands of
     them stays cheap.
 
     ``cache`` is a token owned by one search.  Each thread's entry (see
-    ``_key_entry``) is kept on its process node, tagged with the token, and
-    read back from there by later keys with the same token, so a key
-    computes entries only for the threads new since the states before it.
-    That is sound because within one search every name keeps its
-    restricted or free status: restricted names are fresh when they are
-    hoisted and never freed.  Without ``cache`` every entry is computed.
+    ``_key_entry``) is kept on its process node, tagged with the token and
+    numbered in ``table``, and read back from there by later keys with the
+    same token, so a key computes entries only for the threads new since
+    the states before it.  That is sound because within one search every
+    name keeps its restricted or free status: restricted names are fresh
+    when they are hoisted and never freed.  Without ``cache`` every entry
+    is computed.
     """
     restricted = config.restricted
     if cache is None:
@@ -1052,11 +1086,9 @@ def canonical_key(config: Config, table: dict, cache: object | None = None) -> t
     else:
         entries = []
         for t in config.threads:
-            proc = t.proc
-            memo = proc._memo_entry
+            memo = t.proc._memo_entry
             if memo is None or memo[0] is not cache:
-                memo = (cache, _key_entry(proc, restricted, table))
-                object.__setattr__(proc, "_memo_entry", memo)
+                memo = _remember_entry(t.proc, restricted, table, cache)
             entries.append(memo[1])
 
     # order threads by skeleton number and name-blinded occurrences, then
@@ -1107,15 +1139,21 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     that live only as long as it does: a dict of receive substitutions
     (``_received``) and of renamed threads with their templates
     (``_Builder``), and a token that tags each thread's ``canonical_key``
-    entry on its process node.  A state is keyed
-    once, when it is found; a terminal needs no second key, as no state
-    enters the frontier twice.
+    entry, with its number, on its process node.
+
+    A successor is keyed in full only if its multiset of entry numbers
+    (``_entry_multiset``) is new to the level being built: an equal
+    multiset gives the key already computed for it, which is in ``seen``.
+    Most duplicate successors repeat a multiset within one level, and the
+    set of multisets is dropped when the frontier advances.  A terminal
+    needs no second key, as no state enters the frontier twice.
     """
     start = normalize_depths(config)
     table: dict = {}
     cache = object()  # tags this search's key entries on the process nodes
     subst: dict = {}
     seen = {canonical_key(start, table, cache)}
+    keyed: set[tuple[int, ...]] = set()  # entry multisets keyed in this level
     frontier = [start]
     terminals: list[Config] = []
     bound_hit = False
@@ -1143,6 +1181,10 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                         succ, _step = apply_redex(c, redex, subst)
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
+                multiset = _entry_multiset(succ, table, cache)
+                if multiset in keyed:
+                    continue
+                keyed.add(multiset)
                 key = canonical_key(succ, table, cache)
                 if key in seen:
                     continue
@@ -1152,6 +1194,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                     return terminals, bound_hit, len(seen)
                 next_frontier.append(succ)
         frontier = next_frontier
+        keyed.clear()
         depth += 1
     if frontier:
         bound_hit = True
@@ -1182,10 +1225,7 @@ def garbage_collect(config: Config) -> Config:
                 stripped = stripped.body
             if not isinstance(stripped, Repl):
                 continue
-            h = head_of(t.proc)
-            if h.core is None or isinstance(h.core, Match):
-                continue
-            key = _chan_key(h.core.chan)
+            key = head_of(t.proc).key
             if key is None or key[0] not in config.restricted:
                 continue
             subject = key[0]

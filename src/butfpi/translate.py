@@ -176,29 +176,31 @@ class Translator:
         Pattern variables invented by the translation use other prefixes,
         so a renamed program cannot capture them.
         """
+        return self._rename(e, {})
 
-        def go(e: Expr, env: dict[str, str]) -> Expr:
-            match e:
-                case Num() | Builtin():
-                    return e
-                case Var(name):
-                    return Var(env.get(name, name))
-                case Lam(param, body):
-                    fresh = self.fresh_var("x")
-                    return Lam(fresh, go(body, {**env, param: fresh}))
-                case Array(items):
-                    return Array(tuple(go(x, env) for x in items))
-                case Tup(items):
-                    return Tup(tuple(go(x, env) for x in items))
-                case Index(target, index):
-                    return Index(go(target, env), go(index, env))
-                case App(fun, arg):
-                    return App(go(fun, env), go(arg, env))
-                case If(cond, then, orelse):
-                    return If(go(cond, env), go(then, env), go(orelse, env))
-            raise TypeError(f"not an expression: {e!r}")
-
-        return go(e, {})
+    def _rename(self, e: Expr, env: dict[str, str]) -> Expr:
+        # a method, not a recursive closure: the closure would be a
+        # reference cycle through this translator
+        match e:
+            case Num() | Builtin():
+                return e
+            case Var(name):
+                return Var(env.get(name, name))
+            case Lam(param, body):
+                fresh = self.fresh_var("x")
+                return Lam(fresh, self._rename(body, {**env, param: fresh}))
+            case Array(items):
+                return Array(tuple(self._rename(x, env) for x in items))
+            case Tup(items):
+                return Tup(tuple(self._rename(x, env) for x in items))
+            case Index(target, index):
+                return Index(self._rename(target, env), self._rename(index, env))
+            case App(fun, arg):
+                return App(self._rename(fun, env), self._rename(arg, env))
+            case If(cond, then, orelse):
+                return If(self._rename(cond, env), self._rename(then, env),
+                          self._rename(orelse, env))
+        raise TypeError(f"not an expression: {e!r}")
 
     # -- expression cases ----------------------------------------------
 

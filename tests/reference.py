@@ -10,7 +10,8 @@ references swapped in.  ``reference_enabled_redexes`` lists a soup's
 redexes and arity diagnostics by scanning the whole ``Config``, with no
 ``LiveSoup``.  ``reference_explore`` is the search that computes every key
 from scratch and shares nothing between states, and ``checking_entries``
-checks the key entries ``explore`` caches.
+checks the key entries ``explore`` caches and the successors it skips
+without a key.
 """
 
 import pytest
@@ -309,28 +310,55 @@ def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100
 
 
 def checking_entries(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with every cached ``canonical_key`` checked.
+    """``fn(*args, **kwargs)`` with every key a search computes or skips checked.
 
     Each key computed with a search's cache must equal the key computed
     from scratch, and each thread's cached entry the entry computed afresh
-    in the state at hand.  Returns the result and the number of entries
-    checked.
+    in the state at hand, numbered as ``table`` numbers it.  A successor
+    that ``explore`` pre-checks (``_entry_multiset``) and then does not key
+    was skipped as a duplicate: its key, computed afresh, must be among the
+    keys the search computed before it, which are the search's ``seen``.
+    Returns the result, the number of entries checked and the number of
+    skipped successors checked.
     """
-    real = engine.canonical_key
-    checked = 0
+    real_key, real_multiset = engine.canonical_key, engine._entry_multiset
+    checked = skipped = 0
+    keys: dict[object, set] = {}  # search token -> the keys it computed
+    pending: list[tuple] = []  # the successor pre-checked last, not yet keyed
+
+    def settle(keyed=None):
+        # explore keys a successor right after its pre-check or not at all,
+        # so a successor still pending at the next call was skipped
+        nonlocal skipped
+        if pending:
+            config, table, cache = pending.pop()
+            if config is not keyed:
+                assert real_key(config, table) in keys[cache]
+                skipped += 1
 
     def key(config, table, cache=None):
         nonlocal checked
-        got = real(config, table, cache)
+        settle(keyed=config)
+        got = real_key(config, table, cache)
         if cache is not None:
             for t in config.threads:
-                tag, entry = t.proc._memo_entry
+                tag, entry, number = t.proc._memo_entry
                 assert tag is cache
                 assert entry == engine._key_entry(t.proc, config.restricted, table)
+                assert table[entry] == number
                 checked += 1
-            assert got == real(config, table)
+            assert got == real_key(config, table)
+            keys.setdefault(cache, set()).add(got)
         return got
+
+    def multiset(config, table, cache):
+        settle()
+        pending.append((config, table, cache))
+        return real_multiset(config, table, cache)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "canonical_key", key)
-        return fn(*args, **kwargs), checked
+        mp.setattr(engine, "_entry_multiset", multiset)
+        result = fn(*args, **kwargs)
+        settle()
+        return result, checked, skipped

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,34 @@ def test_fuel_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BUTFPI_FUEL", "10")
     code, out, _ = run_cli(capsys, "run", "-e", "(\\x. x x) (\\x. x x)")
     assert code == 1 and "10 steps" in out
+
+
+# one argv per command, a usage error and a help text among them
+CONSECUTIVE = [
+    ("run", "-e", "(\\x. x + 1) 2", "--trace"),
+    ("translate", "-e", "[1, 2]"),
+    ("simulate", "-e", "size [1, 2]", "--format", "json"),
+    ("check", "-e", "size [1,2]", "--seeds", "2", "--format", "json"),
+    ("explore", "--state-bound", "-1", "-e", "5"),
+    ("cost", "-e", "(\\x. x) 5"),
+    ("scale", "--family", "nested-apps", "--sizes", "1,2,3", "--format", "csv"),
+    ("explore", "-e", "(\\x. x) 5", "--format", "json"),
+    ("cost", "--help"),
+    ("run", "-e", "5[0]"),
+]
+
+
+def test_consecutive_dispatches_print_what_single_calls_print(capsys, monkeypatch):
+    # the parser is built once per process; every call must still see it
+    # as a fresh process would
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage texts wrap to it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in CONSECUTIVE:
+        single = subprocess.run(
+            [sys.executable, "-c", "import sys; from butfpi.cli import main; main()", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        code = dispatch(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            single.returncode, single.stdout, single.stderr), argv

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from butfpi.butf.parse import parse
+from butfpi.cli import dispatch
 from butfpi.epi.engine import (
     CommitFault,
     EngineError,
@@ -462,15 +463,17 @@ def _cyclic_garbage_of(fn) -> list:
             gc.enable()
 
 
-def _engine_walk(obj) -> bool:
-    """A function of ``rewrite`` or ``_thread_template``, or a cell holding one."""
+def _ours(obj) -> bool:
+    """An object or function of butfpi or of argparse, or a cell holding
+    one: what the program could strand in a cycle."""
     if isinstance(obj, types.CellType):
         try:
             obj = obj.cell_contents
         except ValueError:  # an empty cell
             return False
-    return (isinstance(obj, types.FunctionType)
-            and obj.__qualname__.startswith(("rewrite", "_thread_template")))
+    module = (obj.__module__ if isinstance(obj, types.FunctionType)
+              else type(obj).__module__) or ""
+    return module.startswith(("butfpi", "argparse"))
 
 
 def test_run_and_explore_leave_no_syntax_cycles():
@@ -479,8 +482,23 @@ def test_run_and_explore_leave_no_syntax_cycles():
         explore(normalize(translate(parse("map ((\\x. (x, x)), [3, 5])"))))
 
     garbage = _cyclic_garbage_of(work)
-    left = [o for o in garbage
-            if type(o).__module__.startswith("butfpi.epi") or _engine_walk(o)]
+    left = [o for o in garbage if _ours(o)]
+    assert not left, sorted({type(o).__name__ for o in left})
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "-e", "map ((\\x. (x, x * x + 1)), iota 3)", "--seeds", "2",
+     "--format", "json"),
+    ("explore", "-e", "map ((\\x. (x, x)), [3, 5])", "--format", "json"),
+], ids=lambda argv: argv[0])
+def test_command_line_ops_leave_no_cycles_of_their_own(argv, capsys):
+    # the first op builds what a process builds once (the argument parser)
+    assert dispatch(list(argv)) == 0
+    garbage = _cyclic_garbage_of(lambda: dispatch(list(argv)))
+    capsys.readouterr()
+    # json.dumps with an indent encodes through recursive closures of its
+    # own; nothing of the program may be left besides
+    left = [o for o in garbage if _ours(o)]
     assert not left, sorted({type(o).__name__ for o in left})
 
 

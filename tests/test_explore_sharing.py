@@ -5,7 +5,9 @@ exactly as the loop that computes everything afresh.
 scratch and memoizes nothing; ``checking_entries`` checks every key entry
 ``explore`` takes from its cache against one computed in the state at
 hand, which is the invariant the cache relies on: within one search, a
-name keeps its restricted or free status.
+name keeps its restricted or free status.  It also checks that every
+successor ``explore`` skips without a key, for repeating an entry multiset
+already keyed in its level, has a key the search has seen.
 """
 
 import random
@@ -54,10 +56,21 @@ from reference import checking_entries, reference_explore
 
 def _same_search(make_config, **kwargs) -> int:
     """Explore two fresh copies of one config, by ``explore`` (checking its
-    cached entries) and by the reference; returns the states explored."""
+    cached entries and skipped successors) and by the reference; returns
+    the states explored.
+
+    With ``stop_barb`` the reference searches on after the first barb
+    state, so ``explore`` must give its terminals up to that state.
+    """
     want = reference_explore(make_config(), **kwargs)
-    got, checked = checking_entries(explore, make_config(), **kwargs)
-    assert got[1:] == want[1:]  # bound_hit, states
+    got, checked, _ = checking_entries(explore, make_config(), **kwargs)
+    barb = kwargs.get("stop_barb")
+    stops = [i for i, t in enumerate(want[0]) if (barb, "out") in barbs(t)]
+    if stops:
+        assert got[1] is False and got[2] <= want[2]
+        want = (want[0][:stops[0] + 1],)
+    else:
+        assert got[1:] == want[1:]  # bound_hit, states
     assert got[0] == want[0]  # the same terminal configs, in the same order
     table: dict = {}
     assert ([canonical_key(t, table) for t in got[0]]
@@ -105,12 +118,63 @@ def test_explore_matches_reference_on_generated_processes():
     assert searched >= 100, searched
 
 
+@pytest.mark.parametrize("entry", [e for e in CORPUS
+                                   if f"corpus-{e.name}" not in EXPLORE_SKIP
+                                   and e.outcome != "diverges"],
+                         ids=lambda e: e.name)
+def test_value_barb_search_matches_reference_on_corpus(entry):
+    # the administrative search of check_value_barb, with its early exit
+    _same_search(lambda: normalize(translate(parse(entry.source))),
+                 state_bound=500, depth_bound=10**9, admin_only=True, stop_barb="o")
+
+
+def test_explore_matches_reference_with_stop_barb_on_generated_programs():
+    rng = random.Random(79)
+    stopped = 0
+    for _ in range(40):
+        e = random_closed_program(rng, depth=3)
+        try:
+            normalize(translate(e))
+        except (EngineError, RecursionError):
+            continue
+        for admin_only in (False, True):
+            _same_search(lambda: normalize(translate(e)), state_bound=300,
+                         admin_only=admin_only, stop_barb="o")
+        got = explore(normalize(translate(e)), state_bound=300, stop_barb="o")
+        stopped += bool(got[0]) and ("o", "out") in barbs(got[0][-1])
+    assert stopped >= 10, stopped
+
+
+def test_duplicates_of_a_level_are_not_keyed():
+    config = normalize(translate(parse("map ((\\x. (x, x)), [3, 5])")))
+    (terminals, bound_hit, states), checked, skipped = checking_entries(explore, config)
+    # 1 905 successors: 845 repeat an entry multiset keyed earlier in their
+    # level, and of the 1 060 keyed, 660 are new states
+    assert (len(terminals), bound_hit, states, skipped) == (1, False, 661, 845)
+    assert checked > 0
+
+
+def test_a_lossy_pre_check_fails_the_checks(monkeypatch):
+    # sorted skeleton numbers summarize an entry multiset with a loss:
+    # configs that differ only in their names share them
+    real = engine._entry_multiset
+
+    def skeletons(config, table, cache):
+        real(config, table, cache)  # computes the entries
+        return tuple(sorted(t.proc._memo_entry[1][0] for t in config.threads))
+
+    monkeypatch.setattr(engine, "_entry_multiset", skeletons)
+    config = normalize(translate(parse("map ((\\x. (x, x)), [3, 5])")))
+    with pytest.raises(AssertionError):
+        checking_entries(explore, config)
+
+
 def test_key_entries_do_not_outlive_their_search():
     config = normalize(translate(parse("map ((\\x. x), [7, 8])")))
     first = explore(config)
     # the second search starts from the nodes the first one keyed and must
     # recompute, not reuse, the entries the first one left on them
-    again, checked = checking_entries(explore, config)
+    again, checked, _ = checking_entries(explore, config)
     assert again[1:] == first[1:] == reference_explore(config)[1:]
     assert checked > 0
 
@@ -268,7 +332,7 @@ def _renaming_search(make_config, **kwargs) -> tuple[int, int]:
         mp.setattr(engine, "apply_redex", grabbing_fire)
         mp.setattr(engine, "_renamed", counting)
         mp.setattr(engine._Builder, "_renamed", spawning)
-        _, checked = checking_entries(explore, make_config(), **kwargs)
+        _, checked, _ = checking_entries(explore, make_config(), **kwargs)
     assert checked > 0
     memo = grabbed.get("memo") or {}
     renamed_threads = {k: v for k, v in memo.items() if len(k) == 2}
