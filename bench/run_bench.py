@@ -1,0 +1,152 @@
+"""Time ``run`` per step on a set of programs, for one or more source trees.
+
+    python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
+        --repeat 5 --out BENCH_11.json
+
+Each run is a fresh interpreter that imports ``butfpi`` from the given
+``src`` directory, translates and normalizes the program, then times one
+call with ``perf_counter``: ``run`` for a ``run`` program (``gc`` as the
+row says), ``check_program`` for a ``check`` program (its seeded runs and
+every read-back probe).  A row gives the steps fired (``LiveSoup.fire``
+calls), the threads left at the end of a ``run``, the microseconds per
+step of each run and their median, the ``rewrite`` calls the engine made
+per step, the peak RSS of the run (``ru_maxrss``) and a digest of what the
+call returned (the ``simulate`` JSON of a ``run``, the ``check`` JSON of a
+``check``), which must be the same for every tree.  Runs of the trees
+alternate, so a drift in the host's speed falls on all of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIMULATE_WIDE = r"map ((\x. x * x + 7), iota 32)"
+CHECK_ARRAYS = r"map ((\x. (x, x * x + 7)), iota 8)"
+
+# name -> (how, program or family, size, call keyword arguments)
+PROGRAMS = {
+    "simulate-wide": ("run", SIMULATE_WIDE, None, {"policy": "random", "seed": 1}),
+    "simulate-wide-gc": ("run", SIMULATE_WIDE, None,
+                         {"policy": "random", "seed": 1, "gc": True}),
+    "check-arrays": ("check", CHECK_ARRAYS, None, {"seeds": 4}),
+    **{f"{family}-{n}": ("run", family, n, {})
+       for family, sizes in (("array-of-apps", (16, 64)), ("nested-apps", (16, 64)),
+                             ("map-over-iota", (16, 64, 256)))
+       for n in sizes},
+}
+
+CHILD = r"""
+import hashlib, json, resource, sys, time
+from butfpi.butf.parse import parse
+from butfpi.correspondence import check_program
+from butfpi.cost import FAMILIES
+from butfpi.epi import engine
+from butfpi.translate import translate
+
+how, program, size, kwargs = json.loads(sys.argv[1])
+e = FAMILIES[program](size) if size is not None else parse(program)
+counts = {"fire": 0, "rewrite": 0}
+fire, rewrite = engine.LiveSoup.fire, engine.rewrite
+
+def counting_fire(soup, redex, index):
+    counts["fire"] += 1
+    return fire(soup, redex, index)
+
+def counting_rewrite(*args, **kw):
+    counts["rewrite"] += 1
+    return rewrite(*args, **kw)
+
+engine.LiveSoup.fire = counting_fire
+if how == "run":
+    config = engine.normalize(translate(e, "o"))
+    engine.rewrite = counting_rewrite
+    started = time.perf_counter()
+    trace = engine.run(config, **kwargs)
+    seconds = time.perf_counter() - started
+    result, threads = trace.to_dict(), len(trace.config.threads)
+else:
+    engine.rewrite = counting_rewrite
+    started = time.perf_counter()
+    report = check_program(e, **kwargs)
+    seconds = time.perf_counter() - started
+    result, threads = report.to_dict(), None
+text = json.dumps(result, sort_keys=True, indent=2)
+print(json.dumps({
+    "steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
+    "seconds": seconds, "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def run_once(src: Path, name: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(PROGRAMS[name])],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
+                    help="a label and the src directory to import butfpi from")
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--program", action="append", choices=list(PROGRAMS))
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args()
+    trees = [(label, Path(src).resolve())
+             for label, src in (t.split("=", 1) for t in args.tree)]
+    names = args.program or list(PROGRAMS)
+
+    runs: dict[tuple[str, str], list[dict]] = {}
+    for name in names:
+        for _ in range(args.repeat):
+            for label, src in trees:
+                result = run_once(src, name)
+                runs.setdefault((label, name), []).append(result)
+                print(label, name, json.dumps(result), file=sys.stderr)
+
+    rows = []
+    for (label, name), results in runs.items():
+        first = results[0]
+        fixed = ("steps", "threads", "rewrites", "digest")
+        assert all(r[k] == first[k] for r in results for k in fixed), (label, name)
+        how, program, size, kwargs = PROGRAMS[name]
+        us = [round(r["seconds"] / first["steps"] * 1e6, 1) for r in results]
+        rows.append({
+            "tree": label, "program": name, "how": how,
+            "source": program if size is None else f"{program} n={size}",
+            "args": kwargs, **{k: first[k] for k in fixed},
+            "rewrites_per_step": round(first["rewrites"] / first["steps"], 3),
+            "us_per_step_median": round(statistics.median(us), 1),
+            "us_per_step": us,
+            "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
+            "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
+        })
+    digests = {}
+    for row in rows:
+        digests.setdefault(row["program"], set()).add(row["digest"])
+    differ = sorted(name for name, seen in digests.items() if len(seen) > 1)
+    report = {
+        "harness": "bench/run_bench.py",
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "repeat": args.repeat,
+        "outputs_differ": differ,
+        "rows": rows,
+    }
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        args.out.write_text(text, encoding="utf-8")
+    print(text, end="")
+
+
+if __name__ == "__main__":
+    main()

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from butfpi.butf.eval import EvalResult, Stuck, eval_expr
 from butfpi.butf.parse import parse
@@ -48,7 +48,76 @@ def _default_fuel() -> int:
 
 def _emit(data: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(dumps(data))
+
+
+def dumps(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2)``, the same text.
+
+    With an indent the standard library encodes through recursive closures,
+    a reference cycle left for the cyclic collector on every call; this
+    encoder is module functions, and strings go through the C escaper.
+    """
+    return _encode(data, "\n")
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == float("inf"):
+        return "Infinity"
+    if o == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# the scalars by exact type; containers look their items up here inline,
+# which spares a call per value
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda o: "null"}
+
+
+def _encode(o, newline: str) -> str:
+    """``o`` encoded, ``newline`` being a line break and the indent of the
+    line ``o`` starts on."""
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join(
+            [_SCALARS[type(v)](v) if type(v) in _SCALARS else _encode(v, inner)
+             for v in o])
+            + newline + "]")
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_key(k) + ": "
+             + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _encode(v, inner))
+             for k, v in sorted(o.items())])
+            + newline + "}")
+    # subclasses of the scalar types, encoded as the standard library does
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key as the standard library writes it: always a string."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + _encode(k, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 class _UsageError(Exception):

@@ -112,8 +112,7 @@ class _Prober:
                                  Nil())))
         run(self.soup, policy="priority", budget=self.budget, stop_barb=reply,
             permissive=True)
-        replies = self.soup.sends.get((reply, None))
-        return next(iter(replies.values())).core.args if replies else None
+        return self.soup.sent((reply, None))
 
 
 def read_back(config: Config, result: Term, shape: Expr,

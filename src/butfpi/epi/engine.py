@@ -23,12 +23,22 @@ broadcasts (the channel queues of Pict's abstract machine), the sorted
 redex list, the arity-mismatch count and the observable output barbs.
 ``run`` steps one soup in place; a step updates the index only for the
 threads it consumes, folds or spawns, so its cost no longer grows with the
-soup, and the threads it spawns share every subtree that substitution and
-renaming leave alone (see ``rewrite`` and ``_Builder``).  ``explore``
-builds a soup for each state it expands and fires each redex with
-``apply_redex`` on the state's ``Config``; both drivers fire through the
-same ``_fire``.  Read-back keeps one soup for all its probes: each probe
-is ``LiveSoup.insert``-ed and ``run`` steps that soup in place.
+soup.  Nor does it copy syntax: a thread the soup spawns is the
+continuation's subtree of the process text itself, a template shared by
+every thread spawned from it, plus an environment of the values its
+receives bound and the fresh names its restrictions were hoisted as (the
+explicit substitutions of Abadi, Cardelli, Curien and Lévy, as Pict's
+machine runs processes).  The index reads channels, sent values and match
+operands through the environment, and a thread is closed, by one
+``rewrite``, only where a ``Config`` is built from the soup.  A spawn
+whose received value or fresh name equals a binder inside the template,
+where substituting would first rename that binder, is closed at once, so
+every name chosen is the one eager substitution chooses (see ``Thread``
+and ``_Builder``).  ``explore`` builds a soup for each state it expands
+and fires each redex with ``apply_redex`` on the state's ``Config``,
+which spawns closed threads; both drivers fire through the same
+``_fire``.  Read-back keeps one soup for all its probes: each probe is
+``LiveSoup.insert``-ed and ``run`` steps that soup in place.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
@@ -92,12 +102,17 @@ from butfpi.epi.syntax import (
     TermError,
     VarT,
     _fresh_variant,
+    _sub_chan,
+    _sub_term,
     all_names,
+    binders,
     compare,
     eval_term,
     free_names,
+    free_process_vars,
     rewrite,
     symbols,
+    term_names,
     term_vars,
 )
 
@@ -113,9 +128,95 @@ class EngineError(Exception):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Thread:
+    """A thread of a soup: its process, a causal depth, and an environment.
+
+    ``env`` is None for a closed thread, the only kind a ``Config`` holds.
+    A ``LiveSoup`` thread may instead stand for ``proc`` under a deferred
+    substitution: ``env`` is then the pair (receive bindings, hoisting
+    renames), a dict from variables to the values received for them and
+    one from names to the fresh names they were hoisted as, and the thread
+    is ``rewrite(proc, *env)``.  ``proc`` is a template shared with every
+    other thread spawned from the same subtree.  The engine keeps an
+    environment only where that rewrite renames no binder of ``proc``
+    (see ``_Builder``), so that closing a thread in one rewrite gives what
+    substituting and renaming at each step would have given.  Nothing
+    mutates an environment's dicts once a thread holds them.
+    """
+
     tid: int
     proc: Process
     depth: int
+    env: tuple[dict[str, Term], dict[str, str]] | None = field(default=None, hash=False)
+
+
+def _closed(t: Thread) -> Thread:
+    """``t`` as a closed thread: its process rewritten under its environment."""
+    if t.env is None:
+        return t
+    return Thread(t.tid, rewrite(t.proc, *t.env), t.depth)
+
+
+def _mentioned(t: Thread) -> frozenset[str] | set[str]:
+    """``all_names`` of ``t`` closed, read from its template and environment.
+
+    Closing renames no binder, so the binders stay; a free name is renamed
+    if the renames map it, and a free variable gives the names of the value
+    bound to it.
+    """
+    if t.env is None:
+        return all_names(t.proc)
+    vm, nm = t.env
+    p = t.proc
+    names = set(binders(p))
+    names.update([nm.get(n, n) for n in free_names(p)] if nm else free_names(p))
+    if vm:
+        for x in free_process_vars(p):
+            value = vm.get(x)
+            if value is not None:
+                names |= term_names(value)
+    return names
+
+
+def _sub_chan_of(h: Head, env) -> Chan:
+    """The channel of ``h``'s action under a thread's environment."""
+    chan = h.core.chan
+    return chan if env is None else _sub_chan(chan, *env)
+
+
+def _key_of(h: Head, env) -> tuple[str, object] | None:
+    """``_chan_key`` of ``h``'s channel under a thread's environment,
+    without building the channel."""
+    key = h.key
+    if env is None:
+        return key
+    vm, nm = env
+    if key is not None:  # a name and a fixed suffix: only a rename changes it
+        name = key[0]
+        return (nm[name], key[1]) if name in nm else key
+    chan = h.core.chan
+    base, suffix = chan.base, chan.suffix
+    if type(base) is VarT:
+        base = vm.get(base.name, base)
+    if type(base) is not NameT:
+        return None
+    name = nm.get(base.name, base.name) if chan.base is base else base.name
+    if type(suffix) is VarT:
+        value = vm.get(suffix.name)
+        if type(value) is not NumT:  # unbound, or a name that addresses no cell
+            return None
+        suffix = value.value
+    elif type(suffix) is NameT:
+        return None
+    return (name, suffix)
+
+
+def _sent(h: Head, env) -> tuple[Term, ...]:
+    """The terms ``h``'s send or broadcast carries under a thread's environment."""
+    args = h.core.args
+    if env is None:
+        return args
+    vm, nm = env
+    return tuple([_sub_term(a, vm, nm) for a in args])
 
 
 @dataclass(frozen=True)
@@ -193,61 +294,109 @@ def _head(proc: Process) -> Head:
 
 # ------------------------------------------------------------ normalize
 
+# an empty environment half; nothing mutates an environment's dicts
+_NO_VARS: dict[str, Term] = {}
+_NO_NAMES: dict[str, str] = {}
+
+
 class _Builder:
     """Accumulates threads while hoisting restrictions and flattening parallels.
 
     A restriction whose name is taken is renamed to a fresh variant.  The
     renames of the restrictions above a subtree travel down with it as one
-    pending list and are applied once per thread it spawns, choosing the
-    same names as renaming each body in turn would.
+    pending list, together with the receive bindings the subtree was
+    spawned under, and each thread it spawns gets them applied at once.
+    That chooses the same names as renaming each body in turn would,
+    because a rename whose fresh name is a binder inside the body (where
+    renaming the body would rename that binder first) is applied to the
+    body there and then, closing it.
 
-    ``memo`` is a dict owned by one ``explore`` search, whose successors it
-    keys.  A renamed thread then gets its ``_thread_template`` from the
-    unrenamed one, and the dict memoizes it on the process and the renames,
-    so sibling states that hoist the same restrictions the same way share
-    the thread, and with it its key entry.
+    With ``defer`` (a ``LiveSoup``'s fires and inserts) a thread keeps its
+    bindings and renames as its environment, unapplied.  Otherwise each
+    thread is closed as it is spawned, and no bindings come in (``apply_redex``
+    substitutes received values before it spawns).  ``memo`` is then a
+    dict owned by one ``explore`` search, whose successors it keys.  A
+    renamed thread then gets its ``_thread_template`` from the unrenamed
+    one, and the dict memoizes it on the process and the renames, so
+    sibling states that hoist the same restrictions the same way share the
+    thread, and with it its key entry.
     """
 
     def __init__(self, used: set[str], restricted: set[str], next_tid: int,
-                 floors: dict[str, int] | None = None, memo: dict | None = None):
+                 floors: dict[str, int] | None = None, memo: dict | None = None,
+                 defer: bool = False):
         self.used = used
         self.restricted = restricted
         self.next_tid = next_tid
         self.floors = {} if floors is None else floors  # see _fresh_variant
         self.memo = memo
+        self.defer = defer
         self.new_threads: list[Thread] = []
 
-    def add(self, proc: Process, depth: int,
+    def spawn(self, proc: Process, depth: int, env) -> None:
+        """Add ``proc`` as it stands under a thread's environment."""
+        if env is None:
+            self.add(proc, depth)
+        else:
+            vm, nm = env
+            self.add(proc, depth, vm, tuple(nm.items()) if nm else ())
+
+    def receive(self, rh: Head, values: tuple[Term, ...], env, depth: int) -> None:
+        """Add the continuation of receiver ``rh`` with ``values`` received,
+        under the receiving thread's environment."""
+        if not self.defer:
+            self.add(_received(rh, values, self.memo), depth)
+            return
+        params = rh.core.params
+        vm, nm = (_NO_VARS, _NO_NAMES) if env is None else env
+        bound = {x: v for x, v in zip(params, values) if x is not None}
+        names = [v.name for v in values if type(v) is NameT]
+        if names and not binders(rh.cont).isdisjoint(names):
+            # substituting would rename the binder the name meets: close
+            # the continuation, whose parameters shadow their old bindings,
+            # and substitute now
+            outer = {x: v for x, v in vm.items() if x not in params}
+            self.add(rewrite(rewrite(rh.cont, outer, nm), var_map=bound), depth)
+            return
+        # a parameter's new binding replaces the one it shadows
+        self.add(rh.cont, depth, {**vm, **bound} if vm else bound,
+                 tuple(nm.items()) if nm else ())
+
+    def add(self, proc: Process, depth: int, vm: dict[str, Term] = _NO_VARS,
             renames: tuple[tuple[str, str], ...] = ()) -> None:
         match proc:
             case Nil():
                 return
             case Par(left, right):
-                self.add(left, depth, renames)
-                self.add(right, depth, renames)
+                self.add(left, depth, vm, renames)
+                self.add(right, depth, vm, renames)
             case New(name, body):
-                if any(name == new for _, new in renames):
-                    # renaming the body would rename this binder first
-                    self.add(_renamed(proc, renames), depth)
-                    return
                 renames = tuple(r for r in renames if r[0] != name)  # shadowed
                 chosen = _fresh_variant(name, self.used, self.floors)
                 self.used.add(chosen)
                 self.restricted.add(chosen)
                 if chosen != name:
-                    renames += ((name, chosen),)
-                self.add(body, depth, renames)
+                    # ``symbols`` holds the binders and is kept on the nodes
+                    # ``rewrite`` builds: the common miss costs no walk
+                    if chosen in symbols(body) and chosen in binders(body):
+                        # renaming the body renames that inner binder first
+                        body = rewrite(rewrite(body, vm, dict(renames)),
+                                       name_map={name: chosen})
+                        vm, renames = _NO_VARS, ()
+                    else:
+                        renames += ((name, chosen),)
+                self.add(body, depth, vm, renames)
             case Bullet():
-                self._add_bulleted(proc, depth, renames)
+                self._add_bulleted(proc, depth, vm, renames)
             case Repl(body):
                 head_of(proc)  # raises on unguarded bodies
-                self._thread(self._renamed(proc, renames), depth)
+                self._thread(proc, depth, vm, renames)
             case Act() | Match():
-                self._thread(self._renamed(proc, renames), depth)
+                self._thread(proc, depth, vm, renames)
             case _:
                 raise TypeError(f"not a process: {proc!r}")
 
-    def _add_bulleted(self, proc: Process, depth: int,
+    def _add_bulleted(self, proc: Process, depth: int, vm: dict[str, Term],
                       renames: tuple[tuple[str, str], ...]) -> None:
         bullets = 0
         p = proc
@@ -259,19 +408,27 @@ class _Builder:
                 inner: Process = body
                 for _ in range(bullets):
                     inner = Bullet(inner)
-                self.add(New(name, inner), depth, renames)
+                self.add(New(name, inner), depth, vm, renames)
             case Par():
                 raise EngineError("a bullet must guard a sequential process")
             case Nil():
-                self._thread(proc, depth)  # inert, kept for bullet accounting
+                self._thread(proc, depth, _NO_VARS, ())  # inert, kept for bullet accounting
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(self._renamed(proc, renames), depth)
+                self._thread(proc, depth, vm, renames)
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
-    def _thread(self, proc: Process, depth: int) -> None:
-        self.new_threads.append(Thread(self.next_tid, proc, depth))
+    def _thread(self, proc: Process, depth: int, vm: dict[str, Term],
+                renames: tuple[tuple[str, str], ...]) -> None:
+        if not self.defer:
+            thread = Thread(self.next_tid, self._renamed(proc, renames), depth)
+        elif vm or renames:
+            thread = Thread(self.next_tid, proc, depth,
+                            (vm, dict(renames) if renames else _NO_NAMES))
+        else:
+            thread = Thread(self.next_tid, proc, depth)
+        self.new_threads.append(thread)
         self.next_tid += 1
 
     def _renamed(self, proc: Process, renames: tuple[tuple[str, str], ...]) -> Process:
@@ -389,13 +546,18 @@ def _decidable_terms(*terms: Term) -> bool:
     return all(not term_vars(t) for t in terms)
 
 
-def _match_redex(tid: int, h: Head) -> Redex | None:
-    """THEN, ELSE or FAULT for a comparison thread; None while undecidable."""
+def _match_redex(tid: int, h: Head, env=None) -> Redex | None:
+    """THEN, ELSE or FAULT for a comparison thread, whose operands are read
+    under its environment; None while undecidable."""
     m = h.core
-    if not _decidable_terms(m.left, m.right):
+    left, right = m.left, m.right
+    if env is not None:
+        vm, nm = env
+        left, right = _sub_term(left, vm, nm), _sub_term(right, vm, nm)
+    if not _decidable_terms(left, right):
         return None
     try:
-        taken = compare(m.op, eval_term(m.left), eval_term(m.right))
+        taken = compare(m.op, eval_term(left), eval_term(right))
     except TermError as exc:
         return Redex("FAULT", (tid,), reason=str(exc))
     return Redex("THEN" if taken else "ELSE", (tid,), branch_then=taken,
@@ -487,10 +649,10 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     Returns the participants consumed, the folded residual of each
     replicated participant (outer bullets consumed), and the step.  Raises
     ``CommitFault``, before spawning anything, if commit-time evaluation
-    fails.  The builder's search memo, if any, also memoizes receive
-    substitutions (see ``_received``).
+    fails.  Sent values, channels and match operands are read under each
+    participant's environment, and the continuations spawn under it (see
+    ``_Builder.spawn`` and ``_Builder.receive``).
     """
-    subst = builder.memo
     consumed: set[int] = set()
     folded: dict[int, Process] = {}
     important = redex.bullets > 0
@@ -507,13 +669,13 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             folded[t.tid] = _residual(t, h)
         else:
             consumed.add(t.tid)
-        builder.add(branch, depth_after)
+        builder.spawn(branch, depth_after, t.env)
     elif redex.rule == "COMM":
         s = thread(redex.participants[0])
         r = thread(redex.participants[1])
         sh, rh = head_of(s.proc), head_of(r.proc)
         try:
-            values = tuple(eval_term(a) for a in sh.core.args)
+            values = tuple([eval_term(a) for a in _sent(sh, s.env)])
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
         depth_after = max(s.depth, r.depth) + inc
@@ -522,17 +684,17 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
                 folded[t.tid] = _residual(t, h)
             else:
                 consumed.add(t.tid)
-        builder.add(sh.cont, depth_after)
-        builder.add(_received(rh, values, subst), depth_after)
-        channel_text = render_chan(sh.core.chan)
+        builder.spawn(sh.cont, depth_after, s.env)
+        builder.receive(rh, values, r.env, depth_after)
+        channel_text = render_chan(_sub_chan_of(sh, s.env))
     elif redex.rule == "BROAD":
         s = thread(redex.participants[0])
         sh = head_of(s.proc)
         try:
-            values = tuple(eval_term(a) for a in sh.core.args)
+            values = tuple([eval_term(a) for a in _sent(sh, s.env)])
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
-        channel_text = render_chan(sh.core.chan)
+        channel_text = render_chan(_sub_chan_of(sh, s.env))
         if redex.channel[0] not in restricted:
             channel_text = ":" + channel_text  # observable broadcast label
         depths = [s.depth]
@@ -540,20 +702,20 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             folded[s.tid] = _residual(s, sh)
         else:
             consumed.add(s.tid)
-        receiver_conts: list[Process] = []
+        receivers: list[tuple[Thread, Head]] = []
         for rtid in redex.participants[1:]:
             r = thread(rtid)
             rh = head_of(r.proc)
             depths.append(r.depth)
-            receiver_conts.append(_received(rh, values, subst))
+            receivers.append((r, rh))
             if rh.repl:
                 folded[rtid] = _residual(r, rh)
             else:
                 consumed.add(rtid)
         depth_after = max(depths) + inc
-        builder.add(sh.cont, depth_after)
-        for cont in receiver_conts:
-            builder.add(cont, depth_after)
+        builder.spawn(sh.cont, depth_after, s.env)
+        for r, rh in receivers:
+            builder.receive(rh, values, r.env, depth_after)
     else:
         raise ValueError(f"cannot apply redex {redex.rule}")
 
@@ -569,7 +731,9 @@ def apply_redex(config: Config, redex: Redex,
     ``subst`` is the memo of the search that calls: it holds the receive
     substitutions (see ``_received``) and the threads that hoisting renames
     (see ``_Builder``), which within a search get their ``_thread_template``
-    from the unrenamed process, as every successor is keyed.
+    from the unrenamed process, as every successor is keyed.  The
+    successor's threads are closed; it shares the parent's name sets when
+    the step hoisted no restriction.
     """
     used = set(config.used)
     restricted = set(config.restricted)
@@ -580,16 +744,21 @@ def apply_redex(config: Config, redex: Redex,
     # block in the interpreter's per-size tuple free lists, which only a
     # full collection empties (about 1.5 MB after ten explores of
     # ``map ((\x. (x, x)), [a, b])``)
-    threads = [replace(t, proc=folded[t.tid]) if t.tid in folded else t
+    threads = [Thread(t.tid, folded[t.tid], t.depth) if t.tid in folded else t
                for t in config.threads if t.tid not in consumed]
     threads += builder.new_threads
+    if len(used) == len(config.used):
+        # no name hoisted (the builder adds every name it restricts to
+        # both sets): share the parent's sets, most of what a state would
+        # hold on its own
+        return Config(config.restricted, tuple(threads), config.used,
+                      builder.next_tid), step
     return _make_config(tuple(threads), restricted, used, builder.next_tid), step
 
 
 def _drop_threads(config: Config, tids: tuple[int, ...]) -> Config:
     threads = tuple(t for t in config.threads if t.tid not in tids)
-    return _make_config(threads, set(config.restricted), set(config.used),
-                        config.next_tid)
+    return Config(config.restricted, threads, config.used, config.next_tid)
 
 
 # ----------------------------------------------------------------- barbs
@@ -656,6 +825,15 @@ class LiveSoup:
     per state it expands.  A step updates the index only for the threads
     it consumes, folds or spawns, so its cost follows the participants and
     their channels rather than the whole soup.
+
+    The threads a soup spawns itself (``fire``, ``insert``) keep their
+    environments (see ``Thread``): a continuation is spawned as the shared
+    template it is in the process text, with the received values and the
+    hoisting renames recorded beside it, so a step copies no syntax.  The
+    index reads each thread's channel, barbs, sent values and match
+    operands under its environment.  A thread is closed, one ``rewrite``
+    each, only where a closed process is asked for: ``config``, and so a
+    ``run`` on a ``Config`` and every ``Config`` built from a soup.
     """
 
     def __init__(self, config: Config, admin_only: bool = False):
@@ -674,11 +852,25 @@ class LiveSoup:
         self.mismatches = 0
         self.mismatched: dict[int, set[int]] = {}  # tid -> COMM partners of another arity
         self.out_barbs: Counter[str] = Counter()
+        # kept from the first ``collect`` on: how many threads mention each
+        # name, and the subject channel of each replicated thread
+        self.mentions: Counter[str] | None = None
+        self.servers: dict[int, str] = {}
         self._add(config.threads)
 
     def config(self) -> Config:
-        return Config(frozenset(self.restricted), tuple(self.threads.values()),
+        """The soup as a ``Config``, every thread closed."""
+        return Config(frozenset(self.restricted),
+                      tuple([_closed(t) for t in self.threads.values()]),
                       frozenset(self.used), self.next_tid)
+
+    def sent(self, key: tuple) -> tuple[Term, ...] | None:
+        """The terms the first pending send on ``key`` carries, if any."""
+        queue = self.sends.get(key)
+        if not queue:
+            return None
+        tid, h = next(iter(queue.items()))
+        return _sent(h, self.threads[tid].env)
 
     def diagnostics(self) -> list[str]:
         """The texts of the ``mismatches`` arity mismatches, in soup order:
@@ -712,13 +904,15 @@ class LiveSoup:
     def insert(self, proc: Process, depth: int = 0) -> None:
         """Drop an extra process into the soup (read-back probes)."""
         self.used |= free_names(proc)
-        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors)
+        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors,
+                           defer=True)
         builder.add(proc, depth)
         self.next_tid = builder.next_tid
         self._add(builder.new_threads)
 
     def fire(self, redex: Redex, index: int) -> Step:
-        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors)
+        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors,
+                           defer=True)
         consumed, folded, step = _fire(redex, self.threads.__getitem__,
                                        self.restricted, builder, index)
         self.next_tid = builder.next_tid
@@ -742,12 +936,28 @@ class LiveSoup:
             self._unindex(self.threads.pop(tid))
 
     def collect(self) -> None:
-        """``garbage_collect`` the soup in place."""
-        collected = garbage_collect(self.config())
-        if len(collected.threads) != len(self.threads):
-            kept = {t.tid for t in collected.threads}
-            self.drop(tuple(tid for tid in self.threads if tid not in kept))
-        self.restricted = set(collected.restricted)
+        """Drop the replicated servers on restricted channels that no other
+        thread mentions, until none is left, then the restricted names no
+        thread mentions: ``garbage_collect`` on the soup in place.
+
+        Removing a server only lowers the counts, so every server the
+        first pass finds stays removable and the result is the fixpoint
+        ``garbage_collect`` reaches.  The first call counts the mentions
+        of every thread; the index keeps the counts from then on.
+        """
+        mentions = self.mentions
+        if mentions is None:
+            mentions = self.mentions = Counter()
+            for t in self.threads.values():
+                self._mention(t, head_of(t.proc), 1)
+        restricted = self.restricted
+        while True:
+            unreachable = tuple(tid for tid, subject in self.servers.items()
+                                if mentions[subject] == 1 and subject in restricted)
+            if not unreachable:
+                break
+            self.drop(unreachable)
+        self.restricted = {n for n in restricted if mentions[n]}
 
     # ------------------------------------------------------------ index
 
@@ -757,14 +967,16 @@ class LiveSoup:
             self._index(t)
 
     def _index(self, t: Thread) -> None:
-        tid, h = t.tid, head_of(t.proc)
+        tid, h, env = t.tid, head_of(t.proc), t.env
+        if self.mentions is not None:
+            self._mention(t, h, 1)
         core = h.core
         if core is None:
             return
         if isinstance(core, Match):
-            self._list(_match_redex(tid, h))
+            self._list(_match_redex(tid, h, env))
             return
-        key = h.key
+        key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
         if isinstance(core, Recv):
@@ -775,7 +987,7 @@ class LiveSoup:
                 self._broad(key, btid)
             return
         if key[0] not in self.restricted:
-            self.out_barbs[render_chan(core.chan)] += 1
+            self.out_barbs[render_chan(_sub_chan_of(h, env))] += 1
         if isinstance(core, Send):
             self.sends.setdefault(key, {})[tid] = h
             for rtid, rh in self.recvs.get(key, {}).items():
@@ -785,7 +997,9 @@ class LiveSoup:
             self._broad(key, tid)
 
     def _unindex(self, t: Thread) -> None:
-        tid, h = t.tid, head_of(t.proc)
+        tid, h, env = t.tid, head_of(t.proc), t.env
+        if self.mentions is not None:
+            self._mention(t, h, -1)
         partners = self.mismatched.pop(tid, ())
         self.mismatches -= len(partners)
         for other in partners:
@@ -796,7 +1010,7 @@ class LiveSoup:
         if isinstance(core, Match):
             self._unlist((tid,))
             return
-        key = h.key
+        key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
         if isinstance(core, Recv):
@@ -807,7 +1021,7 @@ class LiveSoup:
                 self._broad(key, btid)
             return
         if key[0] not in self.restricted:
-            self.out_barbs[render_chan(core.chan)] -= 1
+            self.out_barbs[render_chan(_sub_chan_of(h, env))] -= 1
         if isinstance(core, Send):
             _discard(self.sends, key, tid)
             for rtid in self.recvs.get(key, ()):
@@ -817,6 +1031,24 @@ class LiveSoup:
             participants, mismatches = self.broads.pop(tid)
             self._unlist(participants)
             self.mismatches -= mismatches
+
+    def _mention(self, t: Thread, h: Head, sign: int) -> None:
+        """Count ``t``'s names in ``mentions`` (``sign`` 1) or take them
+        out (-1), and enter or remove it as a server."""
+        mentions = self.mentions
+        for name in _mentioned(t):
+            count = mentions[name] + sign
+            if count:
+                mentions[name] = count
+            else:
+                del mentions[name]
+        if h.repl and not isinstance(h.core, Match):
+            key = _key_of(h, t.env)
+            if key is not None:
+                if sign > 0:
+                    self.servers[t.tid] = key[0]
+                else:
+                    del self.servers[t.tid]
 
     def _broad(self, key: tuple, tid: int) -> None:
         """(Re)compute the BROAD of broadcast ``tid`` after its receivers changed."""
@@ -882,9 +1114,11 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     ``"random"`` (uniform over enabled redexes, seeded).  ``admin_only``
     refuses to fire important redexes, which read-back probing uses to keep
     decoding free.  ``stop_barb`` halts as soon as the named channel is
-    observable.  A ``LiveSoup`` is stepped in place, under the
-    ``admin_only`` it was built with; the caller owns it and reads
-    ``soup.config()`` when it needs one, so the trace carries no config.
+    observable.  ``gc`` runs ``LiveSoup.collect`` before every step.  A
+    ``LiveSoup`` is stepped in place, under the ``admin_only`` it was
+    built with; the caller owns it and reads ``soup.config()`` when it
+    needs one, so the trace carries no config.  Otherwise the trace's
+    config is the final soup, its threads closed.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -1213,29 +1447,9 @@ def garbage_collect(config: Config) -> Config:
 
     A folded replication whose subject channel is restricted and whose base
     name occurs in no other thread can never synchronize again; removing it
-    preserves behavior.
+    preserves behavior.  Restricted names that then occur nowhere are
+    dropped too.  The work is ``LiveSoup.collect``'s.
     """
-    threads = list(config.threads)
-    while True:
-        removed = False
-        for i, t in enumerate(threads):
-            proc = t.proc
-            stripped = proc
-            while isinstance(stripped, Bullet):
-                stripped = stripped.body
-            if not isinstance(stripped, Repl):
-                continue
-            key = head_of(t.proc).key
-            if key is None or key[0] not in config.restricted:
-                continue
-            subject = key[0]
-            others = threads[:i] + threads[i + 1:]
-            if any(subject in all_names(o.proc) for o in others):
-                continue
-            threads = others
-            removed = True
-            break
-        if not removed:
-            break
-    return _make_config(tuple(threads), set(config.restricted), set(config.used),
-                        config.next_tid, prune=True)
+    soup = LiveSoup(config)
+    soup.collect()
+    return soup.config()

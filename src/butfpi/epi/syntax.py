@@ -216,6 +216,7 @@ for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast,
 # visited node allocate its instance dict
 for _cls in (Nil, Par, Repl, New, Act, Bullet, Match):
     _cls._memo_symbols = None
+    _cls._memo_binders = None
     _cls._memo_entry = None  # ``canonical_key``'s per-search thread entry
     _cls._memo_head = None  # the engine's ``head_of``
 
@@ -392,6 +393,37 @@ def _compute_symbols(p: Process) -> frozenset[str]:
         case Match(left, _, right, then, orelse):
             own = term_names(left) | term_vars(left) | term_names(right) | term_vars(right)
             return _joined(_joined(symbols(then), symbols(orelse)), own)
+    raise TypeError(f"not a process: {p!r}")
+
+
+def binders(p: Process) -> frozenset[str]:
+    """The names the restrictions anywhere in ``p`` bind.
+
+    ``rewrite`` renames such a binder when a map brings its name in; the
+    engine tests this set to know when a substitution or rename it defers
+    would not.
+    """
+    known = p._memo_binders
+    if known is None:
+        known = _compute_binders(p)
+        object.__setattr__(p, "_memo_binders", known)
+    return known
+
+
+def _compute_binders(p: Process) -> frozenset[str]:
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return _joined(binders(left), binders(right))
+        case Repl(body) | Bullet(body):
+            return binders(body)
+        case New(name, body):
+            return _joined(binders(body), (name,))
+        case Act(_, cont):
+            return binders(cont)
+        case Match(then=then, orelse=orelse):
+            return _joined(binders(then), binders(orelse))
     raise TypeError(f"not a process: {p!r}")
 
 

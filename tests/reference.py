@@ -8,10 +8,11 @@ time (``_fresh_variant`` without floors).  ``rewrite`` and ``_Builder``
 must give equal results; ``sequential`` runs any engine call with the
 references swapped in.  ``reference_enabled_redexes`` lists a soup's
 redexes and arity diagnostics by scanning the whole ``Config``, with no
-``LiveSoup``.  ``reference_explore`` is the search that computes every key
-from scratch and shares nothing between states, and ``checking_entries``
-checks the key entries ``explore`` caches and the successors it skips
-without a key.
+``LiveSoup``, and ``reference_garbage_collect`` collects unreachable
+servers by rescanning every other thread's names for each candidate.
+``reference_explore`` is the search that computes every key from scratch
+and shares nothing between states, and ``checking_entries`` checks the
+key entries ``explore`` caches and the successors it skips without a key.
 """
 
 import pytest
@@ -147,9 +148,14 @@ def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
 
 
 class SequentialBuilder(_Builder):
-    """``_Builder`` with one full-body rename per clashing restriction."""
+    """``_Builder`` with one full-body rename per clashing restriction, and
+    no environments: a process handed over with receive bindings or
+    renames is closed by ``reference_rewrite`` first, so every thread it
+    spawns is closed, and substitution is eager."""
 
-    def add(self, proc: Process, depth: int) -> None:
+    def add(self, proc: Process, depth: int, vm=None, renames=()) -> None:
+        if vm or renames:
+            proc = reference_rewrite(proc, vm, dict(renames))
         match proc:
             case Nil():
                 return
@@ -167,9 +173,9 @@ class SequentialBuilder(_Builder):
                 self._add_bulleted(proc, depth)
             case Repl(body):
                 head_of(proc)
-                self._thread(proc, depth)
+                self._thread(proc, depth, {}, ())
             case Act() | Match():
-                self._thread(proc, depth)
+                self._thread(proc, depth, {}, ())
             case _:
                 raise TypeError(f"not a process: {proc!r}")
 
@@ -188,10 +194,10 @@ class SequentialBuilder(_Builder):
             case Par():
                 raise EngineError("a bullet must guard a sequential process")
             case Nil():
-                self._thread(proc, depth)
+                self._thread(proc, depth, {}, ())
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(proc, depth)
+                self._thread(proc, depth, {}, ())
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
@@ -251,6 +257,31 @@ def reference_enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
     redexes.sort(key=lambda r: r.participants)
     return redexes, diagnostics
+
+
+def reference_garbage_collect(config: Config) -> Config:
+    """``garbage_collect`` as the loop that removes the first unreachable
+    server in soup order, rescanning the others, until none is left."""
+    threads = list(config.threads)
+    while True:
+        for i, t in enumerate(threads):
+            if not head_of(t.proc).repl:
+                continue
+            key = head_of(t.proc).key
+            if key is None or key[0] not in config.restricted:
+                continue
+            others = threads[:i] + threads[i + 1:]
+            if any(key[0] in all_names(o.proc) for o in others):
+                continue
+            threads = others
+            break
+        else:
+            break
+    occurring = set()
+    for t in threads:
+        occurring |= all_names(t.proc)
+    return Config(config.restricted & occurring, tuple(threads), config.used,
+                  config.next_tid)
 
 
 def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100_000,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -238,3 +239,64 @@ def test_consecutive_dispatches_print_what_single_calls_print(capsys, monkeypatc
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
             single.returncode, single.stdout, single.stderr), argv
+
+
+# ------------------------------------------------------------------ json
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_json_encoder_prints_what_the_standard_library_prints():
+    # the files, and each case's JSON stdout, were written by json.dumps
+    # with sort_keys and an indent of 2, and print adds a newline
+    files = cases = 0
+    for path in sorted(GOLDEN.rglob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert cli.dumps(data) + "\n" == text, path.name
+        files += 1
+        for label, case in data.items():
+            if "--format json" not in label:
+                continue
+            stdout = case["stdout"]
+            assert cli.dumps(json.loads(stdout)) + "\n" == stdout, (path.name, label)
+            cases += 1
+    assert files >= 90 and cases >= 400
+
+
+def _random_json(rng, depth):
+    kind = rng.randrange(9 if depth > 0 else 6)
+    if kind == 0:
+        return rng.choice(["", "plain", "üñï©ødé", "tab\tnew\nline", 'quo"te\\',
+                           "\x00\x1f\x7f", "😀 astral", "  "])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**70, -(2**65)])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 0.1, 1e300, -2.5e-300, 1e16, float("nan"),
+                           float("inf"), float("-inf")])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    if kind == 5:
+        return rng.choice(["x", 3, 1.5])
+    if kind == 6:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return tuple(_random_json(rng, depth - 1) for _ in range(rng.randrange(4)))
+    # keys of one kind per dict, as sorting needs comparable keys
+    keys = rng.choice([["b", "a", "é", "", "a b"], [3, -1, 10**20],
+                       [2.5, -0.0, float("inf")], [None], [True, False]])
+    return {k: _random_json(rng, depth - 1) for k in keys[:rng.randrange(len(keys) + 1)]}
+
+
+def test_json_encoder_matches_the_standard_library_on_generated_data():
+    rng = random.Random(61)
+    for _ in range(2000):
+        data = _random_json(rng, rng.randrange(5))
+        assert cli.dumps(data) == json.dumps(data, sort_keys=True, indent=2), data
+    for bad in ({"a": object()}, [1, {2}], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli.dumps(bad)

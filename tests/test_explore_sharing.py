@@ -21,8 +21,11 @@ from butfpi.correspondence import check_value_barb
 from butfpi.epi import engine
 from butfpi.epi.engine import (
     EngineError,
+    LiveSoup,
+    _drop_threads,
     _renamed,
     _thread_template,
+    apply_redex,
     barbs,
     canonical_key,
     explore,
@@ -371,3 +374,22 @@ def test_shared_renames_match_memo_free_renames_on_generated_programs():
         spawned += more
         distinct += pairs
     assert distinct > 20 and spawned > 10 * distinct, (spawned, distinct)
+
+
+# ------------------------------------------------------- per-state name sets
+
+def test_successors_share_the_parents_name_sets_when_nothing_is_hoisted():
+    config = normalize(parse_process(
+        "c<1> | c(x). d<x> | e<> | e(). new a. a<> | [h < 1] f<>, g<>"))
+    shared = hoisted = 0
+    for redex in LiveSoup(config).redexes:
+        if redex.rule == "FAULT":
+            succ = _drop_threads(config, redex.participants)
+        else:
+            succ, _step = apply_redex(config, redex, {})
+        same = succ.used is config.used and succ.restricted is config.restricted
+        assert same == (succ.used == config.used)
+        assert succ.restricted - config.restricted == succ.used - config.used
+        shared += same
+        hoisted += not same
+    assert shared == 2 and hoisted == 1

@@ -28,7 +28,6 @@ from butfpi.epi.engine import (
     barbs,
     enabled_redexes,
     explore,
-    garbage_collect,
     insert_process,
     normalize,
     run,
@@ -37,7 +36,7 @@ from butfpi.epi.parse import parse_process
 from butfpi.translate import translate
 from corpus import CORPUS, STUCK, TERMINATING
 from generators import random_closed_program, random_process, random_redex_config
-from reference import reference_enabled_redexes, sequential
+from reference import reference_enabled_redexes, reference_garbage_collect, sequential
 
 
 class CheckedSoup(engine.LiveSoup):
@@ -94,7 +93,7 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
     trace = Trace()
     while True:
         if gc:
-            config = garbage_collect(config)
+            config = reference_garbage_collect(config)
         if stop_barb is not None and any(
                 name == stop_barb for name, pol in barbs(config) if pol == "out"):
             trace.status = "barb"
