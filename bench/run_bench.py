@@ -7,13 +7,16 @@ Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory, translates and normalizes the program, then times one
 call with ``perf_counter``: ``run`` for a ``run`` program (``gc`` as the
 row says), ``check_program`` for a ``check`` program (its seeded runs and
-every read-back probe).  A row gives the steps fired (``LiveSoup.fire``
-calls), the threads left at the end of a ``run``, the microseconds per
-step of each run and their median, the ``rewrite`` calls the engine made
-per step, the peak RSS of the run (``ru_maxrss``) and a digest of what the
-call returned (the ``simulate`` JSON of a ``run``, the ``check`` JSON of a
-``check``), which must be the same for every tree.  Runs of the trees
-alternate, so a drift in the host's speed falls on all of them.
+every read-back probe).  The first read of a ``run``'s ``trace.config``,
+which closes the final soup where ``run`` left it open, is timed apart as
+``close_s``.  A row gives the steps fired (``LiveSoup.fire`` calls), the
+threads left at the end of a ``run``, the microseconds per step of each
+run and their median, the median ``close_s``, the ``rewrite`` calls the
+engine made per step (closing included), the peak RSS of the run
+(``ru_maxrss``) and a digest of what the call returned (the ``simulate``
+JSON of a ``run``, the ``check`` JSON of a ``check``), which must be the
+same for every tree; the script exits 1 when it is not.  Runs of the
+trees alternate, so a drift in the host's speed falls on all of them.
 """
 
 from __future__ import annotations
@@ -70,17 +73,20 @@ if how == "run":
     started = time.perf_counter()
     trace = engine.run(config, **kwargs)
     seconds = time.perf_counter() - started
-    result, threads = trace.to_dict(), len(trace.config.threads)
+    started = time.perf_counter()
+    final = trace.config
+    close_s = time.perf_counter() - started
+    result, threads = trace.to_dict(), len(final.threads)
 else:
     engine.rewrite = counting_rewrite
     started = time.perf_counter()
     report = check_program(e, **kwargs)
     seconds = time.perf_counter() - started
-    result, threads = report.to_dict(), None
+    result, threads, close_s = report.to_dict(), None, None
 text = json.dumps(result, sort_keys=True, indent=2)
 print(json.dumps({
     "steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
-    "seconds": seconds, "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+    "seconds": seconds, "close_s": close_s, "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -128,6 +134,8 @@ def main() -> None:
             "us_per_step_median": round(statistics.median(us), 1),
             "us_per_step": us,
             "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
+            "close_s": (None if first["close_s"] is None else
+                        round(statistics.median(r["close_s"] for r in results), 5)),
             "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
         })
     digests = {}
@@ -146,6 +154,9 @@ def main() -> None:
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     print(text, end="")
+    if differ:
+        print(f"outputs differ between trees: {', '.join(differ)}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from butfpi.butf.syntax import Expr
 from butfpi.correspondence import check_program, read_output, value_equal
 from butfpi.cost import (FAMILIES, MIN_SIZES, FitVerdict, fit_check, measure,
                           scaling_experiment)
-from butfpi.epi.engine import EngineError, barbs, explore, normalize, run
+from butfpi.epi.engine import EngineError, explore, normalize, run
 from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from butfpi.lexer import ParseError
@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
             print(f"#{s.index} {s.rule}{chan} [{s.kind}] depth={s.depth_after}")
         print(f"status: {trace.status}  work: {trace.work}  span: {trace.span}  "
               f"admin: {trace.admin_steps}")
-        final_barbs = sorted(f"{n}:{p}" for n, p in barbs(trace.config))
+        final_barbs = sorted(f"{n}:{p}" for n, p in trace.barbs())
         print(f"barbs: {', '.join(final_barbs) if final_barbs else '(none)'}")
     return 0 if trace.status in ("terminated", "barb") else 1
 

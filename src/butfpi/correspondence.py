@@ -7,6 +7,8 @@ against the source evaluator's reduction count.
 
 Probes run under an administrative-only scheduler, so decoding can never
 consume a bullet: important steps measure the program, not the observer.
+They run on the soup the program's run left, read through its index: the
+run's final ``Config`` is never built, nor any thread closed, to decode it.
 
 Accounting follows the translation's one documented blind spot: a map
 invokes its function once on a dummy argument without reading the result,
@@ -29,7 +31,6 @@ from butfpi.epi.engine import (
     Trace,
     barbs,
     explore,
-    head_of,
     normalize,
     run,
 )
@@ -97,10 +98,18 @@ def render_readback(r: ReadBack) -> str:
 
 
 class _Prober:
-    """Injects administrative probe receivers into one quiesced soup."""
+    """Injects administrative probe receivers into one quiesced soup.
 
-    def __init__(self, config: Config, budget: int = 200_000):
-        self.soup = LiveSoup(config, admin_only=True)
+    Given a ``LiveSoup``, it probes that soup, switched to ``admin_only``;
+    given a ``Config``, a soup built from it.
+    """
+
+    def __init__(self, soup: Config | LiveSoup, budget: int = 200_000):
+        if isinstance(soup, LiveSoup):
+            soup.admin_only_from_now()
+        else:
+            soup = LiveSoup(soup, admin_only=True)
+        self.soup = soup
         self.budget = budget
 
     def ask(self, handle: str, suffix, arity: int) -> tuple[Term, ...] | None:
@@ -115,25 +124,29 @@ class _Prober:
         return self.soup.sent((reply, None))
 
 
-def read_back(config: Config, result: Term, shape: Expr,
+def read_back(soup: Config | LiveSoup, result: Term, shape: Expr,
               budget: int = 200_000) -> ReadBack:
     """Decode ``result`` against the expected value ``shape``.
 
     The shape comes from the source-side oracle; it is required because the
     tuple channel is polyadic, so the arity to receive cannot be discovered
-    by probing.  All probes run on one soup built from ``config``.
+    by probing.  All probes run on one soup: ``soup`` itself if it is a
+    ``LiveSoup``, which the probes then change, or one built from the
+    ``Config``.
     """
-    return _decode(_Prober(config, budget), result, shape)
+    return _decode(_Prober(soup, budget), result, shape)
 
 
-def read_output(config: Config, shape: Expr | None,
+def read_output(soup: Config | LiveSoup, shape: Expr | None,
                 budget: int = 200_000) -> ReadBack | None:
-    """Decode what a quiesced soup delivers on ``o``; None if it delivers nothing."""
-    for t in config.threads:
-        core = head_of(t.proc).core
-        if isinstance(core, Send) and core.chan == Chan(NameT("o")):
-            return read_back(config, core.args[0], shape, budget)
-    return None
+    """Decode what a quiesced soup delivers on ``o``; None if it delivers
+    nothing.  A ``LiveSoup`` is probed, and so changed, in place."""
+    if not isinstance(soup, LiveSoup):
+        soup = LiveSoup(soup, admin_only=True)
+    sent = soup.sent(("o", None))
+    if sent is None:
+        return None
+    return read_back(soup, sent[0], shape, budget)
 
 
 def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
@@ -216,8 +229,11 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     The run is not stopped at the first observable output: concurrent
     housekeeping (for example a map's dummy call) still fires, which keeps
     the important-step total schedule-independent.  Probing afterwards is
-    purely administrative.  ``config``, when given, is ``e``'s normalized
-    translation under ``opts``, so runs of one program can share it.
+    purely administrative, and probes the run's own soup: the report's
+    trace hands it over (``Trace.take_soup``), so its ``config`` is still
+    the soup the run left, without the probes.  ``config``, when given, is
+    ``e``'s normalized translation under ``opts``, so runs of one program
+    can share it.
     """
     if shape is None:
         oracle = eval_expr(e)
@@ -228,7 +244,7 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     important = trace.work
     if trace.status in ("timeout", "fault"):
         return RunReport(None, important, trace, trace.status)
-    value = read_output(trace.config, shape, budget)
+    value = read_output(trace.take_soup(), shape, budget)
     if value is None:
         return RunReport(None, important, trace, "stuck-in-process")
     return RunReport(value, important, trace, "ok")
@@ -238,12 +254,13 @@ def dummy_call_penalty(fn: Lam, opts: TranslationOptions | None = None,
                        budget: int = 200_000) -> int:
     """Important steps a map's dummy application of ``fn`` to ``0`` contributes.
 
-    Measured by simulating ``fn 0`` and discounting the application's own
-    bullet, which the dummy call does not carry.
+    Measured by running ``fn 0``'s translation and discounting the
+    application's own bullet, which the dummy call does not carry.  Its
+    value is never read.
     """
-    report = simulate_to_result(App(fn, Num(0)), policy="priority",
-                                budget=budget, opts=opts, shape=None)
-    return max(report.important_steps - 1, 0)
+    trace = run(normalize(translate(App(fn, Num(0)), "o", opts)), policy="priority",
+                budget=budget)
+    return max(trace.work - 1, 0)
 
 
 # ------------------------------------------------------ program checking

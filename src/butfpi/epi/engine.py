@@ -37,8 +37,10 @@ every name chosen is the one eager substitution chooses (see ``Thread``
 and ``_Builder``).  ``explore`` builds a soup for each state it expands
 and fires each redex with ``apply_redex`` on the state's ``Config``,
 which spawns closed threads; both drivers fire through the same
-``_fire``.  Read-back keeps one soup for all its probes: each probe is
-``LiveSoup.insert``-ed and ``run`` steps that soup in place.
+``_fire``.  A ``run``'s trace closes its final soup into a ``Config`` only
+if that is read.  Read-back probes the soup the run left, or one soup
+built from a ``Config``: each probe is ``LiveSoup.insert``-ed and ``run``
+steps that soup in place.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
@@ -124,7 +126,7 @@ class EngineError(Exception):
 # Thread, Head, Redex and Step are records that nothing mutates once built.
 # Slotted and unfrozen, they build in a third or less of a frozen
 # dataclass's time (``explore`` builds them for every successor);
-# ``unsafe_hash`` keeps them hashable by value.
+# ``unsafe_hash`` keeps them hashable by value (``Step`` defines its own).
 
 @dataclass(slots=True, unsafe_hash=True)
 class Thread:
@@ -603,15 +605,59 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
 # ---------------------------------------------------------------- steps
 
-@dataclass(slots=True, unsafe_hash=True)
+class _ChannelText:
+    """A step's channel text before it is rendered: the fired redex's
+    channel key, which names the evaluated channel, and a prefix."""
+
+    __slots__ = ("key", "prefix")
+
+    def __init__(self, key: tuple[str, object], prefix: str):
+        self.key, self.prefix = key, prefix
+
+    def render(self) -> str:
+        name, suffix = self.key
+        return self.prefix + render_chan(Chan(NameT(name), suffix))
+
+    def __repr__(self) -> str:
+        return repr(self.render())
+
+
+@dataclass(slots=True, eq=False)
 class Step:
+    """One fired redex.
+
+    ``chan`` holds the channel text, or until ``channel`` is first read
+    what renders it: only ``simulate`` prints it, and ``explore`` drops
+    its steps unread.  Steps are equal, and hash, by the text.
+    """
+
     index: int
     kind: str  # "important" | "administrative"
     rule: str  # COMM | BROAD | THEN | ELSE
-    channel: str | None  # ":c" marks a broadcast on a free channel
+    chan: str | _ChannelText | None
     participants: tuple[int, ...]
     depth_after: int
     bullets: int
+
+    @property
+    def channel(self) -> str | None:
+        """The channel's text; ":c" marks a broadcast on a free channel."""
+        chan = self.chan
+        if type(chan) is _ChannelText:
+            chan = self.chan = chan.render()
+        return chan
+
+    def _fields(self) -> tuple:
+        return (self.index, self.kind, self.rule, self.channel, self.participants,
+                self.depth_after, self.bullets)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Step:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 class CommitFault(Exception):
@@ -657,7 +703,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     folded: dict[int, Process] = {}
     important = redex.bullets > 0
     inc = 1 if important else 0
-    channel_text: str | None = None
+    channel_text: _ChannelText | None = None
 
     if redex.rule in ("THEN", "ELSE"):
         t = thread(redex.participants[0])
@@ -686,7 +732,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
                 consumed.add(t.tid)
         builder.spawn(sh.cont, depth_after, s.env)
         builder.receive(rh, values, r.env, depth_after)
-        channel_text = render_chan(_sub_chan_of(sh, s.env))
+        channel_text = _ChannelText(redex.channel, "")
     elif redex.rule == "BROAD":
         s = thread(redex.participants[0])
         sh = head_of(s.proc)
@@ -694,9 +740,9 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
             values = tuple([eval_term(a) for a in _sent(sh, s.env)])
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
-        channel_text = render_chan(_sub_chan_of(sh, s.env))
-        if redex.channel[0] not in restricted:
-            channel_text = ":" + channel_text  # observable broadcast label
+        # a broadcast on a free channel is labelled observable
+        channel_text = _ChannelText(redex.channel,
+                                    "" if redex.channel[0] in restricted else ":")
         depths = [s.depth]
         if sh.repl:
             folded[s.tid] = _residual(s, sh)
@@ -771,19 +817,81 @@ def barbs(config: Config) -> frozenset[tuple[str, str]]:
         key = h.key
         if key is None or key[0] in config.restricted:
             continue
-        polarity = "in" if isinstance(h.core, Recv) else "out"
-        out.add((render_chan(h.core.chan), polarity))
+        out.add(_barb(h, None))
     return frozenset(out)
+
+
+def _barb(h: Head, env) -> tuple[str, str]:
+    """The barb a thread headed by ``h`` shows under its environment: its
+    channel's text and ``in`` for a receive, ``out`` otherwise."""
+    return render_chan(_sub_chan_of(h, env)), "in" if isinstance(h.core, Recv) else "out"
 
 
 # ------------------------------------------------------------------- run
 
-@dataclass
+def _closed_config(restricted: Iterable[str], threads: Iterable[Thread],
+                   used: Iterable[str], next_tid: int) -> Config:
+    """A ``Config`` of ``threads``, each closed."""
+    return Config(frozenset(restricted), tuple([_closed(t) for t in threads]),
+                  frozenset(used), next_tid)
+
+
 class Trace:
-    steps: list[Step] = field(default_factory=list)
-    status: str = "terminated"
-    faults: list[str] = field(default_factory=list)
-    config: Config | None = None
+    """What a ``run`` did: its steps, how it stopped, its faults, and the
+    soup it left.
+
+    ``config`` is that soup as a ``Config``.  A ``run`` on a ``Config``
+    keeps the ``LiveSoup`` it stepped as ``soup`` and closes it into
+    ``config``, one ``rewrite`` per thread with an environment, only the
+    first time ``config`` is read: a caller that reads the values and
+    barbs it needs from the soup pays for no closing.  ``take_soup`` hands
+    the soup over to a caller that goes on changing it; ``config`` is then
+    still the soup as ``run`` left it.  ``config`` may also be given, or
+    set, as it is.
+    """
+
+    __slots__ = ("steps", "status", "faults", "_config", "_final")
+
+    def __init__(self, steps: list[Step] | None = None, status: str = "terminated",
+                 faults: list[str] | None = None, config: Config | None = None):
+        self.steps: list[Step] = [] if steps is None else steps
+        self.status = status
+        self.faults: list[str] = [] if faults is None else faults
+        self._config = config
+        # not yet closed into ``_config``: the final soup, or once taken
+        # its (restricted, threads, used, next_tid) as ``run`` left them
+        self._final: LiveSoup | tuple | None = None
+
+    @property
+    def config(self) -> Config | None:
+        final = self._final
+        if final is not None:
+            self._final = None
+            self._config = (final.config() if isinstance(final, LiveSoup)
+                            else _closed_config(*final))
+        return self._config
+
+    @config.setter
+    def config(self, config: Config | None) -> None:
+        self._config, self._final = config, None
+
+    @property
+    def soup(self) -> LiveSoup | None:
+        """The soup ``run`` stepped, while ``config`` is unread and the
+        soup not taken."""
+        final = self._final
+        return final if isinstance(final, LiveSoup) else None
+
+    def take_soup(self) -> LiveSoup:
+        """Hand the final soup over to a caller that will change it.
+
+        The trace keeps the soup's names and the threads it holds now,
+        references only, so ``config`` stays the soup ``run`` left.
+        """
+        soup = self._final
+        self._final = (frozenset(soup.restricted), tuple(soup.threads.values()),
+                       frozenset(soup.used), soup.next_tid)
+        return soup
 
     @property
     def work(self) -> int:
@@ -797,6 +905,14 @@ class Trace:
     def span(self) -> int:
         return max((s.depth_after for s in self.steps), default=0)
 
+    def barbs(self) -> frozenset[tuple[str, str]]:
+        """``barbs`` of the final soup, read from its index while it is kept."""
+        soup = self.soup
+        if soup is not None:
+            return soup.barbs()
+        config = self.config
+        return frozenset() if config is None else barbs(config)
+
     def to_dict(self) -> dict:
         return {
             "steps": [
@@ -807,7 +923,7 @@ class Trace:
             "work": self.work,
             "span": self.span,
             "admin_steps": self.admin_steps,
-            "barbs": sorted(f"{name}:{pol}" for name, pol in barbs(self.config)) if self.config else [],
+            "barbs": sorted(f"{name}:{pol}" for name, pol in self.barbs()),
             "status": self.status,
             "faults": list(self.faults),
         }
@@ -832,8 +948,10 @@ class LiveSoup:
     hoisting renames recorded beside it, so a step copies no syntax.  The
     index reads each thread's channel, barbs, sent values and match
     operands under its environment.  A thread is closed, one ``rewrite``
-    each, only where a closed process is asked for: ``config``, and so a
-    ``run`` on a ``Config`` and every ``Config`` built from a soup.
+    each, only where a closed process is asked for: ``config``, which
+    builds every ``Config`` taken from a soup.  Nothing calls it at the end
+    of a ``run``: the ``Trace`` keeps the soup and calls it the first time
+    its ``config`` is read, and read-back probes the run's soup itself.
     """
 
     def __init__(self, config: Config, admin_only: bool = False):
@@ -852,17 +970,27 @@ class LiveSoup:
         self.mismatches = 0
         self.mismatched: dict[int, set[int]] = {}  # tid -> COMM partners of another arity
         self.out_barbs: Counter[str] = Counter()
-        # kept from the first ``collect`` on: how many threads mention each
-        # name, and the subject channel of each replicated thread
+        # how many threads mention each name; None until the first
+        # ``collect``, which also makes the rest of its state (a soup never
+        # collected, as each of ``explore``'s, allocates none of it)
         self.mentions: Counter[str] | None = None
-        self.servers: dict[int, str] = {}
         self._add(config.threads)
 
     def config(self) -> Config:
         """The soup as a ``Config``, every thread closed."""
-        return Config(frozenset(self.restricted),
-                      tuple([_closed(t) for t in self.threads.values()]),
-                      frozenset(self.used), self.next_tid)
+        return _closed_config(self.restricted, self.threads.values(), self.used,
+                              self.next_tid)
+
+    def barbs(self) -> frozenset[tuple[str, str]]:
+        """``barbs`` of the soup, one per channel queue."""
+        out: set[tuple[str, str]] = set()
+        restricted, threads = self.restricted, self.threads
+        for queues in (self.sends, self.recvs, self.bcasts):
+            for key, queue in queues.items():
+                if key[0] not in restricted:
+                    tid, h = next(iter(queue.items()))
+                    out.add(_barb(h, threads[tid].env))
+        return frozenset(out)
 
     def sent(self, key: tuple) -> tuple[Term, ...] | None:
         """The terms the first pending send on ``key`` carries, if any."""
@@ -904,18 +1032,16 @@ class LiveSoup:
     def insert(self, proc: Process, depth: int = 0) -> None:
         """Drop an extra process into the soup (read-back probes)."""
         self.used |= free_names(proc)
-        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors,
-                           defer=True)
+        builder = self._builder()
         builder.add(proc, depth)
-        self.next_tid = builder.next_tid
+        self._hoisted(builder)
         self._add(builder.new_threads)
 
     def fire(self, redex: Redex, index: int) -> Step:
-        builder = _Builder(self.used, self.restricted, self.next_tid, self.floors,
-                           defer=True)
+        builder = self._builder()
         consumed, folded, step = _fire(redex, self.threads.__getitem__,
                                        self.restricted, builder, index)
-        self.next_tid = builder.next_tid
+        self._hoisted(builder)
         # sender first: a broadcast leaves before its receivers, so their
         # removal does not recompute it
         for tid in redex.participants:
@@ -931,6 +1057,26 @@ class LiveSoup:
         self._add(builder.new_threads)
         return step
 
+    def _builder(self) -> _Builder:
+        # the names it hoists are gathered apart, for ``collect`` to see
+        return _Builder(self.used, set(), self.next_tid, self.floors, defer=True)
+
+    def _hoisted(self, builder: _Builder) -> None:
+        """Take in what ``builder`` hoisted, before its threads are indexed."""
+        self.next_tid = builder.next_tid
+        hoisted = builder.restricted
+        if hoisted:
+            self.restricted |= hoisted
+            if self.mentions is not None:
+                self.unmentioned.extend(hoisted)
+
+    def admin_only_from_now(self) -> None:
+        """Fire only administrative redexes from now on, as if built with
+        ``admin_only``: unlist the important and FAULT redexes listed."""
+        self.admin_only = True
+        self.redexes = [r for r in self.redexes if _administrative(r)]
+        self.keys = [r.participants for r in self.redexes]
+
     def drop(self, tids: tuple[int, ...]) -> None:
         for tid in tids:
             self._unindex(self.threads.pop(tid))
@@ -940,24 +1086,38 @@ class LiveSoup:
         thread mentions, until none is left, then the restricted names no
         thread mentions: ``garbage_collect`` on the soup in place.
 
-        Removing a server only lowers the counts, so every server the
-        first pass finds stays removable and the result is the fixpoint
-        ``garbage_collect`` reaches.  The first call counts the mentions
-        of every thread; the index keeps the counts from then on.
+        The first call counts the mentions of every thread; the index keeps
+        the counts from then on, and notes each name whose count falls to
+        one, or that a new server's subject has alone.  A server is
+        unreachable exactly when its subject is restricted and mentioned
+        once, by the server itself, so only those names need a look.
+        Removing a server only lowers the counts, so every unreachable
+        server stays so and the result is the fixpoint ``garbage_collect``
+        reaches.  Likewise only names whose count reached zero, or that
+        were hoisted since the last call, can need pruning.
         """
         mentions = self.mentions
+        restricted = self.restricted
         if mentions is None:
             mentions = self.mentions = Counter()
+            # the replicated threads on each subject channel; the names
+            # whose count fell to one, this method's worklist; and the
+            # names to prune if no thread mentions them, which are those
+            # whose count reached zero and those hoisted since the last call
+            self.serving: dict[str, set[int]] = {}
+            self.lone: list[str] = []
+            self.unmentioned: list[str] = list(restricted)
             for t in self.threads.values():
                 self._mention(t, head_of(t.proc), 1)
-        restricted = self.restricted
-        while True:
-            unreachable = tuple(tid for tid, subject in self.servers.items()
-                                if mentions[subject] == 1 and subject in restricted)
-            if not unreachable:
-                break
-            self.drop(unreachable)
-        self.restricted = {n for n in restricted if mentions[n]}
+        lone, serving = self.lone, self.serving
+        while lone:
+            name = lone.pop()
+            if mentions[name] == 1 and name in restricted and name in serving:
+                self.drop(tuple(serving[name]))
+        for name in self.unmentioned:
+            if not mentions[name]:
+                restricted.discard(name)
+        self.unmentioned.clear()
 
     # ------------------------------------------------------------ index
 
@@ -1040,15 +1200,24 @@ class LiveSoup:
             count = mentions[name] + sign
             if count:
                 mentions[name] = count
+                if count == 1 and sign < 0:
+                    self.lone.append(name)
             else:
                 del mentions[name]
+                self.unmentioned.append(name)
         if h.repl and not isinstance(h.core, Match):
             key = _key_of(h, t.env)
             if key is not None:
+                subject = key[0]
                 if sign > 0:
-                    self.servers[t.tid] = key[0]
+                    self.serving.setdefault(subject, set()).add(t.tid)
+                    if mentions[subject] == 1:
+                        self.lone.append(subject)
                 else:
-                    del self.servers[t.tid]
+                    servers = self.serving[subject]
+                    servers.discard(t.tid)
+                    if not servers:
+                        del self.serving[subject]
 
     def _broad(self, key: tuple, tid: int) -> None:
         """(Re)compute the BROAD of broadcast ``tid`` after its receivers changed."""
@@ -1117,8 +1286,9 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     observable.  ``gc`` runs ``LiveSoup.collect`` before every step.  A
     ``LiveSoup`` is stepped in place, under the ``admin_only`` it was
     built with; the caller owns it and reads ``soup.config()`` when it
-    needs one, so the trace carries no config.  Otherwise the trace's
-    config is the final soup, its threads closed.
+    needs one, so the trace carries no config.  Otherwise the trace keeps
+    the soup it built, and closes it into the trace's ``config`` only when
+    that is first read (see ``Trace``).
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -1162,7 +1332,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
             soup.drop(fault.tids)
             continue
     if owned:
-        trace.config = soup.config()
+        trace._final = soup
     return trace
 
 
