@@ -7,9 +7,9 @@ Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory, translates and normalizes the program, then times one
 call with ``perf_counter``: ``run`` for a ``run`` program (``gc`` as the
 row says), ``check_program`` for a ``check`` program (its seeded runs and
-every read-back probe).  The first read of a ``run``'s ``trace.config``,
-which closes the final soup where ``run`` left it open, is timed apart as
-``close_s``.  A row gives the steps fired (``LiveSoup.fire`` calls), the
+every read-back probe).  Closing a ``run``'s final soup into a
+``Config`` (``trace.soup.config()``, one ``rewrite`` per thread the soup
+holds open) is timed apart as ``close_s``.  A row gives the steps fired (``LiveSoup.fire`` calls), the
 threads left at the end of a ``run``, the microseconds per step of each
 run and their median, the median ``close_s``, the ``rewrite`` calls the
 engine made per step (closing included), the peak RSS of the run
@@ -74,7 +74,7 @@ if how == "run":
     trace = engine.run(config, **kwargs)
     seconds = time.perf_counter() - started
     started = time.perf_counter()
-    final = trace.config
+    final = trace.soup.config()
     close_s = time.perf_counter() - started
     result, threads = trace.to_dict(), len(final.threads)
 else:

@@ -31,7 +31,7 @@ from butfpi.butf.syntax import Expr
 from butfpi.correspondence import check_program, read_output, value_equal
 from butfpi.cost import (FAMILIES, MIN_SIZES, FitVerdict, fit_check, measure,
                           scaling_experiment)
-from butfpi.epi.engine import EngineError, explore, normalize, run
+from butfpi.epi.engine import EngineError, LiveSoup, explore, normalize, run
 from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from butfpi.lexer import ParseError
@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scale", help="scaling families vs predicted shapes")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--sizes", type=_sizes, required=True,
-                   help="comma-separated strictly increasing sizes, e.g. 1,2,4,8")
+                   help="comma-separated strictly increasing sizes of at least 1, "
+                        "e.g. 1,2,4,8")
     p.add_argument("--seeds", type=_count, default=0)
     p.add_argument("--budget", type=_count, default=500_000)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -296,7 +297,7 @@ def cmd_simulate(args) -> int:
             print(f"#{s.index} {s.rule}{chan} [{s.kind}] depth={s.depth_after}")
         print(f"status: {trace.status}  work: {trace.work}  span: {trace.span}  "
               f"admin: {trace.admin_steps}")
-        final_barbs = sorted(f"{n}:{p}" for n, p in trace.barbs())
+        final_barbs = sorted(f"{n}:{p}" for n, p in trace.soup.barbs())
         print(f"barbs: {', '.join(final_barbs) if final_barbs else '(none)'}")
     return 0 if trace.status in ("terminated", "barb") else 1
 
@@ -369,7 +370,7 @@ def cmd_explore(args) -> int:
     agree = None
     if oracle_value is not None and not bound_hit:
         # no delivery on o reads as None, which equals no value
-        agree = all(value_equal(oracle_value, read_output(t, oracle_value))
+        agree = all(value_equal(oracle_value, read_output(LiveSoup(t), oracle_value))
                     for t in terminals)
         data["all_terminals_agree"] = agree
         data["value"] = pretty(oracle_value)

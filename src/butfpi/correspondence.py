@@ -7,8 +7,9 @@ against the source evaluator's reduction count.
 
 Probes run under an administrative-only scheduler, so decoding can never
 consume a bullet: important steps measure the program, not the observer.
-They run on the soup the program's run left, read through its index: the
-run's final ``Config`` is never built, nor any thread closed, to decode it.
+They run on the soup the program's run left (``Trace.soup``), read
+through its index: no ``Config`` is built, nor any thread closed, to
+decode it.
 
 Accounting follows the translation's one documented blind spot: a map
 invokes its function once on a dummy argument without reading the result,
@@ -98,17 +99,11 @@ def render_readback(r: ReadBack) -> str:
 
 
 class _Prober:
-    """Injects administrative probe receivers into one quiesced soup.
+    """Injects administrative probe receivers into one quiesced soup,
+    switched to ``admin_only``."""
 
-    Given a ``LiveSoup``, it probes that soup, switched to ``admin_only``;
-    given a ``Config``, a soup built from it.
-    """
-
-    def __init__(self, soup: Config | LiveSoup, budget: int = 200_000):
-        if isinstance(soup, LiveSoup):
-            soup.admin_only_from_now()
-        else:
-            soup = LiveSoup(soup, admin_only=True)
+    def __init__(self, soup: LiveSoup, budget: int = 200_000):
+        soup.admin_only_from_now()
         self.soup = soup
         self.budget = budget
 
@@ -124,25 +119,21 @@ class _Prober:
         return self.soup.sent((reply, None))
 
 
-def read_back(soup: Config | LiveSoup, result: Term, shape: Expr,
+def read_back(soup: LiveSoup, result: Term, shape: Expr,
               budget: int = 200_000) -> ReadBack:
     """Decode ``result`` against the expected value ``shape``.
 
     The shape comes from the source-side oracle; it is required because the
     tuple channel is polyadic, so the arity to receive cannot be discovered
-    by probing.  All probes run on one soup: ``soup`` itself if it is a
-    ``LiveSoup``, which the probes then change, or one built from the
-    ``Config``.
+    by probing.  All probes run on ``soup`` itself, which they change.
     """
     return _decode(_Prober(soup, budget), result, shape)
 
 
-def read_output(soup: Config | LiveSoup, shape: Expr | None,
+def read_output(soup: LiveSoup, shape: Expr | None,
                 budget: int = 200_000) -> ReadBack | None:
     """Decode what a quiesced soup delivers on ``o``; None if it delivers
-    nothing.  A ``LiveSoup`` is probed, and so changed, in place."""
-    if not isinstance(soup, LiveSoup):
-        soup = LiveSoup(soup, admin_only=True)
+    nothing.  The soup is probed, and so changed, in place."""
     sent = soup.sent(("o", None))
     if sent is None:
         return None
@@ -229,11 +220,10 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     The run is not stopped at the first observable output: concurrent
     housekeeping (for example a map's dummy call) still fires, which keeps
     the important-step total schedule-independent.  Probing afterwards is
-    purely administrative, and probes the run's own soup: the report's
-    trace hands it over (``Trace.take_soup``), so its ``config`` is still
-    the soup the run left, without the probes.  ``config``, when given, is
-    ``e``'s normalized translation under ``opts``, so runs of one program
-    can share it.
+    purely administrative, and probes the run's own soup in place, so the
+    report's ``trace.soup`` ends holding the probes too.  ``config``, when
+    given, is ``e``'s normalized translation under ``opts``, so runs of one
+    program can share it.
     """
     if shape is None:
         oracle = eval_expr(e)
@@ -244,7 +234,7 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     important = trace.work
     if trace.status in ("timeout", "fault"):
         return RunReport(None, important, trace, trace.status)
-    value = read_output(trace.take_soup(), shape, budget)
+    value = read_output(trace.soup, shape, budget)
     if value is None:
         return RunReport(None, important, trace, "stuck-in-process")
     return RunReport(value, important, trace, "ok")
@@ -342,18 +332,16 @@ def check_program(e: Expr, seeds: int = 20, budget: int = 200_000,
             f"paper-literal mode: {report.expected_deficit} size/iota firings carry no bullet")
 
     config = normalize(translate(e, "o", opts))
-    runs: list[tuple[str, RunReport]] = [
-        ("priority", simulate_to_result(e, "priority", 0, budget, opts, oracle.value,
-                                        config=config))]
-    for seed in range(seeds):
-        runs.append((f"seed{seed}",
-                     simulate_to_result(e, "random", seed, budget, opts, oracle.value,
-                                        config=config)))
+    schedules = [("priority", "priority", 0)]
+    schedules += [(f"seed{seed}", "random", seed) for seed in range(seeds)]
     report.seeds_run = seeds
 
     importants = []
     match_all = True
-    for label, rr in runs:
+    # one run at a time: each report's trace holds the soup it probed
+    for label, policy, seed in schedules:
+        rr = simulate_to_result(e, policy, seed, budget, opts, oracle.value,
+                                config=config)
         report.important_per_run[label] = rr.important_steps
         if rr.status != "ok":
             report.status = "process-error"

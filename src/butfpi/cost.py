@@ -39,8 +39,8 @@ class CostReport:
         }
 
 
-def measure(e: Expr, policy: str = "priority", seeds: int = 0,
-            budget: int = 500_000, opts: TranslationOptions | None = None) -> CostReport:
+def measure(e: Expr, seeds: int = 0, budget: int = 500_000,
+            opts: TranslationOptions | None = None) -> CostReport:
     """Work and span of ``e``'s translation, aggregated over runs.
 
     Always includes one deterministic run; ``seeds`` adds seeded random
@@ -142,18 +142,24 @@ class ScalingTable:
 
 
 def scaling_experiment(family: str, sizes: list[int], seeds: int = 0,
-                       budget: int = 500_000,
-                       opts: TranslationOptions | None = None) -> ScalingTable:
+                       budget: int = 500_000) -> ScalingTable:
+    """Measure ``family`` at each size, dropping the sizes that do not finish.
+
+    Sizes start at 1: below that a family builds no program of its size
+    (``nested_apps(0)`` is one application, ``array_of_apps(0)`` none).
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick from {sorted(FAMILIES)}")
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
+    if sizes[0] < 1:
+        raise ValueError("sizes must be at least 1")
     table = ScalingTable(family)
     for n in sizes:
         try:
-            report = measure(FAMILIES[family](n), seeds=seeds, budget=budget, opts=opts)
+            report = measure(FAMILIES[family](n), seeds=seeds, budget=budget)
         except RecursionError:  # too deep for the interpreter's stack
             table.dropped.append(n)
             continue
@@ -183,11 +189,10 @@ class FitVerdict:
         }
 
 
-def fit_check(table: ScalingTable, span_slack: int = 0) -> FitVerdict:
+def fit_check(table: ScalingTable) -> FitVerdict:
     """Check a table against its family's predicted shapes.
 
-    Work linearity is exact first differences; span constancy allows at
-    most ``span_slack`` between the extremes (zero by default).
+    Work linearity is exact first differences; span constancy is exact too.
     """
     if len(table.rows) < MIN_SIZES:
         raise ValueError(f"need at least {MIN_SIZES} sizes for a shape check")
@@ -214,7 +219,7 @@ def fit_check(table: ScalingTable, span_slack: int = 0) -> FitVerdict:
         verdict.checks.append(("work-equals-n", ok, f"work {works} vs n {ns}"))
 
     if predicted["span"] == "constant":
-        ok = max(spans) - min(spans) <= span_slack
+        ok = max(spans) == min(spans)
         verdict.checks.append(("span-constant", ok, f"span {spans}"))
     elif predicted["span"] == "equals-n":
         ok = spans == ns

@@ -37,10 +37,10 @@ every name chosen is the one eager substitution chooses (see ``Thread``
 and ``_Builder``).  ``explore`` builds a soup for each state it expands
 and fires each redex with ``apply_redex`` on the state's ``Config``,
 which spawns closed threads; both drivers fire through the same
-``_fire``.  A ``run``'s trace closes its final soup into a ``Config`` only
-if that is read.  Read-back probes the soup the run left, or one soup
-built from a ``Config``: each probe is ``LiveSoup.insert``-ed and ``run``
-steps that soup in place.
+``_fire``.  A ``run``'s trace holds the soup it stepped, which
+``LiveSoup.config`` closes into a ``Config`` where one is wanted.
+Read-back probes that soup: each probe is ``LiveSoup.insert``-ed and
+``run`` steps the soup in place.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
@@ -126,7 +126,7 @@ class EngineError(Exception):
 # Thread, Head, Redex and Step are records that nothing mutates once built.
 # Slotted and unfrozen, they build in a third or less of a frozen
 # dataclass's time (``explore`` builds them for every successor);
-# ``unsafe_hash`` keeps them hashable by value (``Step`` defines its own).
+# ``unsafe_hash`` keeps them hashable by value.
 
 @dataclass(slots=True, unsafe_hash=True)
 class Thread:
@@ -605,36 +605,20 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
 # ---------------------------------------------------------------- steps
 
-class _ChannelText:
-    """A step's channel text before it is rendered: the fired redex's
-    channel key, which names the evaluated channel, and a prefix."""
-
-    __slots__ = ("key", "prefix")
-
-    def __init__(self, key: tuple[str, object], prefix: str):
-        self.key, self.prefix = key, prefix
-
-    def render(self) -> str:
-        name, suffix = self.key
-        return self.prefix + render_chan(Chan(NameT(name), suffix))
-
-    def __repr__(self) -> str:
-        return repr(self.render())
-
-
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
     """One fired redex.
 
-    ``chan`` holds the channel text, or until ``channel`` is first read
-    what renders it: only ``simulate`` prints it, and ``explore`` drops
-    its steps unread.  Steps are equal, and hash, by the text.
+    ``key`` is the fired redex's channel key (None for a match) and
+    ``mark`` is ":" for a broadcast on a free channel; ``channel`` renders
+    the text from them when read, as only ``simulate`` prints it.
     """
 
     index: int
     kind: str  # "important" | "administrative"
     rule: str  # COMM | BROAD | THEN | ELSE
-    chan: str | _ChannelText | None
+    key: tuple[str, object] | None
+    mark: str
     participants: tuple[int, ...]
     depth_after: int
     bullets: int
@@ -642,22 +626,10 @@ class Step:
     @property
     def channel(self) -> str | None:
         """The channel's text; ":c" marks a broadcast on a free channel."""
-        chan = self.chan
-        if type(chan) is _ChannelText:
-            chan = self.chan = chan.render()
-        return chan
-
-    def _fields(self) -> tuple:
-        return (self.index, self.kind, self.rule, self.channel, self.participants,
-                self.depth_after, self.bullets)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Step:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+        if self.key is None:
+            return None
+        name, suffix = self.key
+        return self.mark + render_chan(Chan(NameT(name), suffix))
 
 
 class CommitFault(Exception):
@@ -703,7 +675,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     folded: dict[int, Process] = {}
     important = redex.bullets > 0
     inc = 1 if important else 0
-    channel_text: _ChannelText | None = None
+    mark = ""
 
     if redex.rule in ("THEN", "ELSE"):
         t = thread(redex.participants[0])
@@ -732,7 +704,6 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
                 consumed.add(t.tid)
         builder.spawn(sh.cont, depth_after, s.env)
         builder.receive(rh, values, r.env, depth_after)
-        channel_text = _ChannelText(redex.channel, "")
     elif redex.rule == "BROAD":
         s = thread(redex.participants[0])
         sh = head_of(s.proc)
@@ -741,8 +712,8 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
         # a broadcast on a free channel is labelled observable
-        channel_text = _ChannelText(redex.channel,
-                                    "" if redex.channel[0] in restricted else ":")
+        if redex.channel[0] not in restricted:
+            mark = ":"
         depths = [s.depth]
         if sh.repl:
             folded[s.tid] = _residual(s, sh)
@@ -766,7 +737,7 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         raise ValueError(f"cannot apply redex {redex.rule}")
 
     step = Step(index, "important" if important else "administrative", redex.rule,
-                channel_text, redex.participants, depth_after, redex.bullets)
+                redex.channel, mark, redex.participants, depth_after, redex.bullets)
     return consumed, folded, step
 
 
@@ -829,69 +800,15 @@ def _barb(h: Head, env) -> tuple[str, str]:
 
 # ------------------------------------------------------------------- run
 
-def _closed_config(restricted: Iterable[str], threads: Iterable[Thread],
-                   used: Iterable[str], next_tid: int) -> Config:
-    """A ``Config`` of ``threads``, each closed."""
-    return Config(frozenset(restricted), tuple([_closed(t) for t in threads]),
-                  frozenset(used), next_tid)
-
-
+@dataclass(slots=True)
 class Trace:
     """What a ``run`` did: its steps, how it stopped, its faults, and the
-    soup it left.
+    soup it stepped, which the caller may go on stepping (read-back does)."""
 
-    ``config`` is that soup as a ``Config``.  A ``run`` on a ``Config``
-    keeps the ``LiveSoup`` it stepped as ``soup`` and closes it into
-    ``config``, one ``rewrite`` per thread with an environment, only the
-    first time ``config`` is read: a caller that reads the values and
-    barbs it needs from the soup pays for no closing.  ``take_soup`` hands
-    the soup over to a caller that goes on changing it; ``config`` is then
-    still the soup as ``run`` left it.  ``config`` may also be given, or
-    set, as it is.
-    """
-
-    __slots__ = ("steps", "status", "faults", "_config", "_final")
-
-    def __init__(self, steps: list[Step] | None = None, status: str = "terminated",
-                 faults: list[str] | None = None, config: Config | None = None):
-        self.steps: list[Step] = [] if steps is None else steps
-        self.status = status
-        self.faults: list[str] = [] if faults is None else faults
-        self._config = config
-        # not yet closed into ``_config``: the final soup, or once taken
-        # its (restricted, threads, used, next_tid) as ``run`` left them
-        self._final: LiveSoup | tuple | None = None
-
-    @property
-    def config(self) -> Config | None:
-        final = self._final
-        if final is not None:
-            self._final = None
-            self._config = (final.config() if isinstance(final, LiveSoup)
-                            else _closed_config(*final))
-        return self._config
-
-    @config.setter
-    def config(self, config: Config | None) -> None:
-        self._config, self._final = config, None
-
-    @property
-    def soup(self) -> LiveSoup | None:
-        """The soup ``run`` stepped, while ``config`` is unread and the
-        soup not taken."""
-        final = self._final
-        return final if isinstance(final, LiveSoup) else None
-
-    def take_soup(self) -> LiveSoup:
-        """Hand the final soup over to a caller that will change it.
-
-        The trace keeps the soup's names and the threads it holds now,
-        references only, so ``config`` stays the soup ``run`` left.
-        """
-        soup = self._final
-        self._final = (frozenset(soup.restricted), tuple(soup.threads.values()),
-                       frozenset(soup.used), soup.next_tid)
-        return soup
+    steps: list[Step] = field(default_factory=list)
+    status: str = "terminated"
+    faults: list[str] = field(default_factory=list)
+    soup: LiveSoup | None = None
 
     @property
     def work(self) -> int:
@@ -905,14 +822,6 @@ class Trace:
     def span(self) -> int:
         return max((s.depth_after for s in self.steps), default=0)
 
-    def barbs(self) -> frozenset[tuple[str, str]]:
-        """``barbs`` of the final soup, read from its index while it is kept."""
-        soup = self.soup
-        if soup is not None:
-            return soup.barbs()
-        config = self.config
-        return frozenset() if config is None else barbs(config)
-
     def to_dict(self) -> dict:
         return {
             "steps": [
@@ -923,7 +832,7 @@ class Trace:
             "work": self.work,
             "span": self.span,
             "admin_steps": self.admin_steps,
-            "barbs": sorted(f"{name}:{pol}" for name, pol in self.barbs()),
+            "barbs": sorted(f"{name}:{pol}" for name, pol in self.soup.barbs()),
             "status": self.status,
             "faults": list(self.faults),
         }
@@ -950,8 +859,7 @@ class LiveSoup:
     operands under its environment.  A thread is closed, one ``rewrite``
     each, only where a closed process is asked for: ``config``, which
     builds every ``Config`` taken from a soup.  Nothing calls it at the end
-    of a ``run``: the ``Trace`` keeps the soup and calls it the first time
-    its ``config`` is read, and read-back probes the run's soup itself.
+    of a ``run``: the ``Trace`` holds the soup, and read-back probes it.
     """
 
     def __init__(self, config: Config, admin_only: bool = False):
@@ -978,8 +886,9 @@ class LiveSoup:
 
     def config(self) -> Config:
         """The soup as a ``Config``, every thread closed."""
-        return _closed_config(self.restricted, self.threads.values(), self.used,
-                              self.next_tid)
+        return Config(frozenset(self.restricted),
+                      tuple([_closed(t) for t in self.threads.values()]),
+                      frozenset(self.used), self.next_tid)
 
     def barbs(self) -> frozenset[tuple[str, str]]:
         """``barbs`` of the soup, one per channel queue."""
@@ -1285,17 +1194,14 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     decoding free.  ``stop_barb`` halts as soon as the named channel is
     observable.  ``gc`` runs ``LiveSoup.collect`` before every step.  A
     ``LiveSoup`` is stepped in place, under the ``admin_only`` it was
-    built with; the caller owns it and reads ``soup.config()`` when it
-    needs one, so the trace carries no config.  Otherwise the trace keeps
-    the soup it built, and closes it into the trace's ``config`` only when
-    that is first read (see ``Trace``).
+    built with; a ``Config`` is stepped as a ``LiveSoup`` built from it.
+    Either way the trace's ``soup`` is the soup stepped.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
-    owned = isinstance(config, Config)
-    soup = LiveSoup(config, admin_only) if owned else config
-    trace = Trace()
+    soup = LiveSoup(config, admin_only) if isinstance(config, Config) else config
+    trace = Trace(soup=soup)
     steps = trace.steps
     while True:
         if gc:
@@ -1331,8 +1237,6 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
                 break
             soup.drop(fault.tids)
             continue
-    if owned:
-        trace._final = soup
     return trace
 
 

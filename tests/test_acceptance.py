@@ -26,6 +26,7 @@ from butfpi.correspondence import (
 from butfpi.cost import fit_check, scaling_experiment
 from butfpi.epi.engine import (
     CommitFault,
+    LiveSoup,
     apply_redex,
     enabled_redexes,
     explore,
@@ -114,7 +115,7 @@ def test_criterion_2_translation_value_agreement(strict_reports, explorations, o
             oracle_value = oracles[entry.name].value
             assert terminals, entry.name
             for terminal in terminals:
-                decoded = read_output(terminal, oracle_value)
+                decoded = read_output(LiveSoup(terminal), oracle_value)
                 assert decoded is not None, entry.name
                 assert value_equal(oracle_value, decoded), (
                     entry.name, render_readback(decoded))
@@ -163,15 +164,16 @@ def test_criterion_5_broadcast_atomicity():
             assert trace.steps[0].rule == "BROAD"
             assert len(trace.steps[0].participants) == k + 1
             # all receivers consumed: only delivery residue remains
-            assert len(trace.config.threads) == k
-            for t in trace.config.threads:
+            threads = trace.soup.config().threads
+            assert len(threads) == k
+            for t in threads:
                 head = head_of(t.proc)
                 assert not isinstance(head.core, Recv)
         # a replicated receiver participates once and persists
         config = normalize(parse_process("c:<9> | c(x). a<x> | !c(y). b<y>"))
         trace = run(config, budget=3)
         assert len(trace.steps) == 1
-        remaining = [t.proc for t in trace.config.threads]
+        remaining = [t.proc for t in trace.soup.config().threads]
         assert sum(1 for p in remaining if isinstance(p, Repl)) == 1
         assert len(remaining) == 3  # folded server, a<9>, b<9>
         elapsed = time.monotonic() - started
@@ -234,7 +236,7 @@ def test_criterion_8_result_confluence(explorations, oracles):
             oracle_value = oracles[entry.name].value
             decoded_all = set()
             for terminal in terminals:
-                decoded = read_output(terminal, oracle_value)
+                decoded = read_output(LiveSoup(terminal), oracle_value)
                 assert decoded is not None, entry.name
                 decoded_all.add(render_readback(decoded))
                 assert value_equal(oracle_value, decoded), entry.name

@@ -137,6 +137,17 @@ def test_scale_needs_three_sizes_before_running(capsys):
     assert code == 2 and out == "" and "at least 3 sizes" in err
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ("0,1,2,3", "sizes must be at least 1"),
+    ("1,4,2", "sizes must be strictly increasing"),
+])
+def test_scale_size_errors_are_usage_errors(capsys, sizes, message):
+    # at 0, nested-apps builds one application and array-of-apps none
+    for family in ("nested-apps", "array-of-apps"):
+        code, out, err = run_cli(capsys, "scale", "--family", family, "--sizes", sizes)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_scale_too_few_sizes_left_prints_table_and_fails(capsys):
     # n = 3 and 4 need more than 8 steps, so only two sizes run
     argv = ("scale", "--family", "nested-apps", "--sizes", "1,2,3,4", "--budget", "8")

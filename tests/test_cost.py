@@ -73,6 +73,8 @@ def test_scaling_validates_inputs():
         scaling_experiment("array-of-apps", [])
     with pytest.raises(ValueError):
         scaling_experiment("array-of-apps", [4, 2])
+    with pytest.raises(ValueError, match="at least 1"):
+        scaling_experiment("nested-apps", [0, 1, 2])
     with pytest.raises(ValueError):
         scaling_experiment("no-such-family", [1, 2])
     with pytest.raises(ValueError):

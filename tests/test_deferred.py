@@ -47,7 +47,7 @@ def same_as_eager(config, **kwargs):
     assert got.steps == want.steps
     assert got.status == want.status
     assert got.faults == want.faults
-    assert got.config == want.config
+    assert got.soup.config() == want.soup.config()
     return got
 
 
@@ -219,7 +219,7 @@ def test_folded_replicated_thread_keeps_its_environment():
         soup.fire(soup.redexes[0], 0)
     (server,) = [t for t in soup.threads.values() if engine.head_of(t.proc).repl]
     assert server.env is not None and server.env[0]["k"].name == "s"
-    assert soup.config() == sequential(run, config).config
+    assert soup.config() == sequential(run, config).soup.config()
 
 
 def test_the_eager_reference_closes_what_it_is_handed():

@@ -148,7 +148,7 @@ def test_comm_basics():
 def test_comm_evaluates_at_commit():
     c = norm("c<2 + 3> | c(x). d<x>")
     tr = run(c)
-    assert pretty_process(tr.config.threads[0].proc) == "d<5>"
+    assert pretty_process(tr.soup.config().threads[0].proc) == "d<5>"
 
 
 def test_bullet_makes_step_important():
@@ -194,14 +194,14 @@ def test_arity_mismatch_strict_vs_permissive():
 def test_replicated_input_comm():
     c = norm("!f(x, r). r<x> | f<1, o1> | f<2, o2>")
     tr = run(c)
-    texts = sorted(pretty_process(t.proc) for t in tr.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in tr.soup.config().threads)
     assert texts == ["!f(x, r). r<x>", "o1<1>", "o2<2>"]
 
 
 def test_replicated_sender_comm():
     c = norm("!h.0<0, 5> | h.0(i, v). o<v>")
     tr = run(c)
-    texts = sorted(pretty_process(t.proc) for t in tr.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in tr.soup.config().threads)
     assert texts == ["!h.0<0, 5>", "o<5>"]
 
 
@@ -213,7 +213,7 @@ def test_broadcast_consumes_all_receivers_atomically():
     assert len(redexes) == 1 and redexes[0].rule == "BROAD"
     tr = run(c)
     assert len(tr.steps) == 1
-    texts = sorted(pretty_process(t.proc) for t in tr.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in tr.soup.config().threads)
     assert texts == ["a<1>", "b<1>"]
 
 
@@ -221,13 +221,13 @@ def test_broadcast_zero_receivers_fires():
     c = norm("c:<1>")
     tr = run(c)
     assert len(tr.steps) == 1 and tr.status == "terminated"
-    assert not tr.config.threads
+    assert not tr.soup.config().threads
 
 
 def test_broadcast_replicated_receiver_participates_once_and_persists():
     c = norm("c:<1> | !c(y). b<y>")
     tr = run(c, budget=5)
-    texts = sorted(pretty_process(t.proc) for t in tr.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in tr.soup.config().threads)
     assert texts == ["!c(y). b<y>", "b<1>"]
 
 
@@ -431,8 +431,8 @@ def test_run_with_gc_collects_spent_servers():
     text = "new f.( !f(x, r). r<x> | f<1, o> )"
     with_gc = run(norm(text), gc=True)
     without = run(norm(text))
-    assert len(with_gc.config.threads) < len(without.config.threads)
-    assert {pretty_process(t.proc) for t in with_gc.config.threads} == {"o<1>"}
+    assert len(with_gc.soup.config().threads) < len(without.soup.config().threads)
+    assert {pretty_process(t.proc) for t in with_gc.soup.config().threads} == {"o<1>"}
 
 
 def test_trace_dict_schema():

@@ -1,9 +1,9 @@
 """A run's results are computed where they are read.
 
-``run`` on a ``Config`` closes no thread until its trace's ``config`` is
-read, read-back decodes on the soup the run left, and a step renders its
-channel text only when it is read.  Each must give what building the
-closed final ``Config`` and rendering every step at once gave.
+A ``run`` returns the soup it stepped and closes no thread of it,
+read-back decodes on that soup, and a step renders its channel text only
+when it is read.  Each must give what building the closed final
+``Config`` and rendering every step at once gave.
 """
 
 from pathlib import Path
@@ -12,12 +12,10 @@ import pytest
 
 from butfpi.butf.eval import EvalResult, eval_expr
 from butfpi.butf.parse import parse
-from butfpi.correspondence import (_decode, _Prober, check_program, read_output,
-                                   simulate_to_result)
+from butfpi.correspondence import _decode, _Prober, check_program, read_output
 from butfpi.epi import engine
-from butfpi.epi.engine import head_of, normalize, run
+from butfpi.epi.engine import LiveSoup, head_of, normalize, run
 from butfpi.epi.parse import parse_process
-from butfpi.epi.pretty import pretty_process
 from butfpi.epi.syntax import Chan, NameT, Send
 from butfpi.translate import translate
 from corpus import CORPUS
@@ -55,7 +53,7 @@ def _closed_read_output(config, shape):
     for t in config.threads:
         core = head_of(t.proc).core
         if isinstance(core, Send) and core.chan == Chan(NameT("o")):
-            return _decode(_Prober(config), core.args[0], shape)
+            return _decode(_Prober(LiveSoup(config)), core.args[0], shape)
     return None
 
 
@@ -81,26 +79,21 @@ def test_read_back_on_the_runs_soup_agrees_with_the_closed_config(name, config, 
         trace = run(config, budget=budget, **schedule)
         if trace.status != "terminated":
             continue
-        own = read_output(trace.take_soup(), shape)
-        # the trace still closes the soup as the run left it
-        closed = trace.config
-        assert closed == sequential(run, config, budget=budget, **schedule).config
+        closed = trace.soup.config()
+        assert closed == sequential(run, config, budget=budget, **schedule).soup.config()
+        own = read_output(trace.soup, shape)
         assert own == _closed_read_output(closed, shape)
 
 
 @pytest.mark.parametrize("source", [r"map ((\x. (x, x * x + 7)), iota 3)",
                                     "[1, (2, 3)]", r"(\x. x) 5"])
-def test_a_probed_report_keeps_the_runs_final_config(source):
-    e = parse(source)
-    config = normalize(translate(e, "o"))
-    for policy, seed in (("priority", 0), ("random", 3)):
-        report = simulate_to_result(e, policy, seed, config=config)
-        assert report.status == "ok"
-        assert report.trace.soup is None  # handed over to the probes
-        want = run(config, policy=policy, seed=seed).config
-        got = report.trace.config
-        assert got == want
-        assert not any("probe" in pretty_process(t.proc) for t in got.threads)
+def test_a_run_returns_the_soup_it_stepped(source):
+    config = normalize(translate(parse(source), "o"))
+    want = sequential(run, config).soup.config()
+    assert run(config).soup.config() == want
+    soup = LiveSoup(config)
+    assert run(soup).soup is soup
+    assert soup.config() == want
 
 
 @pytest.mark.parametrize("name, config, shape, budget", CASES, ids=[c[0] for c in CASES])
@@ -113,16 +106,16 @@ def test_run_closes_nothing_until_its_config_is_read(rewrites, name, config, sha
         # made (``_Builder``); none of these programs has one but reduce
         during = rewrites[0]
         assert during == 0 or name == "reduce"
-        text, barbs = trace.to_dict(), trace.barbs()
+        text, barbs = trace.to_dict(), trace.soup.barbs()
         assert rewrites[0] == during
         open_threads = sum(t.env is not None for t in trace.soup.threads.values())
-        closed = trace.config
+        closed = trace.soup.config()
         assert rewrites[0] == during + open_threads
-        assert trace.soup is None
         want = sequential(run, config, budget=budget, **schedule)
-        assert closed == want.config
+        want_config = want.soup.config()
+        assert closed == want_config
         assert text == want.to_dict()
-        assert barbs == engine.barbs(want.config)
+        assert barbs == engine.barbs(want_config)
 
 
 def test_check_reads_back_without_closing_a_thread(rewrites):
@@ -136,12 +129,11 @@ def test_steps_render_their_channel_only_when_read():
     for schedule in SCHEDULES:
         got = run(config, **schedule).steps
         want = sequential(run, config, **schedule).steps
-        pending = [s for s in got if isinstance(s.chan, engine._ChannelText)]
-        assert len(pending) == sum(s.rule in ("COMM", "BROAD") for s in got)
-        # equal and hashing alike by the text, rendered or not
+        # a step keeps its redex's channel key, and no text
+        assert all((s.key is None) == (s.rule in ("THEN", "ELSE")) for s in got)
         assert [hash(s) for s in got] == [hash(s) for s in want]
         assert got == want
         assert set(got) == set(want)
-        assert all(type(s.chan) is not engine._ChannelText for s in got)
+        assert [s.channel for s in got] == [s.channel for s in want]
     observable = run(normalize(parse_process("c:<1> | c(x). 0 | new d.( d:<2> )")))
     assert sorted(s.channel for s in observable.steps) == [":c", "d"]

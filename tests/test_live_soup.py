@@ -132,7 +132,7 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
             config = _drop_threads(config, fault.tids)
             continue
         trace.steps.append(replace(step, index=len(trace.steps) + 1))
-    trace.config = config
+    trace.soup = engine.LiveSoup(config)
     return trace
 
 
@@ -142,7 +142,7 @@ def agree(config, **kwargs):
     want = reference_run(config, **kwargs)
     assert got.steps == want.steps
     assert got.to_dict() == want.to_dict()
-    assert got.config == want.config
+    assert got.soup.config() == want.soup.config()
     return got
 
 
@@ -199,9 +199,9 @@ def test_read_back_probes_are_checked(checked):
     assert CheckedSoup.verified > before
     # the seven probes of one read-back (a length, three elements, three
     # tuples) all run on one soup
-    quiesced = run(normalize(translate(e, "o"))).config
+    quiesced = run(normalize(translate(e, "o"))).soup.config()
     built = CheckedSoup.built
-    value = read_output(quiesced, eval_expr(e).value)
+    value = read_output(engine.LiveSoup(quiesced), eval_expr(e).value)
     assert CheckedSoup.built == built + 1
     assert render_readback(value) == "[(0, 1), (1, 2), (2, 3)]"
 
@@ -209,7 +209,7 @@ def test_read_back_probes_are_checked(checked):
 @pytest.mark.parametrize("name", ["tuple-nested", "iota-3", "map-inc", "higher-order"])
 def test_probes_stepped_in_place_agree_with_fresh_runs(checked, name):
     entry = next(e for e in TERMINATING if e.name == name)
-    config = run(normalize(translate(parse(entry.source), "o"))).config
+    config = run(normalize(translate(parse(entry.source), "o"))).soup.config()
     soup = engine.LiveSoup(config, admin_only=True)
     for text, reply in (("o(v). probe1<v>", "probe1"),
                         ("probe1(w). probe2<w, w>", "probe2")):
@@ -220,8 +220,8 @@ def test_probes_stepped_in_place_agree_with_fresh_runs(checked, name):
         got = run(soup, stop_barb=reply, admin_only=True, permissive=True)
         assert got.status == want.status == "barb"
         assert got.steps == want.steps
-        assert got.config is None  # the soup is the caller's to materialize
-        assert soup.config() == want.config
+        assert got.soup is soup  # stepped in place
+        assert soup.config() == want.soup.config()
         config = soup.config()
 
 
@@ -238,7 +238,7 @@ def test_unfolds_match_sequential_renames(checked):
         want = sequential(run, config, policy="random", seed=seed)
         assert got.status == "terminated"
         assert got.steps == want.steps
-        assert got.config == want.config
+        assert got.soup.config() == want.soup.config()
     soup = engine.LiveSoup(config)
     reference = sequential(engine.LiveSoup, config)
     for index in range(1, 30):

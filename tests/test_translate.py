@@ -76,7 +76,7 @@ def test_cell_shape():
 def test_cell_answers_probe():
     config = normalize(parse_process("!h.all(r). r<1, 5> | !h.1<1, 5> | h.1(i, x). o<x>"))
     trace = run(config)
-    assert ("o", "out") in barbs(trace.config)
+    assert ("o", "out") in barbs(trace.soup.config())
 
 
 def test_repeat_emits_pairs_then_done():
@@ -85,7 +85,7 @@ def test_repeat_emits_pairs_then_done():
     proc = pretty_process(repeat(NumT(3), NameT("r"), NameT("d")))
     config = normalize(parse_process(f"{proc} | {probe}"))
     trace = run(config, budget=1000)
-    texts = sorted(pretty_process(t.proc) for t in trace.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in trace.soup.config().threads)
     assert "got<0, 0>" in texts and "got<1, 1>" in texts and "got<2, 2>" in texts
     assert "done_flag<>" in texts
     assert not any("got<3" in t or "got<-1" in t for t in texts)
@@ -96,7 +96,7 @@ def test_repeat_zero_emits_nothing():
     proc = pretty_process(repeat(NumT(0), NameT("r"), NameT("d")))
     config = normalize(parse_process(f"{proc} | {probe}"))
     trace = run(config, budget=100)
-    texts = sorted(pretty_process(t.proc) for t in trace.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in trace.soup.config().threads)
     assert "done_flag<>" in texts
     assert not any(t.startswith("got<") for t in texts)
 
@@ -106,7 +106,7 @@ def test_repeat_paper_literal_also_emits_minus_one():
     proc = pretty_process(repeat(NumT(1), NameT("r"), NameT("d"), paper_literal=True))
     config = normalize(parse_process(f"{proc} | {probe}"))
     trace = run(config, budget=100)
-    texts = sorted(pretty_process(t.proc) for t in trace.config.threads)
+    texts = sorted(pretty_process(t.proc) for t in trace.soup.config().threads)
     assert "got<0, 0>" in texts and "got<-1, -1>" in texts
 
 
