@@ -9,10 +9,14 @@ call with ``perf_counter``: ``run`` for a ``run`` program (``gc`` as the
 row says), ``check_program`` for a ``check`` program (its seeded runs and
 every read-back probe).  Closing a ``run``'s final soup into a
 ``Config`` (``trace.soup.config()``, one ``rewrite`` per thread the soup
-holds open) is timed apart as ``close_s``.  A row gives the steps fired (``LiveSoup.fire`` calls), the
-threads left at the end of a ``run``, the microseconds per step of each
-run and their median, the median ``close_s``, the ``rewrite`` calls the
-engine made per step (closing included), the peak RSS of the run
+holds open) is timed apart as ``close_s``, and so is the report:
+``report_s`` is ``to_dict()`` of the trace (or of the ``check`` report)
+plus ``cli.dumps`` of it, the JSON that ``simulate`` (or ``check``)
+prints.  A row gives the steps fired (``LiveSoup.fire`` calls), the
+threads left at the end of a ``run`` (null for a ``check``, which runs
+many soups), the microseconds per step of each run and their median, the
+median ``close_s`` and ``report_s``, the ``rewrite`` calls the engine
+made per step (closing included), the peak RSS of the run
 (``ru_maxrss``) and a digest of what the call returned (the ``simulate``
 JSON of a ``run``, the ``check`` JSON of a ``check``), which must be the
 same for every tree; the script exits 1 when it is not.  Runs of the
@@ -48,6 +52,7 @@ PROGRAMS = {
 CHILD = r"""
 import hashlib, json, resource, sys, time
 from butfpi.butf.parse import parse
+from butfpi.cli import dumps
 from butfpi.correspondence import check_program
 from butfpi.cost import FAMILIES
 from butfpi.epi import engine
@@ -76,17 +81,22 @@ if how == "run":
     started = time.perf_counter()
     final = trace.soup.config()
     close_s = time.perf_counter() - started
-    result, threads = trace.to_dict(), len(final.threads)
+    threads, report = len(final.threads), trace
 else:
     engine.rewrite = counting_rewrite
     started = time.perf_counter()
     report = check_program(e, **kwargs)
     seconds = time.perf_counter() - started
-    result, threads, close_s = report.to_dict(), None, None
+    threads, close_s = None, None
+started = time.perf_counter()
+result = report.to_dict()
+dumps(result)
+report_s = time.perf_counter() - started
 text = json.dumps(result, sort_keys=True, indent=2)
 print(json.dumps({
     "steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
-    "seconds": seconds, "close_s": close_s, "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+    "seconds": seconds, "close_s": close_s, "report_s": report_s,
+    "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -136,6 +146,7 @@ def main() -> None:
             "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
             "close_s": (None if first["close_s"] is None else
                         round(statistics.median(r["close_s"] for r in results), 5)),
+            "report_s": round(statistics.median(r["report_s"] for r in results), 5),
             "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
         })
     digests = {}

@@ -97,7 +97,7 @@ def _encode(o, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         return ("{" + inner + ("," + inner).join(
-            [_key(k) + ": "
+            [(encode_basestring_ascii(k) if type(k) is str else _key(k)) + ": "
              + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _encode(v, inner))
              for k, v in sorted(o.items())])
             + newline + "}")

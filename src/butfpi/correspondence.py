@@ -29,7 +29,6 @@ from butfpi.butf.syntax import App, Array, Builtin, Expr, Lam, Num, Tup
 from butfpi.epi.engine import (
     Config,
     LiveSoup,
-    Trace,
     barbs,
     explore,
     normalize,
@@ -206,7 +205,6 @@ def value_equal(v: Expr, r: ReadBack) -> bool:
 class RunReport:
     readback: ReadBack | None
     important_steps: int
-    trace: Trace
     status: str  # ok | stuck-in-process | timeout | fault
 
 
@@ -220,8 +218,8 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     The run is not stopped at the first observable output: concurrent
     housekeeping (for example a map's dummy call) still fires, which keeps
     the important-step total schedule-independent.  Probing afterwards is
-    purely administrative, and probes the run's own soup in place, so the
-    report's ``trace.soup`` ends holding the probes too.  ``config``, when
+    purely administrative, and probes the run's own soup in place; the
+    report keeps the value and counts, not the soup.  ``config``, when
     given, is ``e``'s normalized translation under ``opts``, so runs of one
     program can share it.
     """
@@ -233,11 +231,11 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     trace = run(config, policy=policy, seed=seed, budget=budget)
     important = trace.work
     if trace.status in ("timeout", "fault"):
-        return RunReport(None, important, trace, trace.status)
+        return RunReport(None, important, trace.status)
     value = read_output(trace.soup, shape, budget)
     if value is None:
-        return RunReport(None, important, trace, "stuck-in-process")
-    return RunReport(value, important, trace, "ok")
+        return RunReport(None, important, "stuck-in-process")
+    return RunReport(value, important, "ok")
 
 
 def dummy_call_penalty(fn: Lam, opts: TranslationOptions | None = None,
@@ -338,7 +336,7 @@ def check_program(e: Expr, seeds: int = 20, budget: int = 200_000,
 
     importants = []
     match_all = True
-    # one run at a time: each report's trace holds the soup it probed
+    # a report holds no soup: each run's soup is freed before the next
     for label, policy, seed in schedules:
         rr = simulate_to_result(e, policy, seed, budget, opts, oracle.value,
                                 config=config)

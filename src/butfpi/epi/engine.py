@@ -79,7 +79,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field, replace
 
 from butfpi.epi.pretty import render_chan
@@ -104,7 +104,6 @@ from butfpi.epi.syntax import (
     TermError,
     VarT,
     _fresh_variant,
-    _sub_chan,
     _sub_term,
     all_names,
     binders,
@@ -141,8 +140,10 @@ class Thread:
     other thread spawned from the same subtree.  The engine keeps an
     environment only where that rewrite renames no binder of ``proc``
     (see ``_Builder``), so that closing a thread in one rewrite gives what
-    substituting and renaming at each step would have given.  Nothing
-    mutates an environment's dicts once a thread holds them.
+    substituting and renaming at each step would have given.  The renames
+    dict is one object shared by every thread spawned under the same
+    restrictions, and the bindings dict is shared likewise; nothing
+    mutates either once a thread holds it.
     """
 
     tid: int
@@ -158,31 +159,42 @@ def _closed(t: Thread) -> Thread:
     return Thread(t.tid, rewrite(t.proc, *t.env), t.depth)
 
 
-def _mentioned(t: Thread) -> frozenset[str] | set[str]:
-    """``all_names`` of ``t`` closed, read from its template and environment.
+def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[str]]:
+    """``all_names`` of ``t`` closed, read from its template and environment,
+    as the template's memoized ``all_names``, the names of it that closing
+    takes out, and the names closing brings in that it lacks.
 
     Closing renames no binder, so the binders stay; a free name is renamed
     if the renames map it, and a free variable gives the names of the value
     bound to it.
     """
-    if t.env is None:
-        return all_names(t.proc)
-    vm, nm = t.env
     p = t.proc
-    names = set(binders(p))
-    names.update([nm.get(n, n) for n in free_names(p)] if nm else free_names(p))
+    names = all_names(p)
+    if t.env is None:
+        return names, (), ()
+    vm, nm = t.env
+    renamed: list[str] = []
+    brought: list[str] = []
+    if nm:
+        free = free_names(p)
+        renamed = [old for old in nm if old in free]
+        brought = [nm[old] for old in renamed]
     if vm:
         for x in free_process_vars(p):
             value = vm.get(x)
             if value is not None:
-                names |= term_names(value)
-    return names
-
-
-def _sub_chan_of(h: Head, env) -> Chan:
-    """The channel of ``h``'s action under a thread's environment."""
-    chan = h.core.chan
-    return chan if env is None else _sub_chan(chan, *env)
+                cls = type(value)
+                if cls is NameT:
+                    brought.append(value.name)
+                elif cls is not NumT:
+                    brought.extend(term_names(value))
+    if not brought:  # so nothing renamed either
+        return names, (), ()
+    gone: Collection[str] = ()
+    if renamed:
+        bound = binders(p)
+        gone = [old for old in renamed if old not in bound and old not in brought]
+    return names, gone, {n for n in brought if n not in names}
 
 
 def _key_of(h: Head, env) -> tuple[str, object] | None:
@@ -219,6 +231,17 @@ def _sent(h: Head, env) -> tuple[Term, ...]:
         return args
     vm, nm = env
     return tuple([_sub_term(a, vm, nm) for a in args])
+
+
+def _values(h: Head, env) -> tuple[Term, ...]:
+    """The values ``h``'s send or broadcast carries under a thread's
+    environment, evaluated; raises ``TermError`` if one does not evaluate."""
+    args = h.core.args
+    if env is not None:
+        vm, nm = env
+        args = [_sub_term(a, vm, nm) for a in args]
+    return tuple([a if type(a) is NumT or type(a) is NameT else eval_term(a)
+                  for a in args])
 
 
 @dataclass(frozen=True)
@@ -306,22 +329,25 @@ class _Builder:
 
     A restriction whose name is taken is renamed to a fresh variant.  The
     renames of the restrictions above a subtree travel down with it as one
-    pending list, together with the receive bindings the subtree was
-    spawned under, and each thread it spawns gets them applied at once.
-    That chooses the same names as renaming each body in turn would,
-    because a rename whose fresh name is a binder inside the body (where
-    renaming the body would rename that binder first) is applied to the
-    body there and then, closing it.
+    dict from names to fresh names, together with the receive bindings the
+    subtree was spawned under, and each thread it spawns gets them applied
+    at once.  That chooses the same names as renaming each body in turn
+    would, because a rename whose fresh name is a binder inside the body
+    (where renaming the body would rename that binder first) is applied to
+    the body there and then, closing it.  The renames dict is shared by
+    every thread spawned under it and never mutated: a restriction that
+    renames or shadows a name copies it.
 
     With ``defer`` (a ``LiveSoup``'s fires and inserts) a thread keeps its
-    bindings and renames as its environment, unapplied.  Otherwise each
-    thread is closed as it is spawned, and no bindings come in (``apply_redex``
-    substitutes received values before it spawns).  ``memo`` is then a
-    dict owned by one ``explore`` search, whose successors it keys.  A
-    renamed thread then gets its ``_thread_template`` from the unrenamed
-    one, and the dict memoizes it on the process and the renames, so
-    sibling states that hoist the same restrictions the same way share the
-    thread, and with it its key entry.
+    bindings and renames as its environment, unapplied.  A soup keeps one
+    such builder, and takes its new threads and hoisted names after each
+    fire.  Otherwise each thread is closed as it is spawned, and no
+    bindings come in (``apply_redex`` substitutes received values before
+    it spawns).  ``memo`` is then a dict owned by one ``explore`` search,
+    whose successors it keys.  A renamed thread then gets its
+    ``_thread_template`` from the unrenamed one, and the dict memoizes it
+    on the process and the renames, so sibling states that hoist the same
+    restrictions the same way share the thread, and with it its key entry.
     """
 
     def __init__(self, used: set[str], restricted: set[str], next_tid: int,
@@ -340,8 +366,7 @@ class _Builder:
         if env is None:
             self.add(proc, depth)
         else:
-            vm, nm = env
-            self.add(proc, depth, vm, tuple(nm.items()) if nm else ())
+            self.add(proc, depth, *env)
 
     def receive(self, rh: Head, values: tuple[Term, ...], env, depth: int) -> None:
         """Add the continuation of receiver ``rh`` with ``values`` received,
@@ -361,45 +386,48 @@ class _Builder:
             self.add(rewrite(rewrite(rh.cont, outer, nm), var_map=bound), depth)
             return
         # a parameter's new binding replaces the one it shadows
-        self.add(rh.cont, depth, {**vm, **bound} if vm else bound,
-                 tuple(nm.items()) if nm else ())
+        self.add(rh.cont, depth, {**vm, **bound} if vm else bound, nm)
 
     def add(self, proc: Process, depth: int, vm: dict[str, Term] = _NO_VARS,
-            renames: tuple[tuple[str, str], ...] = ()) -> None:
-        match proc:
-            case Nil():
+            nm: dict[str, str] = _NO_NAMES) -> None:
+        while True:  # down the right of parallels and into restrictions
+            cls = type(proc)
+            if cls is Act or cls is Match:
+                self._thread(proc, depth, vm, nm)
                 return
-            case Par(left, right):
-                self.add(left, depth, vm, renames)
-                self.add(right, depth, vm, renames)
-            case New(name, body):
-                renames = tuple(r for r in renames if r[0] != name)  # shadowed
+            if cls is Par:
+                self.add(proc.left, depth, vm, nm)
+                proc = proc.right
+            elif cls is New:
+                name, proc = proc.name, proc.body
                 chosen = _fresh_variant(name, self.used, self.floors)
                 self.used.add(chosen)
                 self.restricted.add(chosen)
+                if name in nm:  # shadowed: the rename moves last, as it is newest
+                    nm = {old: new for old, new in nm.items() if old != name}
                 if chosen != name:
                     # ``symbols`` holds the binders and is kept on the nodes
                     # ``rewrite`` builds: the common miss costs no walk
-                    if chosen in symbols(body) and chosen in binders(body):
+                    if chosen in symbols(proc) and chosen in binders(proc):
                         # renaming the body renames that inner binder first
-                        body = rewrite(rewrite(body, vm, dict(renames)),
-                                       name_map={name: chosen})
-                        vm, renames = _NO_VARS, ()
+                        proc = rewrite(rewrite(proc, vm, nm), name_map={name: chosen})
+                        vm, nm = _NO_VARS, _NO_NAMES
                     else:
-                        renames += ((name, chosen),)
-                self.add(body, depth, vm, renames)
-            case Bullet():
-                self._add_bulleted(proc, depth, vm, renames)
-            case Repl(body):
+                        nm = {**nm, name: chosen}
+            elif cls is Nil:
+                return
+            elif cls is Bullet:
+                self._add_bulleted(proc, depth, vm, nm)
+                return
+            elif cls is Repl:
                 head_of(proc)  # raises on unguarded bodies
-                self._thread(proc, depth, vm, renames)
-            case Act() | Match():
-                self._thread(proc, depth, vm, renames)
-            case _:
+                self._thread(proc, depth, vm, nm)
+                return
+            else:
                 raise TypeError(f"not a process: {proc!r}")
 
     def _add_bulleted(self, proc: Process, depth: int, vm: dict[str, Term],
-                      renames: tuple[tuple[str, str], ...]) -> None:
+                      nm: dict[str, str]) -> None:
         bullets = 0
         p = proc
         while isinstance(p, Bullet):
@@ -410,32 +438,34 @@ class _Builder:
                 inner: Process = body
                 for _ in range(bullets):
                     inner = Bullet(inner)
-                self.add(New(name, inner), depth, vm, renames)
+                self.add(New(name, inner), depth, vm, nm)
             case Par():
                 raise EngineError("a bullet must guard a sequential process")
             case Nil():
-                self._thread(proc, depth, _NO_VARS, ())  # inert, kept for bullet accounting
+                self._thread(proc, depth, _NO_VARS, _NO_NAMES)  # inert, kept for bullet accounting
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(proc, depth, vm, renames)
+                self._thread(proc, depth, vm, nm)
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
     def _thread(self, proc: Process, depth: int, vm: dict[str, Term],
-                renames: tuple[tuple[str, str], ...]) -> None:
+                nm: dict[str, str]) -> None:
         if not self.defer:
-            thread = Thread(self.next_tid, self._renamed(proc, renames), depth)
-        elif vm or renames:
-            thread = Thread(self.next_tid, proc, depth,
-                            (vm, dict(renames) if renames else _NO_NAMES))
+            thread = Thread(self.next_tid, self._renamed(proc, nm), depth)
+        elif vm or nm:
+            thread = Thread(self.next_tid, proc, depth, (vm, nm))
         else:
             thread = Thread(self.next_tid, proc, depth)
         self.new_threads.append(thread)
         self.next_tid += 1
 
-    def _renamed(self, proc: Process, renames: tuple[tuple[str, str], ...]) -> Process:
+    def _renamed(self, proc: Process, nm: dict[str, str]) -> Process:
+        if not nm:
+            return proc
+        renames = tuple(nm.items())
         memo = self.memo
-        if memo is None or not renames:
+        if memo is None:
             return _renamed(proc, renames)
         key = (proc, renames)  # receive substitutions key on triples
         renamed = memo.get(key)
@@ -544,6 +574,13 @@ def _chan_key(c: Chan) -> tuple[str, object] | None:
     return (c.base.name, c.suffix)
 
 
+def _key_text(key: tuple[str, object]) -> str:
+    """``render_chan`` of the channel with key ``key``: its name, then
+    ``.`` and its suffix if it has one."""
+    name, suffix = key
+    return name if suffix is None else f"{name}.{suffix}"
+
+
 def _decidable_terms(*terms: Term) -> bool:
     return all(not term_vars(t) for t in terms)
 
@@ -610,7 +647,7 @@ class Step:
     """One fired redex.
 
     ``key`` is the fired redex's channel key (None for a match) and
-    ``mark`` is ":" for a broadcast on a free channel; ``channel`` renders
+    ``mark`` is ":" for a broadcast on a free channel; ``channel`` gives
     the text from them when read, as only ``simulate`` prints it.
     """
 
@@ -626,10 +663,8 @@ class Step:
     @property
     def channel(self) -> str | None:
         """The channel's text; ":c" marks a broadcast on a free channel."""
-        if self.key is None:
-            return None
-        name, suffix = self.key
-        return self.mark + render_chan(Chan(NameT(name), suffix))
+        key = self.key
+        return None if key is None else self.mark + _key_text(key)
 
 
 class CommitFault(Exception):
@@ -676,8 +711,29 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     important = redex.bullets > 0
     inc = 1 if important else 0
     mark = ""
+    rule = redex.rule
 
-    if redex.rule in ("THEN", "ELSE"):
+    if rule == "COMM":
+        stid, rtid = redex.participants
+        s, r = thread(stid), thread(rtid)
+        sh = s.proc._memo_head or head_of(s.proc)
+        rh = r.proc._memo_head or head_of(r.proc)
+        try:
+            values = _values(sh, s.env)
+        except TermError as exc:
+            raise CommitFault(str(exc), (stid,))
+        depth_after = (s.depth if s.depth > r.depth else r.depth) + inc
+        if sh.repl:
+            folded[stid] = _residual(s, sh)
+        else:
+            consumed.add(stid)
+        if rh.repl:
+            folded[rtid] = _residual(r, rh)
+        else:
+            consumed.add(rtid)
+        builder.spawn(sh.cont, depth_after, s.env)
+        builder.receive(rh, values, r.env, depth_after)
+    elif rule == "THEN" or rule == "ELSE":
         t = thread(redex.participants[0])
         h = head_of(t.proc)
         m = h.core
@@ -688,27 +744,11 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         else:
             consumed.add(t.tid)
         builder.spawn(branch, depth_after, t.env)
-    elif redex.rule == "COMM":
-        s = thread(redex.participants[0])
-        r = thread(redex.participants[1])
-        sh, rh = head_of(s.proc), head_of(r.proc)
-        try:
-            values = tuple([eval_term(a) for a in _sent(sh, s.env)])
-        except TermError as exc:
-            raise CommitFault(str(exc), (s.tid,))
-        depth_after = max(s.depth, r.depth) + inc
-        for t, h in ((s, sh), (r, rh)):
-            if h.repl:
-                folded[t.tid] = _residual(t, h)
-            else:
-                consumed.add(t.tid)
-        builder.spawn(sh.cont, depth_after, s.env)
-        builder.receive(rh, values, r.env, depth_after)
-    elif redex.rule == "BROAD":
+    elif rule == "BROAD":
         s = thread(redex.participants[0])
         sh = head_of(s.proc)
         try:
-            values = tuple([eval_term(a) for a in _sent(sh, s.env)])
+            values = _values(sh, s.env)
         except TermError as exc:
             raise CommitFault(str(exc), (s.tid,))
         # a broadcast on a free channel is labelled observable
@@ -734,9 +774,9 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         for r, rh in receivers:
             builder.receive(rh, values, r.env, depth_after)
     else:
-        raise ValueError(f"cannot apply redex {redex.rule}")
+        raise ValueError(f"cannot apply redex {rule}")
 
-    step = Step(index, "important" if important else "administrative", redex.rule,
+    step = Step(index, "important" if important else "administrative", rule,
                 redex.channel, mark, redex.participants, depth_after, redex.bullets)
     return consumed, folded, step
 
@@ -788,14 +828,8 @@ def barbs(config: Config) -> frozenset[tuple[str, str]]:
         key = h.key
         if key is None or key[0] in config.restricted:
             continue
-        out.add(_barb(h, None))
+        out.add((render_chan(h.core.chan), "in" if isinstance(h.core, Recv) else "out"))
     return frozenset(out)
-
-
-def _barb(h: Head, env) -> tuple[str, str]:
-    """The barb a thread headed by ``h`` shows under its environment: its
-    channel's text and ``in`` for a receive, ``out`` otherwise."""
-    return render_chan(_sub_chan_of(h, env)), "in" if isinstance(h.core, Recv) else "out"
 
 
 # ------------------------------------------------------------------- run
@@ -882,6 +916,7 @@ class LiveSoup:
         # ``collect``, which also makes the rest of its state (a soup never
         # collected, as each of ``explore``'s, allocates none of it)
         self.mentions: Counter[str] | None = None
+        self.builder: _Builder | None = None  # made by the first fire or insert
         self._add(config.threads)
 
     def config(self) -> Config:
@@ -892,14 +927,11 @@ class LiveSoup:
 
     def barbs(self) -> frozenset[tuple[str, str]]:
         """``barbs`` of the soup, one per channel queue."""
-        out: set[tuple[str, str]] = set()
-        restricted, threads = self.restricted, self.threads
-        for queues in (self.sends, self.recvs, self.bcasts):
-            for key, queue in queues.items():
-                if key[0] not in restricted:
-                    tid, h = next(iter(queue.items()))
-                    out.add(_barb(h, threads[tid].env))
-        return frozenset(out)
+        restricted = self.restricted
+        return frozenset([(_key_text(key), polarity)
+                          for queues, polarity in ((self.sends, "out"), (self.recvs, "in"),
+                                                   (self.bcasts, "out"))
+                          for key in queues if key[0] not in restricted])
 
     def sent(self, key: tuple) -> tuple[Term, ...] | None:
         """The terms the first pending send on ``key`` carries, if any."""
@@ -943,14 +975,13 @@ class LiveSoup:
         self.used |= free_names(proc)
         builder = self._builder()
         builder.add(proc, depth)
-        self._hoisted(builder)
-        self._add(builder.new_threads)
+        self._add(self._spawned(builder))
 
     def fire(self, redex: Redex, index: int) -> Step:
         builder = self._builder()
         consumed, folded, step = _fire(redex, self.threads.__getitem__,
                                        self.restricted, builder, index)
-        self._hoisted(builder)
+        spawned = self._spawned(builder)
         # sender first: a broadcast leaves before its receivers, so their
         # removal does not recompute it
         for tid in redex.participants:
@@ -963,21 +994,30 @@ class LiveSoup:
                 new = replace(old, proc=residual)
                 self.threads[tid] = new
                 self._index(new)
-        self._add(builder.new_threads)
+        self._add(spawned)
         return step
 
     def _builder(self) -> _Builder:
-        # the names it hoists are gathered apart, for ``collect`` to see
-        return _Builder(self.used, set(), self.next_tid, self.floors, defer=True)
+        builder = self.builder
+        if builder is None:
+            # the names it hoists are gathered apart, for ``collect`` to see
+            builder = self.builder = _Builder(self.used, set(), self.next_tid,
+                                              self.floors, defer=True)
+        return builder
 
-    def _hoisted(self, builder: _Builder) -> None:
-        """Take in what ``builder`` hoisted, before its threads are indexed."""
+    def _spawned(self, builder: _Builder) -> list[Thread]:
+        """Take the threads ``builder`` spawned and the names it hoisted,
+        leaving it empty; the names go in before the threads are indexed."""
         self.next_tid = builder.next_tid
         hoisted = builder.restricted
         if hoisted:
             self.restricted |= hoisted
             if self.mentions is not None:
                 self.unmentioned.extend(hoisted)
+            hoisted.clear()
+        spawned = builder.new_threads
+        builder.new_threads = []
+        return spawned
 
     def admin_only_from_now(self) -> None:
         """Fire only administrative redexes from now on, as if built with
@@ -1014,6 +1054,8 @@ class LiveSoup:
             # names to prune if no thread mentions them, which are those
             # whose count reached zero and those hoisted since the last call
             self.serving: dict[str, set[int]] = {}
+            # each counted thread's ``_mentioned``, to take out as counted
+            self.counted: dict[int, tuple] = {}
             self.lone: list[str] = []
             self.unmentioned: list[str] = list(restricted)
             for t in self.threads.values():
@@ -1036,64 +1078,69 @@ class LiveSoup:
             self._index(t)
 
     def _index(self, t: Thread) -> None:
-        tid, h, env = t.tid, head_of(t.proc), t.env
+        tid, proc, env = t.tid, t.proc, t.env
+        h = proc._memo_head or head_of(proc)
         if self.mentions is not None:
             self._mention(t, h, 1)
         core = h.core
         if core is None:
             return
-        if isinstance(core, Match):
+        cls = type(core)
+        if cls is Match:
             self._list(_match_redex(tid, h, env))
             return
         key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
-        if isinstance(core, Recv):
-            self.recvs.setdefault(key, {})[tid] = h
-            for stid, sh in self.sends.get(key, {}).items():
+        if cls is Recv:
+            _enqueue(self.recvs, key, tid, h)
+            for stid, sh in self.sends.get(key, _NO_QUEUE).items():
                 self._comm(key, stid, sh, tid, h)
-            for btid in self.bcasts.get(key, ()):
+            for btid in self.bcasts.get(key, _NO_QUEUE):
                 self._broad(key, btid)
             return
         if key[0] not in self.restricted:
-            self.out_barbs[render_chan(_sub_chan_of(h, env))] += 1
-        if isinstance(core, Send):
-            self.sends.setdefault(key, {})[tid] = h
-            for rtid, rh in self.recvs.get(key, {}).items():
+            self.out_barbs[_key_text(key)] += 1
+        if cls is Send:
+            _enqueue(self.sends, key, tid, h)
+            for rtid, rh in self.recvs.get(key, _NO_QUEUE).items():
                 self._comm(key, tid, h, rtid, rh)
         else:
-            self.bcasts.setdefault(key, {})[tid] = h
+            _enqueue(self.bcasts, key, tid, h)
             self._broad(key, tid)
 
     def _unindex(self, t: Thread) -> None:
-        tid, h, env = t.tid, head_of(t.proc), t.env
+        tid, proc, env = t.tid, t.proc, t.env
+        h = proc._memo_head or head_of(proc)
         if self.mentions is not None:
             self._mention(t, h, -1)
-        partners = self.mismatched.pop(tid, ())
-        self.mismatches -= len(partners)
-        for other in partners:
-            self.mismatched[other].discard(tid)
+        if self.mismatched:
+            partners = self.mismatched.pop(tid, ())
+            self.mismatches -= len(partners)
+            for other in partners:
+                self.mismatched[other].discard(tid)
         core = h.core
         if core is None:
             return
-        if isinstance(core, Match):
+        cls = type(core)
+        if cls is Match:
             self._unlist((tid,))
             return
         key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
-        if isinstance(core, Recv):
+        if cls is Recv:
             _discard(self.recvs, key, tid)
-            for stid in self.sends.get(key, ()):
+            for stid in self.sends.get(key, _NO_QUEUE):
                 self._unlist((stid, tid))
-            for btid in self.bcasts.get(key, ()):
+            for btid in self.bcasts.get(key, _NO_QUEUE):
                 self._broad(key, btid)
             return
         if key[0] not in self.restricted:
-            self.out_barbs[render_chan(_sub_chan_of(h, env))] -= 1
-        if isinstance(core, Send):
+            self.out_barbs[_key_text(key)] -= 1
+        if cls is Send:
             _discard(self.sends, key, tid)
-            for rtid in self.recvs.get(key, ()):
+            for rtid in self.recvs.get(key, _NO_QUEUE):
                 self._unlist((tid, rtid))
         else:
             _discard(self.bcasts, key, tid)
@@ -1105,15 +1152,31 @@ class LiveSoup:
         """Count ``t``'s names in ``mentions`` (``sign`` 1) or take them
         out (-1), and enter or remove it as a server."""
         mentions = self.mentions
-        for name in _mentioned(t):
-            count = mentions[name] + sign
-            if count:
-                mentions[name] = count
-                if count == 1 and sign < 0:
-                    self.lone.append(name)
-            else:
-                del mentions[name]
-                self.unmentioned.append(name)
+        if sign > 0:  # a count that rises marks no name
+            names, gone, extra = self.counted[t.tid] = _mentioned(t)
+            mentions.update(names)
+            if extra:
+                mentions.update(extra)
+            for name in gone:  # counted with ``names``
+                count = mentions[name] - 1
+                if count:
+                    mentions[name] = count
+                else:
+                    del mentions[name]
+        else:
+            names, gone, extra = self.counted.pop(t.tid)
+            for part in (names, extra):
+                for name in part:
+                    if name in gone:
+                        continue
+                    count = mentions[name] - 1
+                    if count:
+                        mentions[name] = count
+                        if count == 1:
+                            self.lone.append(name)
+                    else:
+                        del mentions[name]
+                        self.unmentioned.append(name)
         if h.repl and not isinstance(h.core, Match):
             key = _key_of(h, t.env)
             if key is not None:
@@ -1135,7 +1198,7 @@ class LiveSoup:
             self._unlist(old[0])
             self.mismatches -= old[1]
         redex, diagnostics = _broad_redex(key, tid, self.bcasts[key][tid],
-                                          self.recvs.get(key, {}).items())
+                                          self.recvs.get(key, _NO_QUEUE).items())
         self.broads[tid] = (redex.participants, len(diagnostics))
         self.mismatches += len(diagnostics)
         self._list(redex)
@@ -1167,6 +1230,18 @@ class LiveSoup:
 def _administrative(redex: Redex) -> bool:
     """Whether an administrative-only reduction may fire ``redex``."""
     return redex.bullets == 0 and redex.rule != "FAULT"
+
+
+# the queue of a channel with none pending; nothing adds to it
+_NO_QUEUE: dict[int, Head] = {}
+
+
+def _enqueue(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int, h: Head) -> None:
+    queue = queues.get(key)
+    if queue is None:
+        queues[key] = {tid: h}
+    else:
+        queue[tid] = h
 
 
 def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None:

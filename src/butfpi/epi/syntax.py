@@ -434,8 +434,10 @@ def _fresh_variant(base: str, avoid: set[str],
     """``base`` if ``avoid`` lacks it, else the first ``root_i`` (i >= 2) it lacks.
 
     ``floors`` maps a root to an index below which every variant is known
-    to be in ``avoid``.  A caller whose ``avoid`` only grows may pass the
-    same dict on every call to skip those probes; the result is the same.
+    to be in ``avoid``.  A caller whose ``avoid`` only grows, and that adds
+    each name returned to it, may pass the same dict on every call to skip
+    those probes; the result is the same.  The index returned is recorded
+    as taken, so the next call for the same root probes once.
     """
     if base not in avoid:
         return base
@@ -445,7 +447,7 @@ def _fresh_variant(base: str, avoid: set[str],
         candidate = f"{root}_{i}"
         if candidate not in avoid:
             if floors is not None:
-                floors[root] = i
+                floors[root] = i + 1  # the caller takes the candidate
             return candidate
         i += 1
 

@@ -13,7 +13,12 @@ servers by rescanning every other thread's names for each candidate.
 ``reference_explore`` is the search that computes every key from scratch
 and shares nothing between states, and ``checking_entries`` checks the
 key entries ``explore`` caches and the successors it skips without a key.
+``reference_channel`` and ``reference_out_barbs`` render a step's channel
+and a soup's output barbs with ``render_chan`` on built channels, and
+``reference_mentioned`` builds a thread's closed name set in full.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -28,6 +33,7 @@ from butfpi.epi.engine import (
     _broad_redex,
     _Builder,
     _chan_key,
+    _closed,
     _comm_redex,
     _drop_threads,
     _match_redex,
@@ -57,10 +63,13 @@ from butfpi.epi.syntax import (
     VarT,
     _fresh_variant,
     all_names,
+    binders,
+    free_names,
     free_process_vars,
     term_names,
     term_vars,
 )
+from butfpi.epi.pretty import render_chan
 
 
 def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
@@ -149,13 +158,13 @@ def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
 
 class SequentialBuilder(_Builder):
     """``_Builder`` with one full-body rename per clashing restriction, and
-    no environments: a process handed over with receive bindings or
-    renames is closed by ``reference_rewrite`` first, so every thread it
-    spawns is closed, and substitution is eager."""
+    no environments: a process handed over with receive bindings or a
+    renames dict is closed by ``reference_rewrite`` first, so every thread
+    it spawns is closed, and substitution is eager."""
 
-    def add(self, proc: Process, depth: int, vm=None, renames=()) -> None:
-        if vm or renames:
-            proc = reference_rewrite(proc, vm, dict(renames))
+    def add(self, proc: Process, depth: int, vm=None, nm=None) -> None:
+        if vm or nm:
+            proc = reference_rewrite(proc, vm, nm)
         match proc:
             case Nil():
                 return
@@ -173,9 +182,9 @@ class SequentialBuilder(_Builder):
                 self._add_bulleted(proc, depth)
             case Repl(body):
                 head_of(proc)
-                self._thread(proc, depth, {}, ())
+                self._thread(proc, depth, {}, {})
             case Act() | Match():
-                self._thread(proc, depth, {}, ())
+                self._thread(proc, depth, {}, {})
             case _:
                 raise TypeError(f"not a process: {proc!r}")
 
@@ -194,10 +203,10 @@ class SequentialBuilder(_Builder):
             case Par():
                 raise EngineError("a bullet must guard a sequential process")
             case Nil():
-                self._thread(proc, depth, {}, ())
+                self._thread(proc, depth, {}, {})
             case Repl() | Act() | Match():
                 head_of(proc)
-                self._thread(proc, depth, {}, ())
+                self._thread(proc, depth, {}, {})
             case _:
                 raise TypeError(f"not a process: {p!r}")
 
@@ -257,6 +266,45 @@ def reference_enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
     redexes.sort(key=lambda r: r.participants)
     return redexes, diagnostics
+
+
+def reference_channel(step) -> str | None:
+    """A step's channel text: ``render_chan`` of the channel its key names,
+    after the mark."""
+    if step.key is None:
+        return None
+    name, suffix = step.key
+    return step.mark + render_chan(Chan(NameT(name), suffix))
+
+
+def reference_out_barbs(soup) -> Counter:
+    """How many threads of a live soup show each output barb: ``render_chan``
+    of the channel of each pending send or broadcast, closed, that is not
+    restricted."""
+    out = Counter()
+    for t in soup.threads.values():
+        h = head_of(_closed(t).proc)
+        if h.core is None or isinstance(h.core, (Match, Recv)):
+            continue
+        key = _chan_key(h.core.chan)
+        if key is not None and key[0] not in soup.restricted:
+            out[render_chan(h.core.chan)] += 1
+    return out
+
+
+def reference_mentioned(t) -> set[str]:
+    """The names of thread ``t`` closed, built as one fresh set from its
+    binders, its free names renamed and the names of its bound values."""
+    if t.env is None:
+        return set(all_names(t.proc))
+    vm, nm = t.env
+    p = t.proc
+    names = set(binders(p))
+    names.update(nm.get(n, n) for n in free_names(p))
+    for x in free_process_vars(p):
+        if x in vm:
+            names |= term_names(vm[x])
+    return names
 
 
 def reference_garbage_collect(config: Config) -> Config:

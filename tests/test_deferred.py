@@ -226,7 +226,7 @@ def test_the_eager_reference_closes_what_it_is_handed():
     # SequentialBuilder closes a process handed over with bindings
     builder = SequentialBuilder(set(), set(), 0, defer=True)
     proc = parse_process("c(x). x<y>").cont
-    builder.add(proc, 0, {"x": engine.NameT("d")}, (("y", "e"),))
+    builder.add(proc, 0, {"x": engine.NameT("d")}, {"y": "e"})
     (thread,) = builder.new_threads
     assert thread.env is None
     assert thread.proc == parse_process("d<e>")
