@@ -1,26 +1,32 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 5 --out BENCH_11.json
+        --repeat 5 --warm 5 --out BENCH_16.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory, translates and normalizes the program, then times one
-call with ``perf_counter``: ``run`` for a ``run`` program (``gc`` as the
-row says), ``check_program`` for a ``check`` program (its seeded runs and
-every read-back probe).  Closing a ``run``'s final soup into a
-``Config`` (``trace.soup.config()``, one ``rewrite`` per thread the soup
-holds open) is timed apart as ``close_s``, and so is the report:
+cold call with ``perf_counter`` followed by ``--warm`` more calls of the
+same kind: ``run`` for a ``run`` program (``gc`` as the row says),
+``check_program`` for a ``check`` program (its seeded runs and every
+read-back probe).  The cold call pays each template's first walks; the
+warm calls show the cost per step alone, and their spread is far smaller
+than the cold calls' on a shared host.  Closing a ``run``'s final soup
+into a ``Config`` (``trace.soup.config()``, one ``rewrite`` per thread
+the soup holds open) is timed apart as ``close_s``, and so is the report:
 ``report_s`` is ``to_dict()`` of the trace (or of the ``check`` report)
 plus ``cli.dumps`` of it, the JSON that ``simulate`` (or ``check``)
-prints.  A row gives the steps fired (``LiveSoup.fire`` calls), the
-threads left at the end of a ``run`` (null for a ``check``, which runs
-many soups), the microseconds per step of each run and their median, the
-median ``close_s`` and ``report_s``, the ``rewrite`` calls the engine
-made per step (closing included), the peak RSS of the run
-(``ru_maxrss``) and a digest of what the call returned (the ``simulate``
-JSON of a ``run``, the ``check`` JSON of a ``check``), which must be the
-same for every tree; the script exits 1 when it is not.  Runs of the
-trees alternate, so a drift in the host's speed falls on all of them.
+prints, after the cold call, and ``report_warm_s`` is its least over
+one report per warm call.  A row gives the steps fired
+(``LiveSoup.fire`` calls), the threads left at the end of a ``run`` (null
+for a ``check``, which runs many soups), the microseconds per step of
+each run's cold call and their median, the least and the median over
+every warm call (``warm_us_per_step_min`` and ``_median``), the median
+``close_s`` and ``report_s``, the ``rewrite`` calls the engine made per
+step (closing included), the peak RSS of the run (``ru_maxrss``) and a
+digest of what the call returned (the ``simulate`` JSON of a ``run``, the
+``check`` JSON of a ``check``), which must be the same for every tree and
+for every call; the script exits 1 when it is not.  Runs of the trees
+alternate, so a drift in the host's speed falls on all of them.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from butfpi.cost import FAMILIES
 from butfpi.epi import engine
 from butfpi.translate import translate
 
-how, program, size, kwargs = json.loads(sys.argv[1])
+how, program, size, kwargs, warm = json.loads(sys.argv[1])
 e = FAMILIES[program](size) if size is not None else parse(program)
 counts = {"fire": 0, "rewrite": 0}
 fire, rewrite = engine.LiveSoup.fire, engine.rewrite
@@ -74,37 +80,45 @@ def counting_rewrite(*args, **kw):
 engine.LiveSoup.fire = counting_fire
 if how == "run":
     config = engine.normalize(translate(e, "o"))
-    engine.rewrite = counting_rewrite
+engine.rewrite = counting_rewrite
+
+def call():
+    counts["fire"] = counts["rewrite"] = 0
     started = time.perf_counter()
-    trace = engine.run(config, **kwargs)
+    if how == "run":
+        report = engine.run(config, **kwargs)
+    else:
+        report = check_program(e, **kwargs)
     seconds = time.perf_counter() - started
+    close_s = threads = None
+    if how == "run":
+        started = time.perf_counter()
+        threads = len(report.soup.config().threads)
+        close_s = time.perf_counter() - started
     started = time.perf_counter()
-    final = trace.soup.config()
-    close_s = time.perf_counter() - started
-    threads, report = len(final.threads), trace
-else:
-    engine.rewrite = counting_rewrite
-    started = time.perf_counter()
-    report = check_program(e, **kwargs)
-    seconds = time.perf_counter() - started
-    threads, close_s = None, None
-started = time.perf_counter()
-result = report.to_dict()
-dumps(result)
-report_s = time.perf_counter() - started
-text = json.dumps(result, sort_keys=True, indent=2)
+    result = report.to_dict()
+    dumps(result)
+    report_s = time.perf_counter() - started
+    text = json.dumps(result, sort_keys=True, indent=2)
+    return {"steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
+            "seconds": seconds, "close_s": close_s, "report_s": report_s,
+            "digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
+
+cold = call()
+warm_calls = [call() for _ in range(warm)]
+fixed = ("steps", "threads", "rewrites", "digest")
+assert all(w[k] == cold[k] for w in warm_calls for k in fixed), "a warm call differs"
 print(json.dumps({
-    "steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
-    "seconds": seconds, "close_s": close_s, "report_s": report_s,
-    "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+    **cold, "warm_seconds": [w["seconds"] for w in warm_calls],
+    "report_warm_s": min((w["report_s"] for w in warm_calls), default=None),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
 
 
-def run_once(src: Path, name: str) -> dict:
+def run_once(src: Path, name: str, warm: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(PROGRAMS[name])],
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps([*PROGRAMS[name], warm])],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -114,6 +128,7 @@ def main() -> None:
     ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
                     help="a label and the src directory to import butfpi from")
     ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--warm", type=int, default=5, help="warm calls after each cold one")
     ap.add_argument("--program", action="append", choices=list(PROGRAMS))
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
@@ -125,7 +140,7 @@ def main() -> None:
     for name in names:
         for _ in range(args.repeat):
             for label, src in trees:
-                result = run_once(src, name)
+                result = run_once(src, name, args.warm)
                 runs.setdefault((label, name), []).append(result)
                 print(label, name, json.dumps(result), file=sys.stderr)
 
@@ -136,6 +151,7 @@ def main() -> None:
         assert all(r[k] == first[k] for r in results for k in fixed), (label, name)
         how, program, size, kwargs = PROGRAMS[name]
         us = [round(r["seconds"] / first["steps"] * 1e6, 1) for r in results]
+        warm = [s / first["steps"] * 1e6 for r in results for s in r["warm_seconds"]]
         rows.append({
             "tree": label, "program": name, "how": how,
             "source": program if size is None else f"{program} n={size}",
@@ -143,10 +159,14 @@ def main() -> None:
             "rewrites_per_step": round(first["rewrites"] / first["steps"], 3),
             "us_per_step_median": round(statistics.median(us), 1),
             "us_per_step": us,
+            "warm_us_per_step_min": round(min(warm), 1) if warm else None,
+            "warm_us_per_step_median": round(statistics.median(warm), 1) if warm else None,
             "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
             "close_s": (None if first["close_s"] is None else
                         round(statistics.median(r["close_s"] for r in results), 5)),
             "report_s": round(statistics.median(r["report_s"] for r in results), 5),
+            "report_warm_s": (None if not args.warm else
+                              round(min(r["report_warm_s"] for r in results), 5)),
             "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
         })
     digests = {}
@@ -158,6 +178,7 @@ def main() -> None:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "repeat": args.repeat,
+        "warm": args.warm,
         "outputs_differ": differ,
         "rows": rows,
     }

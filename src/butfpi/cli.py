@@ -23,6 +23,7 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from butfpi.butf.eval import EvalResult, Stuck, eval_expr
 from butfpi.butf.parse import parse
@@ -88,10 +89,11 @@ def _encode(o, newline: str) -> str:
         if not o:
             return "[]"
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join(
-            [_SCALARS[type(v)](v) if type(v) in _SCALARS else _encode(v, inner)
-             for v in o])
-            + newline + "]")
+        items = _rows(o, inner) if type(o[0]) is dict else None
+        if items is None:
+            items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _encode(v, inner)
+                     for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -109,6 +111,34 @@ def _encode(o, newline: str) -> str:
     if isinstance(o, float):
         return _float(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _rows(o: list | tuple, newline: str) -> list[str] | None:
+    """The items of ``o`` encoded through one row template, if each is a
+    dict with the string keys of the first (in any order, as keys are
+    sorted) and only scalar values, as ``simulate``'s steps are; None if
+    one is not.
+
+    The template is a row with a ``%s`` for each value.  The values are
+    encoded a key at a time, so a row costs one ``%``.
+    """
+    first = o[0]
+    n = len(first)
+    if not n or any(type(k) is not str for k in first):
+        return None
+    if {*map(type, o)} != {dict} or {*map(len, o)} != {n}:
+        return None
+    order = sorted(first)
+    inner = newline + "  "
+    template = ("{" + inner + ("," + inner).join(
+        [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order])
+        + newline + "}")
+    scalars = _SCALARS
+    try:
+        columns = [[scalars[type(v)](v) for v in map(itemgetter(k), o)] for k in order]
+    except KeyError:  # a key missing, or a value of no scalar type
+        return None
+    return [template % row for row in zip(*columns)]
 
 
 def _key(k) -> str:

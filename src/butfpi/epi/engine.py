@@ -22,13 +22,14 @@ index, ``LiveSoup``: per-channel queues of pending sends, receives and
 broadcasts (the channel queues of Pict's abstract machine), the sorted
 redex list, the arity-mismatch count and the observable output barbs.
 ``run`` steps one soup in place; a step updates the index only for the
-threads it consumes, folds or spawns, so its cost no longer grows with the
-soup.  Nor does it copy syntax: a thread the soup spawns is the
-continuation's subtree of the process text itself, a template shared by
-every thread spawned from it, plus an environment of the values its
-receives bound and the fresh names its restrictions were hoisted as (the
-explicit substitutions of Abadi, Cardelli, Curien and Lévy, as Pict's
-machine runs processes).  The index reads channels, sent values and match
+threads it consumes, folds or spawns, listing and unlisting the COMM pairs
+each forms on its channel, so its cost grows with the soup only through
+the pairs a channel's queues form.  Nor does it copy syntax: a thread the
+soup spawns is the continuation's subtree of the process text itself, a
+template shared by every thread spawned from it, plus an environment of
+the values its receives bound and the fresh names its restrictions were
+hoisted as (the explicit substitutions of Abadi, Cardelli, Curien and
+Lévy, as Pict's machine runs processes).  The index reads channels, sent values and match
 operands through the environment, and a thread is closed, by one
 ``rewrite``, only where a ``Config`` is built from the soup.  A spawn
 whose received value or fresh name equals a binder inside the template,
@@ -122,7 +123,8 @@ class EngineError(Exception):
     """A process shape the engine does not execute (unguarded replication, ...)."""
 
 
-# Thread, Head, Redex and Step are records that nothing mutates once built.
+# Thread, Head, Redex and Step are records that nothing mutates once built,
+# but for the channel key a ``LiveSoup`` records on a thread it indexes.
 # Slotted and unfrozen, they build in a third or less of a frozen
 # dataclass's time (``explore`` builds them for every successor);
 # ``unsafe_hash`` keeps them hashable by value.
@@ -144,12 +146,19 @@ class Thread:
     dict is one object shared by every thread spawned under the same
     restrictions, and the bindings dict is shared likewise; nothing
     mutates either once a thread holds it.
+
+    ``key`` is the channel key a ``LiveSoup`` indexed a thread with an
+    environment under, recorded there so that unindexing it reads no
+    channel again; it is a function of ``proc`` and ``env``, so no soup
+    records another.  It is None on a closed thread, whose key is its
+    head's.
     """
 
     tid: int
     proc: Process
     depth: int
     env: tuple[dict[str, Term], dict[str, str]] | None = field(default=None, hash=False)
+    key: tuple[str, object] | None = field(default=None, compare=False, hash=False)
 
 
 def _closed(t: Thread) -> Thread:
@@ -169,18 +178,17 @@ def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[s
     bound to it.
     """
     p = t.proc
-    names = all_names(p)
+    names, free, unbound, fvars = p._memo_mention or _mention_record(p)
     if t.env is None:
         return names, (), ()
     vm, nm = t.env
     renamed: list[str] = []
     brought: list[str] = []
     if nm:
-        free = free_names(p)
         renamed = [old for old in nm if old in free]
         brought = [nm[old] for old in renamed]
     if vm:
-        for x in free_process_vars(p):
+        for x in fvars:
             value = vm.get(x)
             if value is not None:
                 cls = type(value)
@@ -190,11 +198,19 @@ def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[s
                     brought.extend(term_names(value))
     if not brought:  # so nothing renamed either
         return names, (), ()
-    gone: Collection[str] = ()
-    if renamed:
-        bound = binders(p)
-        gone = [old for old in renamed if old not in bound and old not in brought]
+    gone = [old for old in renamed if old in unbound and old not in brought]
     return names, gone, {n for n in brought if n not in names}
+
+
+def _mention_record(p: Process) -> tuple[frozenset[str], frozenset[str],
+                                         frozenset[str], tuple[str, ...]]:
+    """What ``_mentioned`` reads of template ``p``, memoized on it: its
+    names, its free names, those of them no restriction in it binds, and
+    its free variables."""
+    free = free_names(p)
+    record = (all_names(p), free, free - binders(p), tuple(free_process_vars(p)))
+    object.__setattr__(p, "_memo_mention", record)
+    return record
 
 
 def _key_of(h: Head, env) -> tuple[str, object] | None:
@@ -376,9 +392,10 @@ class _Builder:
             return
         params = rh.core.params
         vm, nm = (_NO_VARS, _NO_NAMES) if env is None else env
-        bound = {x: v for x, v in zip(params, values) if x is not None}
-        names = [v.name for v in values if type(v) is NameT]
-        if names and not binders(rh.cont).isdisjoint(names):
+        bound = dict(zip(params, values))
+        bound.pop(None, None)  # a wildcard parameter binds nothing
+        inner = binders(rh.cont)
+        if inner and not inner.isdisjoint([v.name for v in values if type(v) is NameT]):
             # substituting would rename the binder the name meets: close
             # the continuation, whose parameters shadow their old bindings,
             # and substitute now
@@ -885,6 +902,16 @@ class LiveSoup:
     it consumes, folds or spawns, so its cost follows the participants and
     their channels rather than the whole soup.
 
+    ``fire`` unindexes the participants it consumes, then takes the
+    builder's hoisted names and new threads and indexes each in one loop
+    (``_take``).  Indexing a send or a receive enqueues it on its channel
+    and lists each COMM pair it forms with the other side's queue inline:
+    the arity test, the ``admin_only`` test, then a ``bisect`` insert into
+    ``keys`` and ``redexes``; unindexing it unlists the pairs the same way,
+    by the channel key recorded on the thread (``Thread.key``).  Arity
+    mismatches, broadcasts and matches go through their helpers
+    (``_mismatch``, ``_broad``, ``_list``/``_unlist``).
+
     The threads a soup spawns itself (``fire``, ``insert``) keep their
     environments (see ``Thread``): a continuation is spawned as the shared
     template it is in the process text, with the received values and the
@@ -917,7 +944,10 @@ class LiveSoup:
         # collected, as each of ``explore``'s, allocates none of it)
         self.mentions: Counter[str] | None = None
         self.builder: _Builder | None = None  # made by the first fire or insert
-        self._add(config.threads)
+        threads, index = self.threads, self._index
+        for t in config.threads:
+            threads[t.tid] = t
+            index(t)
 
     def config(self) -> Config:
         """The soup as a ``Config``, every thread closed."""
@@ -973,41 +1003,40 @@ class LiveSoup:
     def insert(self, proc: Process, depth: int = 0) -> None:
         """Drop an extra process into the soup (read-back probes)."""
         self.used |= free_names(proc)
-        builder = self._builder()
+        builder = self.builder or self._builder()
         builder.add(proc, depth)
-        self._add(self._spawned(builder))
+        self._take(builder)
 
     def fire(self, redex: Redex, index: int) -> Step:
-        builder = self._builder()
-        consumed, folded, step = _fire(redex, self.threads.__getitem__,
-                                       self.restricted, builder, index)
-        spawned = self._spawned(builder)
+        threads = self.threads
+        builder = self.builder or self._builder()
+        consumed, folded, step = _fire(redex, threads.__getitem__, self.restricted,
+                                       builder, index)
         # sender first: a broadcast leaves before its receivers, so their
         # removal does not recompute it
+        unindex = self._unindex
         for tid in redex.participants:
             if tid in consumed:
-                self._unindex(self.threads.pop(tid))
+                unindex(threads.pop(tid))
         for tid, residual in folded.items():
-            old = self.threads[tid]
+            old = threads[tid]
             if residual is not old.proc:  # outer bullets spent: the head changed
-                self._unindex(old)
-                new = replace(old, proc=residual)
-                self.threads[tid] = new
+                unindex(old)
+                new = threads[tid] = Thread(tid, residual, old.depth, old.env)
                 self._index(new)
-        self._add(spawned)
+        self._take(builder)
         return step
 
     def _builder(self) -> _Builder:
-        builder = self.builder
-        if builder is None:
-            # the names it hoists are gathered apart, for ``collect`` to see
-            builder = self.builder = _Builder(self.used, set(), self.next_tid,
-                                              self.floors, defer=True)
+        # the names it hoists are gathered apart, for ``collect`` to see
+        builder = self.builder = _Builder(self.used, set(), self.next_tid,
+                                          self.floors, defer=True)
         return builder
 
-    def _spawned(self, builder: _Builder) -> list[Thread]:
-        """Take the threads ``builder`` spawned and the names it hoisted,
-        leaving it empty; the names go in before the threads are indexed."""
+    def _take(self, builder: _Builder) -> None:
+        """Take the names ``builder`` hoisted, then index the threads it
+        spawned, leaving it empty.  The hoisted names are fresh, so no
+        thread indexed before mentions them."""
         self.next_tid = builder.next_tid
         hoisted = builder.restricted
         if hoisted:
@@ -1017,7 +1046,10 @@ class LiveSoup:
             hoisted.clear()
         spawned = builder.new_threads
         builder.new_threads = []
-        return spawned
+        threads, index = self.threads, self._index
+        for t in spawned:
+            threads[t.tid] = t
+            index(t)
 
     def admin_only_from_now(self) -> None:
         """Fire only administrative redexes from now on, as if built with
@@ -1072,11 +1104,6 @@ class LiveSoup:
 
     # ------------------------------------------------------------ index
 
-    def _add(self, threads: Iterable[Thread]) -> None:
-        for t in threads:
-            self.threads[t.tid] = t
-            self._index(t)
-
     def _index(self, t: Thread) -> None:
         tid, proc, env = t.tid, t.proc, t.env
         h = proc._memo_head or head_of(proc)
@@ -1089,24 +1116,69 @@ class LiveSoup:
         if cls is Match:
             self._list(_match_redex(tid, h, env))
             return
-        key = h.key if env is None else _key_of(h, env)
+        if env is None:
+            key = h.key
+        else:
+            key = t.key = _key_of(h, env)
         if key is None:
             return
+        # a COMM pair is listed here and in ``_unindex`` without a call per
+        # pair: arity, then ``admin_only``, then its place by participants
         if cls is Recv:
-            _enqueue(self.recvs, key, tid, h)
-            for stid, sh in self.sends.get(key, _NO_QUEUE).items():
-                self._comm(key, stid, sh, tid, h)
-            for btid in self.bcasts.get(key, _NO_QUEUE):
-                self._broad(key, btid)
+            queue = self.recvs.get(key)
+            if queue is None:
+                self.recvs[key] = {tid: h}
+            else:
+                queue[tid] = h
+            senders = self.sends.get(key)
+            if senders:
+                arity, bullets = len(core.params), h.bullets
+                keys, redexes = self.keys, self.redexes
+                for stid, sh in senders.items():
+                    if len(sh.core.args) != arity:
+                        self._mismatch(stid, tid)
+                        continue
+                    pair_bullets = sh.bullets + bullets
+                    if pair_bullets and self.admin_only:
+                        continue
+                    pair = (stid, tid)
+                    i = bisect_left(keys, pair)
+                    keys.insert(i, pair)
+                    redexes.insert(i, Redex("COMM", pair, key, None, pair_bullets))
+            broadcasters = self.bcasts.get(key)
+            if broadcasters:
+                for btid in broadcasters:
+                    self._broad(key, btid)
             return
         if key[0] not in self.restricted:
             self.out_barbs[_key_text(key)] += 1
         if cls is Send:
-            _enqueue(self.sends, key, tid, h)
-            for rtid, rh in self.recvs.get(key, _NO_QUEUE).items():
-                self._comm(key, tid, h, rtid, rh)
+            queue = self.sends.get(key)
+            if queue is None:
+                self.sends[key] = {tid: h}
+            else:
+                queue[tid] = h
+            receivers = self.recvs.get(key)
+            if receivers:
+                arity, bullets = len(core.args), h.bullets
+                keys, redexes = self.keys, self.redexes
+                for rtid, rh in receivers.items():
+                    if len(rh.core.params) != arity:
+                        self._mismatch(tid, rtid)
+                        continue
+                    pair_bullets = bullets + rh.bullets
+                    if pair_bullets and self.admin_only:
+                        continue
+                    pair = (tid, rtid)
+                    i = bisect_left(keys, pair)
+                    keys.insert(i, pair)
+                    redexes.insert(i, Redex("COMM", pair, key, None, pair_bullets))
         else:
-            _enqueue(self.bcasts, key, tid, h)
+            queue = self.bcasts.get(key)
+            if queue is None:
+                self.bcasts[key] = {tid: h}
+            else:
+                queue[tid] = h
             self._broad(key, tid)
 
     def _unindex(self, t: Thread) -> None:
@@ -1126,24 +1198,51 @@ class LiveSoup:
         if cls is Match:
             self._unlist((tid,))
             return
-        key = h.key if env is None else _key_of(h, env)
+        key = h.key if env is None else t.key
         if key is None:
             return
+        # a pair absent from ``keys`` was never listed: an arity mismatch,
+        # or kept out by ``admin_only``
         if cls is Recv:
-            _discard(self.recvs, key, tid)
-            for stid in self.sends.get(key, _NO_QUEUE):
-                self._unlist((stid, tid))
-            for btid in self.bcasts.get(key, _NO_QUEUE):
-                self._broad(key, btid)
+            queue = self.recvs[key]
+            del queue[tid]
+            if not queue:
+                del self.recvs[key]
+            senders = self.sends.get(key)
+            if senders:
+                keys = self.keys
+                for stid in senders:
+                    pair = (stid, tid)
+                    i = bisect_left(keys, pair)
+                    if i < len(keys) and keys[i] == pair:
+                        del keys[i]
+                        del self.redexes[i]
+            broadcasters = self.bcasts.get(key)
+            if broadcasters:
+                for btid in broadcasters:
+                    self._broad(key, btid)
             return
         if key[0] not in self.restricted:
             self.out_barbs[_key_text(key)] -= 1
         if cls is Send:
-            _discard(self.sends, key, tid)
-            for rtid in self.recvs.get(key, _NO_QUEUE):
-                self._unlist((tid, rtid))
+            queue = self.sends[key]
+            del queue[tid]
+            if not queue:
+                del self.sends[key]
+            receivers = self.recvs.get(key)
+            if receivers:
+                keys = self.keys
+                for rtid in receivers:
+                    pair = (tid, rtid)
+                    i = bisect_left(keys, pair)
+                    if i < len(keys) and keys[i] == pair:
+                        del keys[i]
+                        del self.redexes[i]
         else:
-            _discard(self.bcasts, key, tid)
+            queue = self.bcasts[key]
+            del queue[tid]
+            if not queue:
+                del self.bcasts[key]
             participants, mismatches = self.broads.pop(tid)
             self._unlist(participants)
             self.mismatches -= mismatches
@@ -1198,16 +1297,13 @@ class LiveSoup:
             self._unlist(old[0])
             self.mismatches -= old[1]
         redex, diagnostics = _broad_redex(key, tid, self.bcasts[key][tid],
-                                          self.recvs.get(key, _NO_QUEUE).items())
+                                          self.recvs.get(key, {}).items())
         self.broads[tid] = (redex.participants, len(diagnostics))
         self.mismatches += len(diagnostics)
         self._list(redex)
 
-    def _comm(self, key: tuple, tid: int, h: Head, rtid: int, rh: Head) -> None:
-        redex = _comm_redex(key, tid, h, rtid, rh)
-        if isinstance(redex, Redex):
-            self._list(redex)
-            return
+    def _mismatch(self, tid: int, rtid: int) -> None:
+        """Count the arity mismatch of send ``tid`` and receive ``rtid``."""
         self.mismatches += 1
         self.mismatched.setdefault(tid, set()).add(rtid)
         self.mismatched.setdefault(rtid, set()).add(tid)
@@ -1232,31 +1328,6 @@ def _administrative(redex: Redex) -> bool:
     return redex.bullets == 0 and redex.rule != "FAULT"
 
 
-# the queue of a channel with none pending; nothing adds to it
-_NO_QUEUE: dict[int, Head] = {}
-
-
-def _enqueue(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int, h: Head) -> None:
-    queue = queues.get(key)
-    if queue is None:
-        queues[key] = {tid: h}
-    else:
-        queue[tid] = h
-
-
-def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None:
-    queue = queues[key]
-    del queue[tid]
-    if not queue:
-        del queues[key]
-
-
-def _pick(redexes: list[Redex], policy: str, rng: random.Random | None) -> Redex:
-    if policy == "priority":
-        return redexes[0]  # sorted by participants: lowest thread ids first
-    return redexes[rng.randrange(len(redexes))]
-
-
 def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         budget: int = 1_000_000, stop_barb: str | None = None,
         admin_only: bool = False, permissive: bool = False,
@@ -1274,10 +1345,13 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
-    rng = random.Random(seed) if policy == "random" else None
+    # ``randrange(n)`` is ``_randbelow(n)`` for n >= 1; redexes are sorted
+    # by participants, so index 0 is the priority pick
+    draw = random.Random(seed)._randbelow if policy == "random" else None
     soup = LiveSoup(config, admin_only) if isinstance(config, Config) else config
     trace = Trace(soup=soup)
     steps = trace.steps
+    fire = soup.fire
     while True:
         if gc:
             soup.collect()
@@ -1295,7 +1369,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         if len(steps) >= budget:
             trace.status = "timeout"
             break
-        redex = _pick(redexes, policy, rng)
+        redex = redexes[0] if draw is None else redexes[draw(len(redexes))]
         if redex.rule == "FAULT":
             trace.faults.append(redex.reason or "fault")
             if not permissive:
@@ -1304,7 +1378,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
             soup.drop(redex.participants)
             continue
         try:
-            steps.append(soup.fire(redex, len(steps) + 1))
+            steps.append(fire(redex, len(steps) + 1))
         except CommitFault as fault:
             trace.faults.append(str(fault))
             if not permissive:

@@ -175,19 +175,31 @@ class Match:
 Process = Union[Nil, Par, Repl, New, Act, Bullet, Match]
 
 
-def _memo_on_instance(attr):
-    """Memoize a unary function of an immutable node on the node itself.
+_PROCESSES = (Nil, Par, Repl, New, Act, Bullet, Match)
 
-    Cheaper than an lru cache: no deep structural hashing on lookup.
+# what a node's memo attribute reads before the memo is made: the class
+# default of every attribute ``_memo_on_instance`` keeps (a memoized value
+# may be None, as ``ugrammar.diagnose``'s is)
+_UNSET = object()
+
+
+def _memo_on_instance(attr):
+    """Memoize a unary function of an immutable process node on the node itself.
+
+    Cheaper than an lru cache: no deep structural hashing on lookup.  The
+    process classes get ``attr`` as a class default, so a miss is a plain
+    attribute load that finds ``_UNSET``, not a raised ``AttributeError``.
     """
+    for cls in _PROCESSES:
+        setattr(cls, attr, _UNSET)
+
     def deco(fn):
         def wrapper(x):
-            try:
-                return object.__getattribute__(x, attr)
-            except AttributeError:
+            value = getattr(x, attr)
+            if value is _UNSET:
                 value = fn(x)
                 object.__setattr__(x, attr, value)
-                return value
+            return value
         wrapper.__name__ = fn.__name__
         wrapper.__doc__ = fn.__doc__
         return wrapper
@@ -197,28 +209,28 @@ def _memo_on_instance(attr):
 def _cached_hash(self):
     # engine sets and caches hash syntax trees heavily; the generated
     # dataclass hash walks the whole tree every call, so memoize per node
-    try:
-        return object.__getattribute__(self, "_hash_memo")
-    except AttributeError:
+    value = self._hash_memo
+    if value is None:
         fields = tuple(getattr(self, name) for name in self.__dataclass_fields__)
         value = hash((self.__class__.__name__, fields))
         object.__setattr__(self, "_hash_memo", value)
-        return value
+    return value
 
 
-for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast,
-             Nil, Par, Repl, New, Act, Bullet, Match):
+for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast, *_PROCESSES):
     _cls.__hash__ = _cached_hash
+    _cls._hash_memo = None
 
 # ``rewrite`` reads the symbols memo on every node it visits, and the engine
 # its memos on every thread; a class default keeps that a plain attribute
 # load, where a miss would raise or a ``__dict__`` lookup would make every
 # visited node allocate its instance dict
-for _cls in (Nil, Par, Repl, New, Act, Bullet, Match):
+for _cls in _PROCESSES:
     _cls._memo_symbols = None
     _cls._memo_binders = None
     _cls._memo_entry = None  # ``canonical_key``'s per-search thread entry
     _cls._memo_head = None  # the engine's ``head_of``
+    _cls._memo_mention = None  # the engine's ``--gc`` name record
 
 
 def par(*procs: Process) -> Process:

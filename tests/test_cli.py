@@ -301,11 +301,53 @@ def _random_json(rng, depth):
     return {k: _random_json(rng, depth - 1) for k in keys[:rng.randrange(len(keys) + 1)]}
 
 
+def _random_rows(rng):
+    """A list of dicts with one key tuple and scalar values, as ``simulate``'s
+    steps are, perhaps with one later item changed, and whether the row
+    template takes the list: it does when that item only has another key
+    order, and not when it has an extra key, lacks one, holds a nested
+    value or is no dict."""
+    keys = rng.sample(["idx", "kind", "channel", "a%sb", "é", "", "depth", 'q"'],
+                      rng.randrange(1, 6))
+    scalars = lambda: rng.choice([None, True, False, 0, -7, 2**70, 0.1, float("nan"),
+                                  float("-inf"), "h3.7", "important", "tab\tq\"",
+                                  "üñ%s", "😀"])
+    rows = [{k: scalars() for k in keys} for _ in range(rng.randrange(1, 6))]
+    change = rng.choice(["none", "none", "order", "extra", "missing", "nested",
+                         "not a dict"])
+    if change == "none" or len(rows) < 2:
+        return rows, True
+    i = rng.randrange(1, len(rows))
+    row = rows[i]
+    if change == "order":
+        order = list(row)
+        rng.shuffle(order)
+        rows[i] = {k: row[k] for k in order}
+        return rows, True
+    if change == "extra":
+        row["extra"] = scalars()
+    elif change == "missing":
+        del row[rng.choice(keys)]
+    elif change == "nested":
+        row[rng.choice(keys)] = rng.choice([[1], {"a": None}, (), []])
+    else:
+        rows[i] = list(row.items())
+    return rows, False
+
+
 def test_json_encoder_matches_the_standard_library_on_generated_data():
     rng = random.Random(61)
     for _ in range(2000):
         data = _random_json(rng, rng.randrange(5))
         assert cli.dumps(data) == json.dumps(data, sort_keys=True, indent=2), data
+    templated = 0
+    for _ in range(500):
+        rows, same_shape = _random_rows(rng)
+        for data in (rows, tuple(rows), {"steps": rows, "work": 3}):
+            assert cli.dumps(data) == json.dumps(data, sort_keys=True, indent=2), data
+        assert (cli._rows(rows, "\n") is not None) == same_shape, rows
+        templated += same_shape
+    assert templated > 200
     for bad in ({"a": object()}, [1, {2}], {(1, 2): 3}):
         with pytest.raises(TypeError):
             json.dumps(bad, sort_keys=True, indent=2)

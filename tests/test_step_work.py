@@ -121,7 +121,8 @@ def test_mentioned_names_match_the_full_set():
     # a renamed free name that is also bound inside, and a received name
     # equal to a free name of the continuation, must each count once
     text = ("c<a> | c<b> | !f(r). new a.( r<a> | a(u). new b. b<u> ) | f<p> | f<q> "
-            "| p(x). x<b>. o<x> | q(y). y<a>. 0 | !c(z). a<z>. b<z>")
+            "| p(x). x<b>. o<x> | q(y). y<a>. 0 | !c(z). a<z>. b<z> "
+            "| g<1> | g(v). new a.( a(u). new a. a<u> | a<v> )")
     config = normalize(parse_process(text))
     seen = 0
     for seed in range(6):

@@ -6,6 +6,7 @@ from butfpi.butf.parse import parse
 from butfpi.epi.engine import CommitFault, apply_redex, enabled_redexes, normalize
 from butfpi.epi.parse import parse_process
 from butfpi.epi.syntax import Nil
+from butfpi import ugrammar
 from butfpi.translate import TranslationOptions, translate
 from butfpi.ugrammar import config_well_behaved, diagnose, name_class, well_behaved
 from generators import random_closed_program
@@ -30,6 +31,21 @@ def test_output_channel_as_value_rejected():
     assert not well_behaved(parse_process("o<o>"))
     assert well_behaved(parse_process("o<5>"))
     assert well_behaved(parse_process("o<h>"))
+
+
+def test_diagnose_memoizes_none(monkeypatch):
+    # None is a memoized answer, not a miss: asking again walks nothing
+    walks = []
+    check = ugrammar._check
+    monkeypatch.setattr(ugrammar, "_check", lambda *a: walks.append(a) or check(*a))
+    p = parse_process("new o. (o<5> | o(x). 0)")
+    assert diagnose(p) is None
+    first = len(walks)
+    assert first > 0
+    assert diagnose(p) is None and well_behaved(p)
+    assert len(walks) == first
+    bad = parse_process("zzz<1>")
+    assert diagnose(bad) is not None and diagnose(bad) == diagnose(bad)
 
 
 def test_shape_violations_have_diagnostics():
