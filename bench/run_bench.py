@@ -1,12 +1,12 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 5 --warm 5 --out BENCH_16.json
+        --repeat 5 --out BENCH_16.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory, translates and normalizes the program, then times one
-cold call with ``perf_counter`` followed by ``--warm`` more calls of the
-same kind: ``run`` for a ``run`` program (``gc`` as the row says),
+cold call with ``perf_counter`` followed by ``WARM`` (5) more calls of
+the same kind: ``run`` for a ``run`` program (``gc`` as the row says),
 ``check_program`` for a ``check`` program (its seeded runs and every
 read-back probe).  The cold call pays each template's first walks; the
 warm calls show the cost per step alone, and their spread is far smaller
@@ -110,15 +110,19 @@ fixed = ("steps", "threads", "rewrites", "digest")
 assert all(w[k] == cold[k] for w in warm_calls for k in fixed), "a warm call differs"
 print(json.dumps({
     **cold, "warm_seconds": [w["seconds"] for w in warm_calls],
-    "report_warm_s": min((w["report_s"] for w in warm_calls), default=None),
+    "report_warm_s": min(w["report_s"] for w in warm_calls),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
 
 
-def run_once(src: Path, name: str, warm: int) -> dict:
+# the warm calls each interpreter makes after its cold one
+WARM = 5
+
+
+def run_once(src: Path, name: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps([*PROGRAMS[name], warm])],
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps([*PROGRAMS[name], WARM])],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -128,7 +132,6 @@ def main() -> None:
     ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
                     help="a label and the src directory to import butfpi from")
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--warm", type=int, default=5, help="warm calls after each cold one")
     ap.add_argument("--program", action="append", choices=list(PROGRAMS))
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
@@ -140,7 +143,7 @@ def main() -> None:
     for name in names:
         for _ in range(args.repeat):
             for label, src in trees:
-                result = run_once(src, name, args.warm)
+                result = run_once(src, name)
                 runs.setdefault((label, name), []).append(result)
                 print(label, name, json.dumps(result), file=sys.stderr)
 
@@ -159,14 +162,13 @@ def main() -> None:
             "rewrites_per_step": round(first["rewrites"] / first["steps"], 3),
             "us_per_step_median": round(statistics.median(us), 1),
             "us_per_step": us,
-            "warm_us_per_step_min": round(min(warm), 1) if warm else None,
-            "warm_us_per_step_median": round(statistics.median(warm), 1) if warm else None,
+            "warm_us_per_step_min": round(min(warm), 1),
+            "warm_us_per_step_median": round(statistics.median(warm), 1),
             "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
             "close_s": (None if first["close_s"] is None else
                         round(statistics.median(r["close_s"] for r in results), 5)),
             "report_s": round(statistics.median(r["report_s"] for r in results), 5),
-            "report_warm_s": (None if not args.warm else
-                              round(min(r["report_warm_s"] for r in results), 5)),
+            "report_warm_s": round(min(r["report_warm_s"] for r in results), 5),
             "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
         })
     digests = {}
@@ -178,7 +180,7 @@ def main() -> None:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "repeat": args.repeat,
-        "warm": args.warm,
+        "warm": WARM,
         "outputs_differ": differ,
         "rows": rows,
     }

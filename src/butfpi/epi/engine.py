@@ -29,19 +29,19 @@ soup spawns is the continuation's subtree of the process text itself, a
 template shared by every thread spawned from it, plus an environment of
 the values its receives bound and the fresh names its restrictions were
 hoisted as (the explicit substitutions of Abadi, Cardelli, Curien and
-Lévy, as Pict's machine runs processes).  The index reads channels, sent values and match
-operands through the environment, and a thread is closed, by one
-``rewrite``, only where a ``Config`` is built from the soup.  A spawn
-whose received value or fresh name equals a binder inside the template,
-where substituting would first rename that binder, is closed at once, so
-every name chosen is the one eager substitution chooses (see ``Thread``
-and ``_Builder``).  ``explore`` builds a soup for each state it expands
-and fires each redex with ``apply_redex`` on the state's ``Config``,
-which spawns closed threads; both drivers fire through the same
-``_fire``.  A ``run``'s trace holds the soup it stepped, which
-``LiveSoup.config`` closes into a ``Config`` where one is wanted.
-Read-back probes that soup: each probe is ``LiveSoup.insert``-ed and
-``run`` steps the soup in place.
+Lévy, as Pict's machine runs processes).  The index reads channels, sent
+values and match operands through the environment, and a thread is
+closed, by one ``rewrite``, only where a ``Config`` is built from the
+soup.  A spawn whose received value or fresh name equals a binder inside
+the template, where substituting would first rename that binder, is
+closed at once, so every name chosen is the one eager substitution
+chooses (see ``Thread`` and ``_Builder``).  ``explore`` builds a soup for
+each state it expands and fires each redex with ``apply_redex`` on the
+state's ``Config``, which spawns closed threads; both drivers fire
+through the same ``_fire``.  A ``run``'s trace holds the soup it
+stepped, which ``LiveSoup.config`` closes into a ``Config`` where one is
+wanted.  Read-back probes that soup: each probe is ``LiveSoup.insert``-ed
+and ``run`` steps the soup in place.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
@@ -123,8 +123,7 @@ class EngineError(Exception):
     """A process shape the engine does not execute (unguarded replication, ...)."""
 
 
-# Thread, Head, Redex and Step are records that nothing mutates once built,
-# but for the channel key a ``LiveSoup`` records on a thread it indexes.
+# Thread, Head, Redex and Step are records that nothing mutates once built.
 # Slotted and unfrozen, they build in a third or less of a frozen
 # dataclass's time (``explore`` builds them for every successor);
 # ``unsafe_hash`` keeps them hashable by value.
@@ -146,19 +145,12 @@ class Thread:
     dict is one object shared by every thread spawned under the same
     restrictions, and the bindings dict is shared likewise; nothing
     mutates either once a thread holds it.
-
-    ``key`` is the channel key a ``LiveSoup`` indexed a thread with an
-    environment under, recorded there so that unindexing it reads no
-    channel again; it is a function of ``proc`` and ``env``, so no soup
-    records another.  It is None on a closed thread, whose key is its
-    head's.
     """
 
     tid: int
     proc: Process
     depth: int
     env: tuple[dict[str, Term], dict[str, str]] | None = field(default=None, hash=False)
-    key: tuple[str, object] | None = field(default=None, compare=False, hash=False)
 
 
 def _closed(t: Thread) -> Thread:
@@ -905,12 +897,11 @@ class LiveSoup:
     ``fire`` unindexes the participants it consumes, then takes the
     builder's hoisted names and new threads and indexes each in one loop
     (``_take``).  Indexing a send or a receive enqueues it on its channel
-    and lists each COMM pair it forms with the other side's queue inline:
-    the arity test, the ``admin_only`` test, then a ``bisect`` insert into
-    ``keys`` and ``redexes``; unindexing it unlists the pairs the same way,
-    by the channel key recorded on the thread (``Thread.key``).  Arity
-    mismatches, broadcasts and matches go through their helpers
-    (``_mismatch``, ``_broad``, ``_list``/``_unlist``).
+    and lists each COMM pair it forms with the other side's queue inline,
+    with no call per pair: the arity test, the ``admin_only`` test, then a
+    ``bisect`` insert into ``keys`` and ``redexes``; unindexing it unlists
+    the pairs the same way.  Arity mismatches, broadcasts and matches go
+    through their helpers (``_mismatch``, ``_broad``, ``_list``/``_unlist``).
 
     The threads a soup spawns itself (``fire``, ``insert``) keep their
     environments (see ``Thread``): a continuation is spawned as the shared
@@ -1116,20 +1107,13 @@ class LiveSoup:
         if cls is Match:
             self._list(_match_redex(tid, h, env))
             return
-        if env is None:
-            key = h.key
-        else:
-            key = t.key = _key_of(h, env)
+        key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
         # a COMM pair is listed here and in ``_unindex`` without a call per
         # pair: arity, then ``admin_only``, then its place by participants
         if cls is Recv:
-            queue = self.recvs.get(key)
-            if queue is None:
-                self.recvs[key] = {tid: h}
-            else:
-                queue[tid] = h
+            _enqueue(self.recvs, key, tid, h)
             senders = self.sends.get(key)
             if senders:
                 arity, bullets = len(core.params), h.bullets
@@ -1145,19 +1129,13 @@ class LiveSoup:
                     i = bisect_left(keys, pair)
                     keys.insert(i, pair)
                     redexes.insert(i, Redex("COMM", pair, key, None, pair_bullets))
-            broadcasters = self.bcasts.get(key)
-            if broadcasters:
-                for btid in broadcasters:
-                    self._broad(key, btid)
+            for btid in self.bcasts.get(key, _NO_QUEUE):
+                self._broad(key, btid)
             return
         if key[0] not in self.restricted:
             self.out_barbs[_key_text(key)] += 1
         if cls is Send:
-            queue = self.sends.get(key)
-            if queue is None:
-                self.sends[key] = {tid: h}
-            else:
-                queue[tid] = h
+            _enqueue(self.sends, key, tid, h)
             receivers = self.recvs.get(key)
             if receivers:
                 arity, bullets = len(core.args), h.bullets
@@ -1174,11 +1152,7 @@ class LiveSoup:
                     keys.insert(i, pair)
                     redexes.insert(i, Redex("COMM", pair, key, None, pair_bullets))
         else:
-            queue = self.bcasts.get(key)
-            if queue is None:
-                self.bcasts[key] = {tid: h}
-            else:
-                queue[tid] = h
+            _enqueue(self.bcasts, key, tid, h)
             self._broad(key, tid)
 
     def _unindex(self, t: Thread) -> None:
@@ -1198,16 +1172,13 @@ class LiveSoup:
         if cls is Match:
             self._unlist((tid,))
             return
-        key = h.key if env is None else t.key
+        key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
         # a pair absent from ``keys`` was never listed: an arity mismatch,
         # or kept out by ``admin_only``
         if cls is Recv:
-            queue = self.recvs[key]
-            del queue[tid]
-            if not queue:
-                del self.recvs[key]
+            _discard(self.recvs, key, tid)
             senders = self.sends.get(key)
             if senders:
                 keys = self.keys
@@ -1217,18 +1188,13 @@ class LiveSoup:
                     if i < len(keys) and keys[i] == pair:
                         del keys[i]
                         del self.redexes[i]
-            broadcasters = self.bcasts.get(key)
-            if broadcasters:
-                for btid in broadcasters:
-                    self._broad(key, btid)
+            for btid in self.bcasts.get(key, _NO_QUEUE):
+                self._broad(key, btid)
             return
         if key[0] not in self.restricted:
             self.out_barbs[_key_text(key)] -= 1
         if cls is Send:
-            queue = self.sends[key]
-            del queue[tid]
-            if not queue:
-                del self.sends[key]
+            _discard(self.sends, key, tid)
             receivers = self.recvs.get(key)
             if receivers:
                 keys = self.keys
@@ -1239,10 +1205,7 @@ class LiveSoup:
                         del keys[i]
                         del self.redexes[i]
         else:
-            queue = self.bcasts[key]
-            del queue[tid]
-            if not queue:
-                del self.bcasts[key]
+            _discard(self.bcasts, key, tid)
             participants, mismatches = self.broads.pop(tid)
             self._unlist(participants)
             self.mismatches -= mismatches
@@ -1297,7 +1260,7 @@ class LiveSoup:
             self._unlist(old[0])
             self.mismatches -= old[1]
         redex, diagnostics = _broad_redex(key, tid, self.bcasts[key][tid],
-                                          self.recvs.get(key, {}).items())
+                                          self.recvs.get(key, _NO_QUEUE).items())
         self.broads[tid] = (redex.participants, len(diagnostics))
         self.mismatches += len(diagnostics)
         self._list(redex)
@@ -1328,6 +1291,25 @@ def _administrative(redex: Redex) -> bool:
     return redex.bullets == 0 and redex.rule != "FAULT"
 
 
+# the queue of a channel with none pending; nothing adds to it
+_NO_QUEUE: dict[int, Head] = {}
+
+
+def _enqueue(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int, h: Head) -> None:
+    queue = queues.get(key)
+    if queue is None:
+        queues[key] = {tid: h}
+    else:
+        queue[tid] = h
+
+
+def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None:
+    queue = queues[key]
+    del queue[tid]
+    if not queue:
+        del queues[key]
+
+
 def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         budget: int = 1_000_000, stop_barb: str | None = None,
         admin_only: bool = False, permissive: bool = False,
@@ -1345,9 +1327,9 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
-    # ``randrange(n)`` is ``_randbelow(n)`` for n >= 1; redexes are sorted
-    # by participants, so index 0 is the priority pick
-    draw = random.Random(seed)._randbelow if policy == "random" else None
+    # redexes are sorted by participants, so index 0 is the priority pick;
+    # ``choice(redexes)`` draws ``redexes[randrange(len(redexes))]``
+    choose = random.Random(seed).choice if policy == "random" else None
     soup = LiveSoup(config, admin_only) if isinstance(config, Config) else config
     trace = Trace(soup=soup)
     steps = trace.steps
@@ -1369,7 +1351,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         if len(steps) >= budget:
             trace.status = "timeout"
             break
-        redex = redexes[0] if draw is None else redexes[draw(len(redexes))]
+        redex = redexes[0] if choose is None else choose(redexes)
         if redex.rule == "FAULT":
             trace.faults.append(redex.reason or "fault")
             if not permissive:
