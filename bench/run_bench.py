@@ -1,26 +1,30 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 5 --out BENCH_16.json
+        --repeat 7 --out BENCH_17.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
-``src`` directory, translates and normalizes the program, then times one
-cold call with ``perf_counter`` followed by ``WARM`` (5) more calls of
-the same kind: ``run`` for a ``run`` program (``gc`` as the row says),
-``check_program`` for a ``check`` program (its seeded runs and every
-read-back probe).  The cold call pays each template's first walks; the
-warm calls show the cost per step alone, and their spread is far smaller
-than the cold calls' on a shared host.  Closing a ``run``'s final soup
-into a ``Config`` (``trace.soup.config()``, one ``rewrite`` per thread
-the soup holds open) is timed apart as ``close_s``, and so is the report:
-``report_s`` is ``to_dict()`` of the trace (or of the ``check`` report)
-plus ``cli.dumps`` of it, the JSON that ``simulate`` (or ``check``)
-prints, after the cold call, and ``report_warm_s`` is its least over
-one report per warm call.  A row gives the steps fired
-(``LiveSoup.fire`` calls), the threads left at the end of a ``run`` (null
-for a ``check``, which runs many soups), the microseconds per step of
-each run's cold call and their median, the least and the median over
-every warm call (``warm_us_per_step_min`` and ``_median``), the median
+``src`` directory.  It translates and normalizes the program, timed as
+``normalize_s`` (a cold pass: it makes the first walks of the template
+nodes, which the cold call would otherwise pay; a ``check`` program's
+call translates and normalizes again, on nodes of its own).  It then
+times one cold call with ``perf_counter`` followed by ``WARM`` (5) more
+calls of the same kind: ``run`` for a ``run`` program (``gc`` as the row
+says), ``check_program`` for a ``check`` program (its seeded runs and
+every read-back probe).  The cold call pays each template's first walks
+that normalizing did not make; the warm calls show the cost per step
+alone, and their spread is far smaller than the cold calls' on a shared
+host.  Closing a ``run``'s final soup into a ``Config``
+(``trace.soup.config()``, one ``rewrite`` per thread the soup holds
+open) is timed apart as ``close_s``, and so is the report: ``report_s``
+is ``to_dict()`` of the trace (or of the ``check`` report) plus
+``cli.dumps`` of it, the JSON that ``simulate`` (or ``check``) prints,
+after the cold call, and ``report_warm_s`` is its least over one report
+per warm call.  A row gives the steps fired (``LiveSoup.fire`` calls),
+the threads left at the end of a ``run`` (null for a ``check``, which
+runs many soups), the microseconds per step of each run's cold call and
+their median, the least and the median over every warm call
+(``warm_us_per_step_min`` and ``_median``), the median ``normalize_s``,
 ``close_s`` and ``report_s``, the ``rewrite`` calls the engine made per
 step (closing included), the peak RSS of the run (``ru_maxrss``) and a
 digest of what the call returned (the ``simulate`` JSON of a ``run``, the
@@ -78,8 +82,9 @@ def counting_rewrite(*args, **kw):
     return rewrite(*args, **kw)
 
 engine.LiveSoup.fire = counting_fire
-if how == "run":
-    config = engine.normalize(translate(e, "o"))
+started = time.perf_counter()
+config = engine.normalize(translate(e, "o"))
+normalize_s = time.perf_counter() - started
 engine.rewrite = counting_rewrite
 
 def call():
@@ -109,7 +114,7 @@ warm_calls = [call() for _ in range(warm)]
 fixed = ("steps", "threads", "rewrites", "digest")
 assert all(w[k] == cold[k] for w in warm_calls for k in fixed), "a warm call differs"
 print(json.dumps({
-    **cold, "warm_seconds": [w["seconds"] for w in warm_calls],
+    **cold, "normalize_s": normalize_s, "warm_seconds": [w["seconds"] for w in warm_calls],
     "report_warm_s": min(w["report_s"] for w in warm_calls),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
@@ -165,6 +170,7 @@ def main() -> None:
             "warm_us_per_step_min": round(min(warm), 1),
             "warm_us_per_step_median": round(statistics.median(warm), 1),
             "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
+            "normalize_s": round(statistics.median(r["normalize_s"] for r in results), 5),
             "close_s": (None if first["close_s"] is None else
                         round(statistics.median(r["close_s"] for r in results), 5)),
             "report_s": round(statistics.median(r["report_s"] for r in results), 5),

@@ -86,7 +86,6 @@ from dataclasses import dataclass, field, replace
 from butfpi.epi.pretty import render_chan
 from butfpi.epi.syntax import (
     Act,
-    _memo_on_instance,
     Bcast,
     Bullet,
     Chan,
@@ -104,6 +103,7 @@ from butfpi.epi.syntax import (
     Term,
     TermError,
     VarT,
+    _facts,
     _fresh_variant,
     _sub_term,
     all_names,
@@ -111,7 +111,6 @@ from butfpi.epi.syntax import (
     compare,
     eval_term,
     free_names,
-    free_process_vars,
     rewrite,
     symbols,
     term_names,
@@ -162,15 +161,15 @@ def _closed(t: Thread) -> Thread:
 
 def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[str]]:
     """``all_names`` of ``t`` closed, read from its template and environment,
-    as the template's memoized ``all_names``, the names of it that closing
-    takes out, and the names closing brings in that it lacks.
+    as the template's ``all_names``, the names of it that closing takes
+    out, and the names closing brings in that it lacks.
 
     Closing renames no binder, so the binders stay; a free name is renamed
     if the renames map it, and a free variable gives the names of the value
     bound to it.
     """
     p = t.proc
-    names, free, unbound, fvars = p._memo_mention or _mention_record(p)
+    free, names, fvars, bound = p._memo_facts or _facts(p)
     if t.env is None:
         return names, (), ()
     vm, nm = t.env
@@ -190,19 +189,8 @@ def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[s
                     brought.extend(term_names(value))
     if not brought:  # so nothing renamed either
         return names, (), ()
-    gone = [old for old in renamed if old in unbound and old not in brought]
+    gone = [old for old in renamed if old not in bound and old not in brought]
     return names, gone, {n for n in brought if n not in names}
-
-
-def _mention_record(p: Process) -> tuple[frozenset[str], frozenset[str],
-                                         frozenset[str], tuple[str, ...]]:
-    """What ``_mentioned`` reads of template ``p``, memoized on it: its
-    names, its free names, those of them no restriction in it binds, and
-    its free variables."""
-    free = free_names(p)
-    record = (all_names(p), free, free - binders(p), tuple(free_process_vars(p)))
-    object.__setattr__(p, "_memo_mention", record)
-    return record
 
 
 def _key_of(h: Head, env) -> tuple[str, object] | None:
@@ -1373,7 +1361,6 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
 
 # --------------------------------------------------------------- explore
 
-@_memo_on_instance("_memo_template")
 def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
     """Encode a thread as a skeleton with free-name occurrences abstracted out.
 
@@ -1383,10 +1370,14 @@ def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
     returned occurrence list restores them.  Cached on the process node:
     threads survive across many states during exploration.
     """
-    occs: list[str] = []
-    # rendered as a string, which caches its hash: a table lookup of the
-    # skeleton then costs no walk of it
-    return repr(_enc_process(proc, {}, 0, occs)), tuple(occs)
+    template = proc._memo_template
+    if template is None:
+        occs: list[str] = []
+        # rendered as a string, which caches its hash: a table lookup of
+        # the skeleton then costs no walk of it
+        template = repr(_enc_process(proc, {}, 0, occs)), tuple(occs)
+        object.__setattr__(proc, "_memo_template", template)
+    return template
 
 
 # ``_thread_template``'s encoders are module functions, not closures: a

@@ -177,34 +177,6 @@ Process = Union[Nil, Par, Repl, New, Act, Bullet, Match]
 
 _PROCESSES = (Nil, Par, Repl, New, Act, Bullet, Match)
 
-# what a node's memo attribute reads before the memo is made: the class
-# default of every attribute ``_memo_on_instance`` keeps (a memoized value
-# may be None, as ``ugrammar.diagnose``'s is)
-_UNSET = object()
-
-
-def _memo_on_instance(attr):
-    """Memoize a unary function of an immutable process node on the node itself.
-
-    Cheaper than an lru cache: no deep structural hashing on lookup.  The
-    process classes get ``attr`` as a class default, so a miss is a plain
-    attribute load that finds ``_UNSET``, not a raised ``AttributeError``.
-    """
-    for cls in _PROCESSES:
-        setattr(cls, attr, _UNSET)
-
-    def deco(fn):
-        def wrapper(x):
-            value = getattr(x, attr)
-            if value is _UNSET:
-                value = fn(x)
-                object.__setattr__(x, attr, value)
-            return value
-        wrapper.__name__ = fn.__name__
-        wrapper.__doc__ = fn.__doc__
-        return wrapper
-    return deco
-
 
 def _cached_hash(self):
     # engine sets and caches hash syntax trees heavily; the generated
@@ -226,11 +198,12 @@ for _cls in (NumT, NameT, VarT, OpT, Chan, Send, Recv, Bcast, *_PROCESSES):
 # load, where a miss would raise or a ``__dict__`` lookup would make every
 # visited node allocate its instance dict
 for _cls in _PROCESSES:
+    _cls._memo_facts = None
     _cls._memo_symbols = None
-    _cls._memo_binders = None
     _cls._memo_entry = None  # ``canonical_key``'s per-search thread entry
     _cls._memo_head = None  # the engine's ``head_of``
-    _cls._memo_mention = None  # the engine's ``--gc`` name record
+    _cls._memo_template = None  # the engine's ``_thread_template``
+    _cls._memo_diagnose = None  # ``ugrammar.diagnose``
 
 
 def par(*procs: Process) -> Process:
@@ -272,106 +245,158 @@ def term_vars(t: Term) -> frozenset[str]:
             return frozenset()
 
 
-def chan_names(c: Chan) -> frozenset[str]:
-    out = term_names(c.base)
-    if isinstance(c.suffix, NameT):
-        out |= frozenset((c.suffix.name,))
-    return out
-
-
-def chan_vars(c: Chan) -> frozenset[str]:
-    out = term_vars(c.base)
-    if isinstance(c.suffix, VarT):
-        out |= frozenset((c.suffix.name,))
-    return out
-
-
-def _action_names(a: Action) -> frozenset[str]:
-    out = chan_names(a.chan)
-    if isinstance(a, (Send, Bcast)):
-        for t in a.args:
-            out |= term_names(t)
-    return out
-
-
-@_memo_on_instance("_memo_free_names")
-def free_names(p: Process) -> frozenset[str]:
-    """Names not bound by any enclosing restriction."""
-    match p:
-        case Nil():
-            return frozenset()
-        case Par(left, right):
-            return free_names(left) | free_names(right)
-        case Repl(body) | Bullet(body):
-            return free_names(body)
-        case New(name, body):
-            return free_names(body) - {name}
-        case Act(action, cont):
-            return _action_names(action) | free_names(cont)
-        case Match(left, _, right, then, orelse):
-            return (term_names(left) | term_names(right)
-                    | free_names(then) | free_names(orelse))
-    raise TypeError(f"not a process: {p!r}")
-
-
-@_memo_on_instance("_memo_all_names")
-def all_names(p: Process) -> frozenset[str]:
-    """Every name occurring anywhere, including binders."""
-    match p:
-        case Nil():
-            return frozenset()
-        case Par(left, right):
-            return all_names(left) | all_names(right)
-        case Repl(body) | Bullet(body):
-            return all_names(body)
-        case New(name, body):
-            return all_names(body) | {name}
-        case Act(action, cont):
-            return _action_names(action) | all_names(cont)
-        case Match(left, _, right, then, orelse):
-            return (term_names(left) | term_names(right)
-                    | all_names(then) | all_names(orelse))
-    raise TypeError(f"not a process: {p!r}")
-
-
-@_memo_on_instance("_memo_fpv")
-def free_process_vars(p: Process) -> frozenset[str]:
-    match p:
-        case Nil():
-            return frozenset()
-        case Par(left, right):
-            return free_process_vars(left) | free_process_vars(right)
-        case Repl(body) | Bullet(body):
-            return free_process_vars(body)
-        case New(_, body):
-            return free_process_vars(body)
-        case Act(action, cont):
-            out = chan_vars(action.chan)
-            if isinstance(action, (Send, Bcast)):
-                for t in action.args:
-                    out |= term_vars(t)
-                return out | free_process_vars(cont)
-            bound = {x for x in action.params if x is not None}
-            return out | (free_process_vars(cont) - bound)
-        case Match(left, _, right, then, orelse):
-            return (term_vars(left) | term_vars(right)
-                    | free_process_vars(then) | free_process_vars(orelse))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _action_symbols(a: Action) -> frozenset[str]:
-    out = _action_names(a) | chan_vars(a.chan)
-    if isinstance(a, Recv):
-        return out | {x for x in a.params if x is not None}
-    for t in a.args:
-        out |= term_vars(t)
-    return out
+def _identifiers(terms, suffix=None) -> tuple[list[str], list[str]]:
+    """The names and the variables occurring in ``terms`` and in a channel
+    ``suffix``, which holds one only when it is a name or a variable."""
+    names: list[str] = []
+    variables: list[str] = []
+    if type(suffix) is NameT:
+        names.append(suffix.name)
+    elif type(suffix) is VarT:
+        variables.append(suffix.name)
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is NameT:
+            names.append(t.name)
+        elif cls is VarT:
+            variables.append(t.name)
+        elif cls is OpT:
+            stack += (t.left, t.right)
+    return names, variables
 
 
 def _joined(base: frozenset[str], extra) -> frozenset[str]:
     # reuse ``base`` when it already holds ``extra``: most nodes add nothing
     # their continuation lacks, so chains share one set
     return base if base.issuperset(extra) else base.union(extra)
+
+
+_NOTHING: frozenset[str] = frozenset()
+_NO_FACTS = (_NOTHING, _NOTHING, _NOTHING, _NOTHING)
+
+
+def _facts(p: Process) -> tuple[frozenset[str], frozenset[str],
+                                frozenset[str], frozenset[str]]:
+    """``p``'s facts record: its free names, all its names, its free
+    variables and its binders.
+
+    One post-order pass over an explicit stack records the facts of ``p``
+    and of every node under it that lacks them, so no depth of nesting
+    exhausts the interpreter's stack; a subtree that has its record is not
+    entered.  The pass also sets the memo of ``symbols`` where that is
+    unset, so every node with a record has one; ``symbols`` relies on it.
+    """
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        if node._memo_facts is not None:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Par or cls is Match:
+            kids = (node.left, node.right) if cls is Par else (node.then, node.orelse)
+            waiting = [k for k in kids if k._memo_facts is None]
+            if waiting:
+                stack += waiting
+                continue
+        elif cls is not Nil:
+            kid = node.cont if cls is Act else node.body
+            if kid._memo_facts is None:
+                stack.append(kid)
+                continue
+        stack.pop()
+        facts, syms = _FACT_RULES[cls](node)
+        object.__setattr__(node, "_memo_facts", facts)
+        if node._memo_symbols is None:
+            object.__setattr__(node, "_memo_symbols", syms)
+    return p._memo_facts
+
+
+# each rule builds a node's facts record and symbols from its children's
+
+def _act_facts(p: Act):
+    cont = p.cont
+    free, names, fvars, bound = cont._memo_facts
+    action = p.action
+    chan = action.chan
+    if type(action) is Recv:
+        own_names, own_vars = _identifiers((chan.base,), chan.suffix)
+        params = [x for x in action.params if x is not None]
+        if not fvars.isdisjoint(params):
+            fvars = fvars.difference(params)
+        syms = _joined(cont._memo_symbols, own_names + own_vars + params)
+    else:
+        own_names, own_vars = _identifiers((chan.base, *action.args), chan.suffix)
+        syms = _joined(cont._memo_symbols, own_names + own_vars)
+    return ((_joined(free, own_names), _joined(names, own_names),
+             _joined(fvars, own_vars), bound), syms)
+
+
+def _par_facts(p: Par):
+    left, right = p.left, p.right
+    return (tuple(map(_joined, right._memo_facts, left._memo_facts)),
+            _joined(right._memo_symbols, left._memo_symbols))
+
+
+def _new_facts(p: New):
+    body = p.body
+    free, names, fvars, bound = body._memo_facts
+    name = (p.name,)
+    if p.name in free:
+        free = free.difference(name)
+    return ((free, _joined(names, name), fvars, _joined(bound, name)),
+            _joined(body._memo_symbols, name))
+
+
+def _body_facts(p: Repl | Bullet):
+    body = p.body
+    return body._memo_facts, body._memo_symbols
+
+
+def _match_facts(p: Match):
+    then, orelse = p.then, p.orelse
+    own_names, own_vars = _identifiers((p.left, p.right))
+    free, names, fvars, bound = map(_joined, orelse._memo_facts, then._memo_facts)
+    return ((_joined(free, own_names), _joined(names, own_names),
+             _joined(fvars, own_vars), bound),
+            _joined(_joined(orelse._memo_symbols, then._memo_symbols),
+                    own_names + own_vars))
+
+
+def _nil_facts(p: Nil):
+    return _NO_FACTS, _NOTHING
+
+
+_FACT_RULES = {Act: _act_facts, Par: _par_facts, New: _new_facts,
+               Repl: _body_facts, Bullet: _body_facts, Match: _match_facts,
+               Nil: _nil_facts}
+
+
+def free_names(p: Process) -> frozenset[str]:
+    """Names not bound by any enclosing restriction."""
+    return (p._memo_facts or _facts(p))[0]
+
+
+def all_names(p: Process) -> frozenset[str]:
+    """Every name occurring anywhere, including binders."""
+    return (p._memo_facts or _facts(p))[1]
+
+
+def free_process_vars(p: Process) -> frozenset[str]:
+    """Variables no enclosing receive pattern binds."""
+    return (p._memo_facts or _facts(p))[2]
+
+
+def binders(p: Process) -> frozenset[str]:
+    """The names the restrictions anywhere in ``p`` bind.
+
+    ``rewrite`` renames such a binder when a map brings its name in; the
+    engine tests this set to know when a substitution or rename it defers
+    would not.
+    """
+    return (p._memo_facts or _facts(p))[3]
 
 
 def symbols(p: Process) -> frozenset[str]:
@@ -385,58 +410,9 @@ def symbols(p: Process) -> frozenset[str]:
     """
     known = p._memo_symbols
     if known is None:
-        known = _compute_symbols(p)
-        object.__setattr__(p, "_memo_symbols", known)
+        _facts(p)
+        known = p._memo_symbols
     return known
-
-
-def _compute_symbols(p: Process) -> frozenset[str]:
-    match p:
-        case Nil():
-            return frozenset()
-        case Par(left, right):
-            return _joined(symbols(left), symbols(right))
-        case Repl(body) | Bullet(body):
-            return symbols(body)
-        case New(name, body):
-            return _joined(symbols(body), (name,))
-        case Act(action, cont):
-            return _joined(symbols(cont), _action_symbols(action))
-        case Match(left, _, right, then, orelse):
-            own = term_names(left) | term_vars(left) | term_names(right) | term_vars(right)
-            return _joined(_joined(symbols(then), symbols(orelse)), own)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def binders(p: Process) -> frozenset[str]:
-    """The names the restrictions anywhere in ``p`` bind.
-
-    ``rewrite`` renames such a binder when a map brings its name in; the
-    engine tests this set to know when a substitution or rename it defers
-    would not.
-    """
-    known = p._memo_binders
-    if known is None:
-        known = _compute_binders(p)
-        object.__setattr__(p, "_memo_binders", known)
-    return known
-
-
-def _compute_binders(p: Process) -> frozenset[str]:
-    match p:
-        case Nil():
-            return frozenset()
-        case Par(left, right):
-            return _joined(binders(left), binders(right))
-        case Repl(body) | Bullet(body):
-            return binders(body)
-        case New(name, body):
-            return _joined(binders(body), (name,))
-        case Act(_, cont):
-            return binders(cont)
-        case Match(then=then, orelse=orelse):
-            return _joined(binders(then), binders(orelse))
-    raise TypeError(f"not a process: {p!r}")
 
 
 # ---------------------------------------------------------- rewriting

@@ -36,7 +36,6 @@ from butfpi.epi.syntax import (
     Send,
     Term,
     VarT,
-    _memo_on_instance,
 )
 
 OUT, HAN, SIG, COL, CTR, VAL = "output", "handle", "signal", "collection", "counter", "value"
@@ -258,14 +257,18 @@ def _label(action) -> str:
     return text
 
 
-@_memo_on_instance("_memo_diagnose")
 def diagnose(p: Process) -> str | None:
     """None when ``p`` is in the translation grammar, else a path and reason."""
-    try:
-        _check(p, {}, "", False)
-        return None
-    except _Ill as ill:
-        return str(ill)
+    known = p._memo_diagnose
+    if known is None:
+        # memoized as "" when in the grammar: a reason is never empty
+        try:
+            _check(p, {}, "", False)
+            known = ""
+        except _Ill as ill:
+            known = str(ill)
+        object.__setattr__(p, "_memo_diagnose", known)
+    return known or None
 
 
 def well_behaved(p: Process) -> bool:

@@ -16,6 +16,12 @@ key entries ``explore`` caches and the successors it skips without a key.
 ``reference_channel`` and ``reference_out_barbs`` render a step's channel
 and a soup's output barbs with ``render_chan`` on built channels, and
 ``reference_mentioned`` builds a thread's closed name set in full.
+``reference_free_names``, ``reference_all_names``,
+``reference_free_process_vars``, ``reference_binders`` and
+``reference_symbols`` are the per-node name analyses as plain recursive
+walks that memoize nothing: the facts record of ``butfpi.epi.syntax``
+must give the same sets (``symbols`` at least these on nodes ``rewrite``
+built).
 """
 
 from collections import Counter
@@ -63,13 +69,138 @@ from butfpi.epi.syntax import (
     VarT,
     _fresh_variant,
     all_names,
-    binders,
-    free_names,
-    free_process_vars,
     term_names,
     term_vars,
 )
 from butfpi.epi.pretty import render_chan
+
+
+def _chan_names(c: Chan) -> frozenset[str]:
+    out = term_names(c.base)
+    if isinstance(c.suffix, NameT):
+        out |= frozenset((c.suffix.name,))
+    return out
+
+
+def _chan_vars(c: Chan) -> frozenset[str]:
+    out = term_vars(c.base)
+    if isinstance(c.suffix, VarT):
+        out |= frozenset((c.suffix.name,))
+    return out
+
+
+def _action_names(a) -> frozenset[str]:
+    out = _chan_names(a.chan)
+    if isinstance(a, (Send, Bcast)):
+        for t in a.args:
+            out |= term_names(t)
+    return out
+
+
+def reference_free_names(p: Process) -> frozenset[str]:
+    """Names not bound by any enclosing restriction."""
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return reference_free_names(left) | reference_free_names(right)
+        case Repl(body) | Bullet(body):
+            return reference_free_names(body)
+        case New(name, body):
+            return reference_free_names(body) - {name}
+        case Act(action, cont):
+            return _action_names(action) | reference_free_names(cont)
+        case Match(left, _, right, then, orelse):
+            return (term_names(left) | term_names(right)
+                    | reference_free_names(then) | reference_free_names(orelse))
+    raise TypeError(f"not a process: {p!r}")
+
+
+def reference_all_names(p: Process) -> frozenset[str]:
+    """Every name occurring anywhere, including binders."""
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return reference_all_names(left) | reference_all_names(right)
+        case Repl(body) | Bullet(body):
+            return reference_all_names(body)
+        case New(name, body):
+            return reference_all_names(body) | {name}
+        case Act(action, cont):
+            return _action_names(action) | reference_all_names(cont)
+        case Match(left, _, right, then, orelse):
+            return (term_names(left) | term_names(right)
+                    | reference_all_names(then) | reference_all_names(orelse))
+    raise TypeError(f"not a process: {p!r}")
+
+
+def reference_free_process_vars(p: Process) -> frozenset[str]:
+    """Variables no enclosing receive pattern binds."""
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return reference_free_process_vars(left) | reference_free_process_vars(right)
+        case Repl(body) | Bullet(body) | New(_, body):
+            return reference_free_process_vars(body)
+        case Act(action, cont):
+            out = _chan_vars(action.chan)
+            if isinstance(action, (Send, Bcast)):
+                for t in action.args:
+                    out |= term_vars(t)
+                return out | reference_free_process_vars(cont)
+            bound = {x for x in action.params if x is not None}
+            return out | (reference_free_process_vars(cont) - bound)
+        case Match(left, _, right, then, orelse):
+            return (term_vars(left) | term_vars(right)
+                    | reference_free_process_vars(then)
+                    | reference_free_process_vars(orelse))
+    raise TypeError(f"not a process: {p!r}")
+
+
+def reference_binders(p: Process) -> frozenset[str]:
+    """The names the restrictions anywhere in ``p`` bind."""
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return reference_binders(left) | reference_binders(right)
+        case Repl(body) | Bullet(body):
+            return reference_binders(body)
+        case New(name, body):
+            return reference_binders(body) | {name}
+        case Act(_, cont):
+            return reference_binders(cont)
+        case Match(then=then, orelse=orelse):
+            return reference_binders(then) | reference_binders(orelse)
+    raise TypeError(f"not a process: {p!r}")
+
+
+def reference_symbols(p: Process) -> frozenset[str]:
+    """Every name and variable occurring in ``p``, binders and patterns included."""
+    match p:
+        case Nil():
+            return frozenset()
+        case Par(left, right):
+            return reference_symbols(left) | reference_symbols(right)
+        case Repl(body) | Bullet(body):
+            return reference_symbols(body)
+        case New(name, body):
+            return reference_symbols(body) | {name}
+        case Act(action, cont):
+            out = _action_names(action) | _chan_vars(action.chan)
+            if isinstance(action, Recv):
+                out |= {x for x in action.params if x is not None}
+            else:
+                for t in action.args:
+                    out |= term_vars(t)
+            return out | reference_symbols(cont)
+        case Match(left, _, right, then, orelse):
+            return (term_names(left) | term_vars(left) | term_names(right)
+                    | term_vars(right) | reference_symbols(then)
+                    | reference_symbols(orelse))
+    raise TypeError(f"not a process: {p!r}")
 
 
 def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
@@ -128,7 +259,7 @@ def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
                 return Bullet(go(body, vm, nm))
             case New(name, body):
                 if name in incoming:
-                    fresh = _fresh_variant(name, incoming | all_names(body) | set(nm) | set(vm))
+                    fresh = _fresh_variant(name, incoming | reference_all_names(body) | set(nm) | set(vm))
                     body = go(body, {}, {name: fresh})
                     name = fresh
                 inner_nm = {k: v for k, v in nm.items() if k != name}
@@ -144,7 +275,7 @@ def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
                             if k not in action.params}
                 for i, x in enumerate(params):
                     if x is not None and x in incoming_vars:
-                        fresh = _fresh_variant(x, incoming_vars | free_process_vars(cont) | set(inner_vm))
+                        fresh = _fresh_variant(x, incoming_vars | reference_free_process_vars(cont) | set(inner_vm))
                         cont = go(cont, {x: VarT(fresh)}, {})
                         params[i] = fresh
                 return Act(Recv(chan, tuple(params)), go(cont, inner_vm, nm))
@@ -296,12 +427,12 @@ def reference_mentioned(t) -> set[str]:
     """The names of thread ``t`` closed, built as one fresh set from its
     binders, its free names renamed and the names of its bound values."""
     if t.env is None:
-        return set(all_names(t.proc))
+        return set(reference_all_names(t.proc))
     vm, nm = t.env
     p = t.proc
-    names = set(binders(p))
-    names.update(nm.get(n, n) for n in free_names(p))
-    for x in free_process_vars(p):
+    names = set(reference_binders(p))
+    names.update(nm.get(n, n) for n in reference_free_names(p))
+    for x in reference_free_process_vars(p):
         if x in vm:
             names |= term_names(vm[x])
     return names

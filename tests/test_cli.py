@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from butfpi import cli
+from butfpi import cli, cost
 from butfpi.cli import build_parser, dispatch
 
 
@@ -162,9 +162,14 @@ def test_scale_too_few_sizes_left_prints_table_and_fails(capsys):
     assert code == 1 and "dropped: 3, 4" in out and "FAIL sizes" in out
 
 
-def test_scale_drops_a_size_too_deep_for_the_stack(capsys):
-    # a chain of 128 applications exhausts the interpreter's stack; the
-    # sizes measured before it are kept
+def test_scale_drops_a_size_too_deep_for_the_stack(capsys, monkeypatch):
+    # stands in for sizes deep enough to exhaust the interpreter's stack;
+    # the sizes measured before them are kept
+    def nested_apps_to_127(n):
+        if n >= 128:
+            raise RecursionError("maximum recursion depth exceeded")
+        return cost.nested_apps(n)
+    monkeypatch.setitem(cost.FAMILIES, "nested-apps", nested_apps_to_127)
     argv = ("scale", "--family", "nested-apps", "--format", "json")
     code, out, err = run_cli(capsys, *argv, "--sizes", "8,16,64,128")
     assert code == 0 and err == ""
@@ -172,12 +177,23 @@ def test_scale_drops_a_size_too_deep_for_the_stack(capsys):
     assert [r["n"] for r in data["table"]["rows"]] == [8, 16, 64]
     assert data["table"]["dropped"] == [128]
     assert data["verdict"]["passed"] is True
-    code, out, _ = run_cli(capsys, *argv, "--sizes", "16,64,128")
+    code, out, _ = run_cli(capsys, *argv, "--sizes", "16,64,128,256")
     assert code == 1
     data = json.loads(out)
     assert [r["n"] for r in data["table"]["rows"]] == [16, 64]
-    assert data["table"]["dropped"] == [128]
+    assert data["table"]["dropped"] == [128, 256]
     assert [c["name"] for c in data["verdict"]["checks"]] == ["sizes"]
+
+
+@pytest.mark.parametrize("family", sorted(cost.FAMILIES))
+def test_scale_runs_deep_sizes_without_dropping(capsys, family):
+    code, out, err = run_cli(capsys, "scale", "--family", family,
+                             "--sizes", "16,64,128", "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert [r["n"] for r in data["table"]["rows"]] == [16, 64, 128]
+    assert data["table"]["dropped"] == []
+    assert data["verdict"]["passed"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,16 +35,12 @@ from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from butfpi.epi.syntax import (
     Act,
-    Bullet,
     Chan,
-    Match,
     NameT,
-    New,
     Nil,
     NumT,
     Par,
     Recv,
-    Repl,
     Send,
     VarT,
     all_names,
@@ -54,7 +50,7 @@ from butfpi.translate import translate
 from corpus import CORPUS
 from generators import NAME_POOL, random_closed_program, random_process, random_redex_config
 from golden import EXPLORE_SKIP
-from reference import checking_entries, reference_explore
+from reference import checking_entries, reference_binders, reference_explore
 
 
 def _same_search(make_config, **kwargs) -> int:
@@ -262,28 +258,13 @@ def _fresh_copy(x):
     return x
 
 
-def _binders(p) -> set[str]:
-    match p:
-        case New(name, body):
-            return {name} | _binders(body)
-        case Par(left, right):
-            return _binders(left) | _binders(right)
-        case Repl(body) | Bullet(body):
-            return _binders(body)
-        case Act(_, cont):
-            return _binders(cont)
-        case Match(then=then, orelse=orelse):
-            return _binders(then) | _binders(orelse)
-    return set()
-
-
 def test_renamed_templates_match_fresh_copies():
     rng = random.Random(71)
     seen = {"composed": 0, "sequential": 0, "binder": 0}
     for _ in range(1500):
         p = random_process(rng, 4)
         names = sorted(all_names(p) | set(NAME_POOL))
-        binders = sorted(_binders(p))
+        binders = sorted(reference_binders(p))
         renames = []
         for _ in range(rng.randint(1, 4)):
             if binders and rng.random() < 0.25:
