@@ -1,7 +1,7 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 7 --out BENCH_17.json
+        --repeat 7 --out BENCH_18.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory.  It translates and normalizes the program, timed as
@@ -46,6 +46,7 @@ from pathlib import Path
 
 SIMULATE_WIDE = r"map ((\x. x * x + 7), iota 32)"
 CHECK_ARRAYS = r"map ((\x. (x, x * x + 7)), iota 8)"
+MAP_SQUARE = r"map ((\x. x * x + 1), iota {n})"
 
 # name -> (how, program or family, size, call keyword arguments)
 PROGRAMS = {
@@ -57,6 +58,10 @@ PROGRAMS = {
        for family, sizes in (("array-of-apps", (16, 64)), ("nested-apps", (16, 64)),
                              ("map-over-iota", (16, 64, 256)))
        for n in sizes},
+    # the ``map-square-over-iota`` family, from its source text so that a
+    # tree older than the family runs the same program
+    **{f"map-square-over-iota-{n}": ("run", MAP_SQUARE.format(n=n), None, {})
+       for n in (16, 64, 256)},
 }
 
 CHILD = r"""

@@ -79,6 +79,15 @@ def map_over_iota(n: int, body: Expr | None = None) -> Expr:
     return App(Builtin("map"), Tup((fn, App(Builtin("iota"), Num(n)))))
 
 
+def map_square_over_iota(n: int) -> Expr:
+    """``map ((\\x. x * x + 1), iota n)``: a mapped function that does work."""
+    def arith(op: str, left: Expr, right: Expr) -> Expr:
+        return App(Builtin(op), Tup((left, right)))
+
+    x = Var("x")
+    return map_over_iota(n, Lam("x", arith("add", arith("mul", x, x), Num(1))))
+
+
 def nested_apps(k: int) -> Expr:
     """``(\\x1. (\\x2. ... (\\xk. xk) x2 ...) x1) 0``: a chain of k applications."""
     fn: Expr = Lam(f"x{k}", Var(f"x{k}"))
@@ -90,6 +99,7 @@ def nested_apps(k: int) -> Expr:
 FAMILIES = {
     "array-of-apps": array_of_apps,
     "map-over-iota": map_over_iota,
+    "map-square-over-iota": map_square_over_iota,
     "nested-apps": nested_apps,
 }
 
@@ -98,6 +108,7 @@ FAMILIES = {
 PREDICTED = {
     "array-of-apps": {"work": "linear", "span": "constant"},
     "map-over-iota": {"work": "affine", "span": "constant"},
+    "map-square-over-iota": {"work": "affine", "span": "constant"},
     "nested-apps": {"work": "equals-n", "span": "equals-n"},
 }
 MIN_SIZES = 3  # fewest rows a shape check can judge

@@ -103,13 +103,15 @@ from butfpi.epi.syntax import (
     Term,
     TermError,
     VarT,
+    _NO_NAMES,
+    _NO_VARS,
     _facts,
     _fresh_variant,
     _sub_term,
+    _value,
     all_names,
     binders,
     compare,
-    eval_term,
     free_names,
     rewrite,
     symbols,
@@ -143,13 +145,17 @@ class Thread:
     substituting and renaming at each step would have given.  The renames
     dict is one object shared by every thread spawned under the same
     restrictions, and the bindings dict is shared likewise; nothing
-    mutates either once a thread holds it.
+    mutates either once a thread holds it.  Every value bound is evaluated,
+    a ``NumT`` or a ``NameT``, as ``_Builder.receive`` binds what
+    ``_values`` gives; ``_value`` reads terms under an environment on that
+    ground, without building the substituted term.
     """
 
     tid: int
     proc: Process
     depth: int
-    env: tuple[dict[str, Term], dict[str, str]] | None = field(default=None, hash=False)
+    env: tuple[dict[str, NumT | NameT], dict[str, str]] | None = field(default=None,
+                                                                      hash=False)
 
 
 def _closed(t: Thread) -> Thread:
@@ -229,15 +235,12 @@ def _sent(h: Head, env) -> tuple[Term, ...]:
     return tuple([_sub_term(a, vm, nm) for a in args])
 
 
-def _values(h: Head, env) -> tuple[Term, ...]:
+def _values(h: Head, env) -> tuple[NumT | NameT, ...]:
     """The values ``h``'s send or broadcast carries under a thread's
     environment, evaluated; raises ``TermError`` if one does not evaluate."""
     args = h.core.args
-    if env is not None:
-        vm, nm = env
-        args = [_sub_term(a, vm, nm) for a in args]
-    return tuple([a if type(a) is NumT or type(a) is NameT else eval_term(a)
-                  for a in args])
+    vm, nm = (_NO_VARS, _NO_NAMES) if env is None else env
+    return tuple([a if type(a) is NumT else _value(a, vm, nm) for a in args])
 
 
 @dataclass(frozen=True)
@@ -315,10 +318,6 @@ def _head(proc: Process) -> Head:
 
 # ------------------------------------------------------------ normalize
 
-# an empty environment half; nothing mutates an environment's dicts
-_NO_VARS: dict[str, Term] = {}
-_NO_NAMES: dict[str, str] = {}
-
 
 class _Builder:
     """Accumulates threads while hoisting restrictions and flattening parallels.
@@ -358,11 +357,22 @@ class _Builder:
         self.new_threads: list[Thread] = []
 
     def spawn(self, proc: Process, depth: int, env) -> None:
-        """Add ``proc`` as it stands under a thread's environment."""
-        if env is None:
-            self.add(proc, depth)
-        else:
-            self.add(proc, depth, *env)
+        """Add ``proc`` as it stands under a thread's environment.
+
+        A lone prefix or comparison is the thread ``add`` would make of it,
+        built without the walk: a thread's environment is None or has a
+        binding or a rename, and only a deferring builder spawns from a
+        thread that has one.
+        """
+        cls = type(proc)
+        if cls is Act or cls is Match:
+            self.new_threads.append(Thread(self.next_tid, proc, depth, env))
+            self.next_tid += 1
+        elif cls is not Nil:
+            if env is None:
+                self.add(proc, depth)
+            else:
+                self.add(proc, depth, *env)
 
     def receive(self, rh: Head, values: tuple[Term, ...], env, depth: int) -> None:
         """Add the continuation of receiver ``rh`` with ``values`` received,
@@ -374,16 +384,25 @@ class _Builder:
         vm, nm = (_NO_VARS, _NO_NAMES) if env is None else env
         bound = dict(zip(params, values))
         bound.pop(None, None)  # a wildcard parameter binds nothing
-        inner = binders(rh.cont)
+        cont = rh.cont
+        inner = binders(cont)
         if inner and not inner.isdisjoint([v.name for v in values if type(v) is NameT]):
             # substituting would rename the binder the name meets: close
             # the continuation, whose parameters shadow their old bindings,
             # and substitute now
             outer = {x: v for x, v in vm.items() if x not in params}
-            self.add(rewrite(rewrite(rh.cont, outer, nm), var_map=bound), depth)
+            self.add(rewrite(rewrite(cont, outer, nm), var_map=bound), depth)
             return
         # a parameter's new binding replaces the one it shadows
-        self.add(rh.cont, depth, {**vm, **bound} if vm else bound, nm)
+        if vm:
+            bound = {**vm, **bound}
+        cls = type(cont)
+        if cls is Act or cls is Match:  # the thread ``add`` would make
+            self.new_threads.append(
+                Thread(self.next_tid, cont, depth, (bound, nm) if bound or nm else None))
+            self.next_tid += 1
+        elif cls is not Nil:
+            self.add(cont, depth, bound, nm)
 
     def add(self, proc: Process, depth: int, vm: dict[str, Term] = _NO_VARS,
             nm: dict[str, str] = _NO_NAMES) -> None:
@@ -578,23 +597,17 @@ def _key_text(key: tuple[str, object]) -> str:
     return name if suffix is None else f"{name}.{suffix}"
 
 
-def _decidable_terms(*terms: Term) -> bool:
-    return all(not term_vars(t) for t in terms)
-
-
 def _match_redex(tid: int, h: Head, env=None) -> Redex | None:
     """THEN, ELSE or FAULT for a comparison thread, whose operands are read
-    under its environment; None while undecidable."""
+    under its environment; None while undecidable, that is while an operand
+    has a variable the environment does not bind, even if the other faults."""
     m = h.core
-    left, right = m.left, m.right
-    if env is not None:
-        vm, nm = env
-        left, right = _sub_term(left, vm, nm), _sub_term(right, vm, nm)
-    if not _decidable_terms(left, right):
-        return None
+    vm, nm = (_NO_VARS, _NO_NAMES) if env is None else env
     try:
-        taken = compare(m.op, eval_term(left), eval_term(right))
+        taken = compare(m.op, _value(m.left, vm, nm), _value(m.right, vm, nm))
     except TermError as exc:
+        if not term_vars(m.left).union(term_vars(m.right)).issubset(vm):
+            return None
         return Redex("FAULT", (tid,), reason=str(exc))
     return Redex("THEN" if taken else "ELSE", (tid,), branch_then=taken,
                  bullets=h.bullets)

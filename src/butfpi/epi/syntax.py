@@ -56,20 +56,44 @@ Term = Union[NumT, NameT, VarT, OpT]
 
 def eval_term(t: Term) -> NumT | NameT:
     """Fold arithmetic over numbers; names are opaque fixed points."""
-    match t:
-        case NumT() | NameT():
-            return t
-        case VarT(name):
-            raise TermError(f"unbound variable {name!r}")
-        case OpT(op, left, right):
-            lv, rv = eval_term(left), eval_term(right)
-            if isinstance(lv, NameT) or isinstance(rv, NameT):
-                raise TermError("arithmetic on a channel name")
-            try:
-                return NumT(apply_arith(op, lv.value, rv.value))
-            except ZeroDivisionError:
-                raise TermError("division by zero") from None
+    return _value(t, _NO_VARS, _NO_NAMES)
+
+
+def _value(t: Term, vm: dict[str, Term], nm: dict[str, str]) -> NumT | NameT:
+    """``eval_term`` of ``t`` with each variable read from ``vm`` and each
+    name renamed by ``nm``, without building the substituted term.
+
+    The values ``vm`` binds must be evaluated, a ``NumT`` or a ``NameT``.
+    Faults are raised as ``eval_term`` raises them on the substituted term,
+    left operand first: an unbound variable, arithmetic on a channel name,
+    division by zero.
+    """
+    cls = type(t)
+    if cls is NumT:
+        return t
+    if cls is VarT:
+        value = vm.get(t.name)
+        if value is None:
+            raise TermError(f"unbound variable {t.name!r}")
+        return value
+    if cls is NameT:
+        name = t.name
+        return NameT(nm[name]) if name in nm else t
+    if cls is OpT:
+        lv, rv = _value(t.left, vm, nm), _value(t.right, vm, nm)
+        if type(lv) is NameT or type(rv) is NameT:
+            raise TermError("arithmetic on a channel name")
+        try:
+            return NumT(apply_arith(t.op, lv.value, rv.value))
+        except ZeroDivisionError:
+            raise TermError("division by zero") from None
     raise TypeError(f"not a term: {t!r}")
+
+
+# an empty environment half, the bindings or the renames of a closed term;
+# nothing mutates an environment's dicts
+_NO_VARS: dict[str, Term] = {}
+_NO_NAMES: dict[str, str] = {}
 
 
 def compare(op: str, lv: NumT | NameT, rv: NumT | NameT) -> bool:

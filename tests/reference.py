@@ -21,13 +21,18 @@ and a soup's output barbs with ``render_chan`` on built channels, and
 ``reference_symbols`` are the per-node name analyses as plain recursive
 walks that memoize nothing: the facts record of ``butfpi.epi.syntax``
 must give the same sets (``symbols`` at least these on nodes ``rewrite``
-built).
+built).  ``reference_eval_term`` folds a closed term by pattern matching,
+and ``reference_value`` and ``reference_match_redex`` read a term and a
+comparison under an environment by substituting it first
+(``_sub_term``), then deciding and evaluating the closed terms: ``_value``
+and ``_match_redex`` must give the same value, redex or ``TermError`` text.
 """
 
 from collections import Counter
 
 import pytest
 
+from butfpi.butf.eval import apply_arith
 from butfpi.epi import engine
 from butfpi.epi.engine import (
     CommitFault,
@@ -42,7 +47,6 @@ from butfpi.epi.engine import (
     _closed,
     _comm_redex,
     _drop_threads,
-    _match_redex,
     apply_redex,
     barbs,
     canonical_key,
@@ -66,9 +70,13 @@ from butfpi.epi.syntax import (
     Repl,
     Send,
     Term,
+    TermError,
     VarT,
     _fresh_variant,
+    _sub_term,
     all_names,
+    binders,
+    compare,
     term_names,
     term_vars,
 )
@@ -203,6 +211,47 @@ def reference_symbols(p: Process) -> frozenset[str]:
     raise TypeError(f"not a process: {p!r}")
 
 
+def reference_eval_term(t: Term) -> NumT | NameT:
+    """``eval_term`` by pattern matching on a closed term."""
+    match t:
+        case NumT() | NameT():
+            return t
+        case VarT(name):
+            raise TermError(f"unbound variable {name!r}")
+        case OpT(op, left, right):
+            lv, rv = reference_eval_term(left), reference_eval_term(right)
+            if isinstance(lv, NameT) or isinstance(rv, NameT):
+                raise TermError("arithmetic on a channel name")
+            try:
+                return NumT(apply_arith(op, lv.value, rv.value))
+            except ZeroDivisionError:
+                raise TermError("division by zero") from None
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_value(t: Term, vm: dict[str, Term], nm: dict[str, str]) -> NumT | NameT:
+    """``_value`` as substitution followed by evaluation."""
+    return reference_eval_term(_sub_term(t, vm, nm))
+
+
+def reference_match_redex(tid: int, h: Head, env=None) -> Redex | None:
+    """``_match_redex`` as substitute, then decide, then evaluate: None
+    while an operand keeps a variable, before any evaluation fault."""
+    m = h.core
+    left, right = m.left, m.right
+    if env is not None:
+        vm, nm = env
+        left, right = _sub_term(left, vm, nm), _sub_term(right, vm, nm)
+    if term_vars(left) or term_vars(right):
+        return None
+    try:
+        taken = compare(m.op, reference_eval_term(left), reference_eval_term(right))
+    except TermError as exc:
+        return Redex("FAULT", (tid,), reason=str(exc))
+    return Redex("THEN" if taken else "ELSE", (tid,), branch_then=taken,
+                 bullets=h.bullets)
+
+
 def reference_rewrite(p: Process, var_map: dict[str, Term] | None = None,
                       name_map: dict[str, str] | None = None) -> Process:
     """``rewrite`` as a walk that rebuilds every node it reaches."""
@@ -291,7 +340,27 @@ class SequentialBuilder(_Builder):
     """``_Builder`` with one full-body rename per clashing restriction, and
     no environments: a process handed over with receive bindings or a
     renames dict is closed by ``reference_rewrite`` first, so every thread
-    it spawns is closed, and substitution is eager."""
+    it spawns is closed, and substitution is eager.  Every continuation,
+    a lone prefix too, goes through ``add``."""
+
+    def spawn(self, proc: Process, depth: int, env) -> None:
+        self.add(proc, depth, *(env or ()))
+
+    def receive(self, rh: Head, values, env, depth: int) -> None:
+        if not self.defer:
+            super().receive(rh, values, env, depth)
+            return
+        params = rh.core.params
+        vm, nm = env or ({}, {})
+        bound = {x: v for x, v in zip(params, values) if x is not None}
+        if not binders(rh.cont).isdisjoint([v.name for v in values if type(v) is NameT]):
+            # as ``_Builder.receive``: close under the old bindings, which
+            # the parameters shadow, then substitute the received values
+            outer = {x: v for x, v in vm.items() if x not in params}
+            proc = reference_rewrite(reference_rewrite(rh.cont, outer, nm), var_map=bound)
+            self.add(proc, depth)
+            return
+        self.add(rh.cont, depth, {**vm, **bound}, nm)
 
     def add(self, proc: Process, depth: int, vm=None, nm=None) -> None:
         if vm or nm:
@@ -368,7 +437,7 @@ def reference_enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
         if h.core is None:
             continue
         if isinstance(h.core, Match):
-            redex = _match_redex(t.tid, h)
+            redex = reference_match_redex(t.tid, h)
             if redex is not None:
                 redexes.append(redex)
             continue

@@ -7,6 +7,7 @@ from butfpi.cost import (
     array_of_apps,
     fit_check,
     map_over_iota,
+    map_square_over_iota,
     measure,
     nested_apps,
     scaling_experiment,
@@ -36,7 +37,9 @@ def test_family_generators():
     assert pretty(nested_apps(3)) == "(\\x1. (\\x2. (\\x3. x3) x2) x1) 0"
     assert pretty(array_of_apps(2)) == "[(\\x. x) 1, (\\x. x) 2]"
     assert pretty(map_over_iota(2)) == "map (\\x. x, iota 2)"
-    assert set(FAMILIES) == {"array-of-apps", "map-over-iota", "nested-apps"}
+    assert map_square_over_iota(3) == parse("map ((\\x. x * x + 1), iota 3)")
+    assert set(FAMILIES) == {"array-of-apps", "map-over-iota", "map-square-over-iota",
+                             "nested-apps"}
 
 
 def test_array_of_apps_scaling():
@@ -51,6 +54,14 @@ def test_map_over_iota_span_flat():
     table = scaling_experiment("map-over-iota", [1, 2, 4])
     spans = [r.span for r in table.rows]
     assert max(spans) == min(spans)
+    assert fit_check(table).passed
+
+
+def test_map_square_over_iota_scaling():
+    # each element adds a multiplication and an addition to the work
+    table = scaling_experiment("map-square-over-iota", [1, 2, 4, 8])
+    assert [(r.n, r.work, r.span, r.admin_steps) for r in table.rows] == [
+        (n, 2 * n + 4, 4, 19 * n + 22) for n in (1, 2, 4, 8)]
     assert fit_check(table).passed
 
 

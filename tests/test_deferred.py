@@ -230,3 +230,10 @@ def test_the_eager_reference_closes_what_it_is_handed():
     (thread,) = builder.new_threads
     assert thread.env is None
     assert thread.proc == parse_process("d<e>")
+    # and a lone prefix spawned or received, which ``_Builder`` makes a
+    # thread of without ``add``
+    builder.spawn(proc, 0, ({"x": engine.NameT("f")}, {}))
+    receiver = parse_process("c(x). x<y>")
+    builder.receive(engine.head_of(receiver), (engine.NameT("g"),), ({}, {"y": "e"}), 0)
+    assert [(t.proc, t.env) for t in builder.new_threads[1:]] == [
+        (parse_process("f<y>"), None), (parse_process("g<e>"), None)]
