@@ -1,7 +1,7 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 7 --out BENCH_18.json
+        --repeat 7 --out BENCH_19.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory.  It translates and normalizes the program, timed as
@@ -20,7 +20,12 @@ open) is timed apart as ``close_s``, and so is the report: ``report_s``
 is ``to_dict()`` of the trace (or of the ``check`` report) plus
 ``cli.dumps`` of it, the JSON that ``simulate`` (or ``check``) prints,
 after the cold call, and ``report_warm_s`` is its least over one report
-per warm call.  A row gives the steps fired (``LiveSoup.fire`` calls),
+per warm call.  A ``check`` row also gives the read-back probes of one
+call (``_Prober.ask`` calls; the steps they fire are among the steps
+counted) and the seconds spent in ``read_back``: ``readback_s`` is the median over
+the cold calls and ``readback_warm_s`` the least over the warm calls;
+a ``run`` row, which reads nothing back, has null there.  A row gives
+the steps fired (``LiveSoup.fire`` calls),
 the threads left at the end of a ``run`` (null for a ``check``, which
 runs many soups), the microseconds per step of each run's cold call and
 their median, the least and the median over every warm call
@@ -68,6 +73,7 @@ CHILD = r"""
 import hashlib, json, resource, sys, time
 from butfpi.butf.parse import parse
 from butfpi.cli import dumps
+from butfpi import correspondence
 from butfpi.correspondence import check_program
 from butfpi.cost import FAMILIES
 from butfpi.epi import engine
@@ -75,8 +81,9 @@ from butfpi.translate import translate
 
 how, program, size, kwargs, warm = json.loads(sys.argv[1])
 e = FAMILIES[program](size) if size is not None else parse(program)
-counts = {"fire": 0, "rewrite": 0}
+counts = {"fire": 0, "rewrite": 0, "probes": 0, "readback_s": 0.0}
 fire, rewrite = engine.LiveSoup.fire, engine.rewrite
+ask, read_back = correspondence._Prober.ask, correspondence.read_back
 
 def counting_fire(soup, redex, index):
     counts["fire"] += 1
@@ -86,14 +93,27 @@ def counting_rewrite(*args, **kw):
     counts["rewrite"] += 1
     return rewrite(*args, **kw)
 
+def counting_ask(prober, *args):
+    counts["probes"] += 1
+    return ask(prober, *args)
+
+def timed_read_back(*args, **kw):
+    started = time.perf_counter()
+    try:
+        return read_back(*args, **kw)
+    finally:
+        counts["readback_s"] += time.perf_counter() - started
+
 engine.LiveSoup.fire = counting_fire
+correspondence._Prober.ask = counting_ask
+correspondence.read_back = timed_read_back
 started = time.perf_counter()
 config = engine.normalize(translate(e, "o"))
 normalize_s = time.perf_counter() - started
 engine.rewrite = counting_rewrite
 
 def call():
-    counts["fire"] = counts["rewrite"] = 0
+    counts.update(fire=0, rewrite=0, probes=0, readback_s=0.0)
     started = time.perf_counter()
     if how == "run":
         report = engine.run(config, **kwargs)
@@ -111,16 +131,18 @@ def call():
     report_s = time.perf_counter() - started
     text = json.dumps(result, sort_keys=True, indent=2)
     return {"steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
-            "seconds": seconds, "close_s": close_s, "report_s": report_s,
+            "probes": counts["probes"], "seconds": seconds,
+            "readback_s": counts["readback_s"], "close_s": close_s, "report_s": report_s,
             "digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
 
 cold = call()
 warm_calls = [call() for _ in range(warm)]
-fixed = ("steps", "threads", "rewrites", "digest")
+fixed = ("steps", "threads", "rewrites", "probes", "digest")
 assert all(w[k] == cold[k] for w in warm_calls for k in fixed), "a warm call differs"
 print(json.dumps({
     **cold, "normalize_s": normalize_s, "warm_seconds": [w["seconds"] for w in warm_calls],
     "report_warm_s": min(w["report_s"] for w in warm_calls),
+    "readback_warm_s": min(w["readback_s"] for w in warm_calls),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -161,8 +183,9 @@ def main() -> None:
     for (label, name), results in runs.items():
         first = results[0]
         fixed = ("steps", "threads", "rewrites", "digest")
-        assert all(r[k] == first[k] for r in results for k in fixed), (label, name)
+        assert all(r[k] == first[k] for r in results for k in (*fixed, "probes")), (label, name)
         how, program, size, kwargs = PROGRAMS[name]
+        checked = how == "check"
         us = [round(r["seconds"] / first["steps"] * 1e6, 1) for r in results]
         warm = [s / first["steps"] * 1e6 for r in results for s in r["warm_seconds"]]
         rows.append({
@@ -180,6 +203,11 @@ def main() -> None:
                         round(statistics.median(r["close_s"] for r in results), 5)),
             "report_s": round(statistics.median(r["report_s"] for r in results), 5),
             "report_warm_s": round(min(r["report_warm_s"] for r in results), 5),
+            "probes": first["probes"] if checked else None,
+            "readback_s": (round(statistics.median(r["readback_s"] for r in results), 5)
+                           if checked else None),
+            "readback_warm_s": (round(min(r["readback_warm_s"] for r in results), 5)
+                                if checked else None),
             "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
         })
     digests = {}

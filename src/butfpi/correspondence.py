@@ -9,7 +9,10 @@ Probes run under an administrative-only scheduler, so decoding can never
 consume a bullet: important steps measure the program, not the observer.
 They run on the soup the program's run left (``Trace.soup``), read
 through its index: no ``Config`` is built, nor any thread closed, to
-decode it.
+decode it.  Nor is a probe built: each is one of three templates, made
+once per process (``_probe_template``), spawned into the soup under an
+environment that binds its handle, cell index and reply channel, as
+``run`` spawns every continuation.
 
 Accounting follows the translation's one documented blind spot: a map
 invokes its function once on a dummy argument without reading the result,
@@ -21,6 +24,7 @@ recorded function to ``0``) and subtracted in the adjusted comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Union
 
 from butfpi.butf.eval import Diverged, EvalResult, Stuck, eval_expr
@@ -39,11 +43,14 @@ from butfpi.epi.syntax import (
     Chan,
     NameT,
     Nil,
+    NumT,
+    Process,
     Recv,
     Send,
     Term,
     TermError,
     VarT,
+    _NO_NAMES,
     _fresh_variant,
     eval_term,
 )
@@ -97,9 +104,32 @@ def render_readback(r: ReadBack) -> str:
     raise TypeError(r)
 
 
+@cache
+def _probe_template(label: str | None, arity: int) -> Process:
+    """The probe ``rcv h.label(x0..xk). r<x0..xk>``, with the cell suffix
+    ``h.i`` for ``label`` None, where ``h``, ``i`` and ``r`` are variables:
+    it has no free names, and an environment binding them makes it a probe.
+
+    Built once per process for each shape asked (``len``, a cell, ``tup``
+    of some arity).  A template is immutable and the memos the engine keeps
+    on its nodes (facts, symbols, head) depend on the node alone, so
+    sharing it across read-backs makes no result depend on what the
+    process read back before.
+    """
+    params = tuple(f"x{i}" for i in range(arity))
+    suffix = VarT("i") if label is None else label
+    return Act(Recv(Chan(VarT("h"), suffix), params),
+               Act(Send(Chan(VarT("r")), tuple(map(VarT, params))), Nil()))
+
+
 class _Prober:
     """Injects administrative probe receivers into one quiesced soup,
-    switched to ``admin_only``."""
+    switched to ``admin_only``.
+
+    A probe is the shared ``_probe_template`` of its shape, inserted under
+    an environment, so asking builds no syntax and walks no process; the
+    thread stands for the closed probe that substituting the environment
+    gives, and chooses the same names."""
 
     def __init__(self, soup: LiveSoup, budget: int = 200_000):
         soup.admin_only_from_now()
@@ -108,14 +138,18 @@ class _Prober:
 
     def ask(self, handle: str, suffix, arity: int) -> tuple[Term, ...] | None:
         """Receive ``arity`` values on ``handle.suffix``; None if none arrive."""
-        reply = _fresh_variant("probe", self.soup.used, self.soup.floors)
-        params = tuple(f"x{i}" for i in range(arity))
-        self.soup.insert(Act(Recv(Chan(NameT(handle), suffix), params),
-                             Act(Send(Chan(NameT(reply)), tuple(map(VarT, params))),
-                                 Nil())))
-        run(self.soup, policy="priority", budget=self.budget, stop_barb=reply,
+        soup = self.soup
+        reply = _fresh_variant("probe", soup.used, soup.floors)
+        bound = {"h": NameT(handle), "r": NameT(reply)}
+        if type(suffix) is int:
+            bound["i"] = NumT(suffix)
+            template = _probe_template(None, arity)
+        else:
+            template = _probe_template(suffix, arity)
+        soup.insert(template, 0, (bound, _NO_NAMES))
+        run(soup, policy="priority", budget=self.budget, stop_barb=reply,
             permissive=True)
-        return self.soup.sent((reply, None))
+        return soup.sent((reply, None))
 
 
 def read_back(soup: LiveSoup, result: Term, shape: Expr,
@@ -160,9 +194,11 @@ def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
             got = prober.ask(h, "len", 1)
             if got is None:
                 return Incomplete(f"{h}.len")
-            n = eval_term(got[0]).value
-            if n != len(items):
-                return Incomplete(f"{h}.len reported {n}, expected {len(items)}")
+            n = eval_term(got[0])
+            if type(n) is not NumT:
+                return Incomplete(f"{h}.len: expected a number, got a handle")
+            if n.value != len(items):
+                return Incomplete(f"{h}.len reported {n.value}, expected {len(items)}")
             elements = []
             for i, item_shape in enumerate(items):
                 got = prober.ask(h, i, 2)  # (index, element)

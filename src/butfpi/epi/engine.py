@@ -40,8 +40,10 @@ each state it expands and fires each redex with ``apply_redex`` on the
 state's ``Config``, which spawns closed threads; both drivers fire
 through the same ``_fire``.  A ``run``'s trace holds the soup it
 stepped, which ``LiveSoup.config`` closes into a ``Config`` where one is
-wanted.  Read-back probes that soup: each probe is ``LiveSoup.insert``-ed
-and ``run`` steps the soup in place.
+wanted.  Read-back probes that soup: each probe is a template shared by
+every probe of its shape, ``LiveSoup.insert``-ed under an environment that
+binds its handle, cell index and reply channel, so a probe builds no
+syntax, and ``run`` steps the soup in place.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
@@ -992,11 +994,25 @@ class LiveSoup:
 
     # ---------------------------------------------------------- changes
 
-    def insert(self, proc: Process, depth: int = 0) -> None:
-        """Drop an extra process into the soup (read-back probes)."""
+    def insert(self, proc: Process, depth: int = 0,
+               env: tuple[dict[str, NumT | NameT], dict[str, str]] | None = None) -> None:
+        """Drop an extra process into the soup: ``proc`` itself, or with
+        ``env`` (receive bindings, renames) the process ``rewrite(proc,
+        *env)`` stands for, spawned as ``fire`` spawns a continuation, with
+        ``proc`` a template the new thread shares (read-back probes).
+
+        As ``Thread`` requires, no binder of ``proc`` may be a name the
+        environment brings in; the names it brings in are taken in ``used``.
+        """
         self.used |= free_names(proc)
+        if env is not None:
+            vm, nm = env
+            brought = [v.name for v in vm.values() if type(v) is NameT]
+            brought += nm.values()
+            assert binders(proc).isdisjoint(brought), "closing would rename a binder"
+            self.used.update(brought)
         builder = self.builder or self._builder()
-        builder.add(proc, depth)
+        builder.spawn(proc, depth, env)
         self._take(builder)
 
     def fire(self, redex: Redex, index: int) -> Step:

@@ -26,6 +26,10 @@ and ``reference_value`` and ``reference_match_redex`` read a term and a
 comparison under an environment by substituting it first
 (``_sub_term``), then deciding and evaluating the closed terms: ``_value``
 and ``_match_redex`` must give the same value, redex or ``TermError`` text.
+``ClosedProber`` asks each read-back probe by building it as closed
+syntax and inserting that, and ``reference_read_output`` decodes with it:
+read-back through the shared probe templates must give the same value and
+leave the same soup.
 """
 
 from collections import Counter
@@ -33,6 +37,7 @@ from collections import Counter
 import pytest
 
 from butfpi.butf.eval import apply_arith
+from butfpi.correspondence import _decode, _Prober
 from butfpi.epi import engine
 from butfpi.epi.engine import (
     CommitFault,
@@ -52,6 +57,7 @@ from butfpi.epi.engine import (
     canonical_key,
     head_of,
     normalize_depths,
+    run,
 )
 from butfpi.epi.syntax import (
     Act,
@@ -409,6 +415,29 @@ class SequentialBuilder(_Builder):
                 self._thread(proc, depth, {}, {})
             case _:
                 raise TypeError(f"not a process: {p!r}")
+
+
+class ClosedProber(_Prober):
+    """``_Prober`` with every probe built as closed syntax and inserted
+    without an environment: ``rcv handle.suffix(x0..xk). reply<x0..xk>``."""
+
+    def ask(self, handle: str, suffix, arity: int):
+        reply = _fresh_variant("probe", self.soup.used, self.soup.floors)
+        params = tuple(f"x{i}" for i in range(arity))
+        self.soup.insert(Act(Recv(Chan(NameT(handle), suffix), params),
+                             Act(Send(Chan(NameT(reply)), tuple(map(VarT, params))),
+                                 Nil())))
+        run(self.soup, policy="priority", budget=self.budget, stop_barb=reply,
+            permissive=True)
+        return self.soup.sent((reply, None))
+
+
+def reference_read_output(soup, shape, budget: int = 200_000):
+    """``read_output`` decoding through ``ClosedProber``."""
+    sent = soup.sent(("o", None))
+    if sent is None:
+        return None
+    return _decode(ClosedProber(soup, budget), sent[0], shape)
 
 
 def sequential(fn, *args, **kwargs):

@@ -48,8 +48,8 @@ class CheckedSoup(engine.LiveSoup):
         CheckedSoup.built += 1
         self.verify()
 
-    def insert(self, proc, depth=0):
-        super().insert(proc, depth)
+    def insert(self, proc, depth=0, env=None):
+        super().insert(proc, depth, env)
         self.verify()
 
     def fire(self, redex, index):

@@ -47,8 +47,8 @@ class WatchedSoup(LiveSoup):
         self.watch()
         return step
 
-    def insert(self, proc, depth=0):
-        super().insert(proc, depth)
+    def insert(self, proc, depth=0, env=None):
+        super().insert(proc, depth, env)
         self.watch()
 
     def watch(self):
