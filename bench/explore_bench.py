@@ -10,6 +10,11 @@ whether a bound was hit, the terminals found, the successors generated,
 the successors skipped as duplicates without a key, the full keys computed
 (calls of ``canonical_key``, the start state's included), the seconds of
 each run and their median, and the peak RSS of the run (``ru_maxrss``).
+For a tree whose ``apply_redex`` closes threads through a search's
+``memo``, ``closed`` is the number of distinct (template, environment)
+keys that memo holds at the end and ``closings`` the number of threads
+closed through it, counted by a second, untimed search after the peak RSS
+is read; they are null for other trees.
 A tree without the pre-check (``_entry_multiset``) keys every successor.
 ``concat-100k`` (about 40 s and several hundred MB at 100 000 states) runs
 only when asked for with ``--search``.
@@ -42,7 +47,7 @@ SEARCHES = {
 }
 
 CHILD = r"""
-import json, resource, sys, time
+import inspect, json, resource, sys, time
 from butfpi.butf.parse import parse
 from butfpi.epi import engine
 from butfpi.translate import translate
@@ -67,11 +72,26 @@ terminals, bound_hit, states = engine.explore(config, **kwargs)
 seconds = time.perf_counter() - started
 keys = calls["canonical_key"]
 successors = calls["_entry_multiset"] if pre_check else keys - 1
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+closed = closings = None
+if "memo" in inspect.signature(engine.apply_redex).parameters:
+    # a second, untimed search through a memo that counts its lookups
+    class CountingMemo(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            self.lookups += 1
+            return super().get(key, default)
+
+    memo, fire = CountingMemo(), engine.apply_redex
+    engine.apply_redex = lambda config, redex, _memo=None: fire(config, redex, memo)
+    engine.explore(engine.normalize(translate(parse(source))), **kwargs)
+    closed, closings = len(memo), memo.lookups
 print(json.dumps({
     "states": states, "bound_hit": bound_hit, "terminals": len(terminals),
     "successors": successors, "skipped": successors - (keys - 1), "keys": keys,
-    "seconds": seconds,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "closed": closed, "closings": closings, "seconds": seconds,
+    "peak_rss_mb": peak_rss_mb,
 }))
 """
 
@@ -107,7 +127,8 @@ def main() -> None:
     rows = []
     for (label, search), results in runs.items():
         first = results[0]
-        fixed = ("states", "bound_hit", "terminals", "successors", "skipped", "keys")
+        fixed = ("states", "bound_hit", "terminals", "successors", "skipped", "keys",
+                 "closed", "closings")
         assert all(r[k] == first[k] for r in results for k in fixed), (label, search)
         seconds = [round(r["seconds"], 3) for r in results]
         rows.append({

@@ -37,26 +37,29 @@ the template, where substituting would first rename that binder, is
 closed at once, so every name chosen is the one eager substitution
 chooses (see ``Thread`` and ``_Builder``).  ``explore`` builds a soup for
 each state it expands and fires each redex with ``apply_redex`` on the
-state's ``Config``, which spawns closed threads; both drivers fire
-through the same ``_fire``.  A ``run``'s trace holds the soup it
-stepped, which ``LiveSoup.config`` closes into a ``Config`` where one is
-wanted.  Read-back probes that soup: each probe is a template shared by
-every probe of its shape, ``LiveSoup.insert``-ed under an environment that
-binds its handle, cell index and reply channel, so a probe builds no
-syntax, and ``run`` steps the soup in place.
+state's ``Config``, which spawns through the same builder and then
+closes the new threads; both drivers fire through the same ``_fire``, and
+every spawn, in every driver, is a template plus an environment.
+``normalize`` closes the threads it spawns likewise.  A ``run``'s trace
+holds the soup it stepped, which ``LiveSoup.config`` closes into a
+``Config`` where one is wanted.  Read-back probes that soup: each probe
+is a template shared by every probe of its shape, ``LiveSoup.insert``-ed
+under an environment that binds its handle, cell index and reply channel,
+so a probe builds no syntax, and ``run`` steps the soup in place.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
 restrictions.  One search therefore shares that work, through memos that
-live no longer than it: one dict of the receive substitutions it has made
-(``_received``) and of the threads its hoisting renames (``_Builder``),
-each renamed thread carrying a template derived from the unrenamed process
-(see ``_renamed``), and the key entry of each thread, kept on the process
-node under a token of the search together with the entry's number.  A
-successor whose multiset of entry numbers was already keyed in the level
-being built is a duplicate without a key, as its key is a function of
-that multiset; only the others are keyed in full.  With ``stop_barb`` the
-search returns at the first state it expands that shows the barb.
+live no longer than it: one dict of the threads it has closed, each
+closed process kept under its template and environment (see
+``apply_redex``), so that siblings spawning the same template under the
+same environment share one closed node, and the key entry of each thread,
+kept on the process node under a token of the search together with the
+entry's number.  A successor whose multiset of entry numbers was already
+keyed in the level being built is a duplicate without a key, as its key
+is a function of that multiset; only the others are keyed in full.  With
+``stop_barb`` the search returns at the first state it expands that shows
+the barb.
 
 Syntax trees are immutable and acyclic, and the engine keeps them so: no
 memo on a node refers back to that node (see ``head_of``), and no walk
@@ -136,21 +139,22 @@ class Thread:
     """A thread of a soup: its process, a causal depth, and an environment.
 
     ``env`` is None for a closed thread, the only kind a ``Config`` holds.
-    A ``LiveSoup`` thread may instead stand for ``proc`` under a deferred
-    substitution: ``env`` is then the pair (receive bindings, hoisting
-    renames), a dict from variables to the values received for them and
-    one from names to the fresh names they were hoisted as, and the thread
-    is ``rewrite(proc, *env)``.  ``proc`` is a template shared with every
-    other thread spawned from the same subtree.  The engine keeps an
-    environment only where that rewrite renames no binder of ``proc``
-    (see ``_Builder``), so that closing a thread in one rewrite gives what
-    substituting and renaming at each step would have given.  The renames
-    dict is one object shared by every thread spawned under the same
-    restrictions, and the bindings dict is shared likewise; nothing
-    mutates either once a thread holds it.  Every value bound is evaluated,
-    a ``NumT`` or a ``NameT``, as ``_Builder.receive`` binds what
-    ``_values`` gives; ``_value`` reads terms under an environment on that
-    ground, without building the substituted term.
+    A thread that ``_Builder`` spawns, and so a ``LiveSoup`` thread, may
+    instead stand for ``proc`` under a deferred substitution: ``env`` is
+    then the pair (receive bindings, hoisting renames), a dict from
+    variables to the values received for them and one from names to the
+    fresh names they were hoisted as, and the thread is ``rewrite(proc,
+    *env)``.  ``proc`` is a template shared with every other thread
+    spawned from the same subtree.  The engine keeps an environment only
+    where that rewrite renames no binder of ``proc`` (see ``_Builder``),
+    so that closing a thread in one rewrite gives what substituting and
+    renaming at each step would have given.  The renames dict is one
+    object shared by every thread spawned under the same restrictions, and
+    the bindings dict is shared likewise; nothing mutates either once a
+    thread holds it.  Every value bound is evaluated, a ``NumT`` or a
+    ``NameT``, as ``_Builder.receive`` binds what ``_values`` gives;
+    ``_value`` reads terms under an environment on that ground, without
+    building the substituted term.
     """
 
     tid: int
@@ -327,35 +331,26 @@ class _Builder:
     A restriction whose name is taken is renamed to a fresh variant.  The
     renames of the restrictions above a subtree travel down with it as one
     dict from names to fresh names, together with the receive bindings the
-    subtree was spawned under, and each thread it spawns gets them applied
-    at once.  That chooses the same names as renaming each body in turn
-    would, because a rename whose fresh name is a binder inside the body
-    (where renaming the body would rename that binder first) is applied to
-    the body there and then, closing it.  The renames dict is shared by
-    every thread spawned under it and never mutated: a restriction that
-    renames or shadows a name copies it.
+    subtree was spawned under, and each thread it spawns keeps them as its
+    environment, unapplied (see ``Thread``).  That chooses the same names
+    as renaming each body in turn would, because a rename whose fresh name
+    is a binder inside the body (where renaming the body would rename that
+    binder first) is applied to the body there and then, closing it.  The
+    renames dict is shared by every thread spawned under it and never
+    mutated: a restriction that renames or shadows a name copies it.
 
-    With ``defer`` (a ``LiveSoup``'s fires and inserts) a thread keeps its
-    bindings and renames as its environment, unapplied.  A soup keeps one
-    such builder, and takes its new threads and hoisted names after each
-    fire.  Otherwise each thread is closed as it is spawned, and no
-    bindings come in (``apply_redex`` substitutes received values before
-    it spawns).  ``memo`` is then a dict owned by one ``explore`` search,
-    whose successors it keys.  A renamed thread then gets its
-    ``_thread_template`` from the unrenamed one, and the dict memoizes it
-    on the process and the renames, so sibling states that hoist the same
-    restrictions the same way share the thread, and with it its key entry.
+    A soup keeps one builder, and takes its new threads and hoisted names
+    after each fire or insert.  ``normalize`` and ``apply_redex`` make one
+    per call and close the threads it spawns, as a ``Config`` holds only
+    closed threads.
     """
 
     def __init__(self, used: set[str], restricted: set[str], next_tid: int,
-                 floors: dict[str, int] | None = None, memo: dict | None = None,
-                 defer: bool = False):
+                 floors: dict[str, int] | None = None):
         self.used = used
         self.restricted = restricted
         self.next_tid = next_tid
         self.floors = {} if floors is None else floors  # see _fresh_variant
-        self.memo = memo
-        self.defer = defer
         self.new_threads: list[Thread] = []
 
     def spawn(self, proc: Process, depth: int, env) -> None:
@@ -363,8 +358,7 @@ class _Builder:
 
         A lone prefix or comparison is the thread ``add`` would make of it,
         built without the walk: a thread's environment is None or has a
-        binding or a rename, and only a deferring builder spawns from a
-        thread that has one.
+        binding or a rename.
         """
         cls = type(proc)
         if cls is Act or cls is Match:
@@ -379,9 +373,6 @@ class _Builder:
     def receive(self, rh: Head, values: tuple[Term, ...], env, depth: int) -> None:
         """Add the continuation of receiver ``rh`` with ``values`` received,
         under the receiving thread's environment."""
-        if not self.defer:
-            self.add(_received(rh, values, self.memo), depth)
-            return
         params = rh.core.params
         vm, nm = (_NO_VARS, _NO_NAMES) if env is None else env
         bound = dict(zip(params, values))
@@ -469,64 +460,9 @@ class _Builder:
 
     def _thread(self, proc: Process, depth: int, vm: dict[str, Term],
                 nm: dict[str, str]) -> None:
-        if not self.defer:
-            thread = Thread(self.next_tid, self._renamed(proc, nm), depth)
-        elif vm or nm:
-            thread = Thread(self.next_tid, proc, depth, (vm, nm))
-        else:
-            thread = Thread(self.next_tid, proc, depth)
-        self.new_threads.append(thread)
+        env = (vm, nm) if vm or nm else None
+        self.new_threads.append(Thread(self.next_tid, proc, depth, env))
         self.next_tid += 1
-
-    def _renamed(self, proc: Process, nm: dict[str, str]) -> Process:
-        if not nm:
-            return proc
-        renames = tuple(nm.items())
-        memo = self.memo
-        if memo is None:
-            return _renamed(proc, renames)
-        key = (proc, renames)  # receive substitutions key on triples
-        renamed = memo.get(key)
-        if renamed is None:
-            renamed = memo[key] = _renamed(proc, renames, template=True)
-        return renamed
-
-
-def _renamed(proc: Process, renames: tuple[tuple[str, str], ...],
-             template: bool = False) -> Process:
-    """``proc`` with each ``(old, new)`` rename applied in turn by ``rewrite``.
-
-    When no binder of ``proc`` is one of the new names, no rename captures
-    and they commute (the old names are taken, the new ones were not), so
-    the renames that occur go through one ``rewrite``.
-
-    With ``template``, the result's ``_thread_template`` is set from
-    ``proc``'s without a walk: renaming changes free-name occurrences only
-    (binders encode by position), so the skeleton stays and each entry of
-    the occurrence list is renamed as ``rewrite`` renamed it.
-    """
-    if not renames:
-        return proc
-    present = symbols(proc)
-    if all(new not in present for _, new in renames):
-        name_map = {old: new for old, new in renames if old in present}
-        if not name_map:
-            return proc
-        renamed = rewrite(proc, name_map=name_map)
-        if template:
-            skeleton, occs = _thread_template(proc)
-            object.__setattr__(renamed, "_memo_template",
-                               (skeleton, tuple(name_map.get(n, n) for n in occs)))
-        return renamed
-    renamed = proc
-    for old, new in renames:
-        renamed = rewrite(renamed, name_map={old: new})
-    if template and renamed is not proc:
-        skeleton, occs = _thread_template(proc)
-        for old, new in renames:
-            occs = tuple(new if n == old else n for n in occs)
-        object.__setattr__(renamed, "_memo_template", (skeleton, occs))
-    return renamed
 
 
 def _make_config(threads: tuple[Thread, ...], restricted: set[str],
@@ -551,8 +487,8 @@ def normalize(p: Process) -> Config:
     used = set(free_names(p))
     builder = _Builder(used, set(), 0)
     builder.add(p, 0)
-    return _make_config(tuple(builder.new_threads), builder.restricted, used,
-                        builder.next_tid, prune=True)
+    return _make_config(tuple([_closed(t) for t in builder.new_threads]),
+                        builder.restricted, used, builder.next_tid, prune=True)
 
 
 def insert_process(config: Config, p: Process, depth: int = 0) -> Config:
@@ -685,23 +621,6 @@ class CommitFault(Exception):
         self.tids = tids
 
 
-def _received(rh: Head, values: tuple[Term, ...], subst: dict | None) -> Process:
-    """A receiver's continuation with ``values`` substituted for its parameters.
-
-    ``subst``, a dict owned by one search, memoizes the result on the
-    continuation, parameters and values, which determine it: sibling
-    states fire the same receives with the same values.
-    """
-    if subst is not None:
-        key = (rh.cont, rh.core.params, values)
-        cont = subst.get(key)
-        if cont is None:
-            cont = subst[key] = _received(rh, values, None)
-        return cont
-    mapping = {x: v for x, v in zip(rh.core.params, values) if x is not None}
-    return rewrite(rh.cont, var_map=mapping)
-
-
 def _residual(t: Thread, h: Head) -> Process:
     """What replicated thread ``t``, headed by ``h``, becomes after a fire."""
     return t.proc if h.residual is None else h.residual
@@ -794,19 +713,23 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
 
 
 def apply_redex(config: Config, redex: Redex,
-                subst: dict | None = None) -> tuple[Config, Step]:
+                memo: dict | None = None) -> tuple[Config, Step]:
     """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails.
 
-    ``subst`` is the memo of the search that calls: it holds the receive
-    substitutions (see ``_received``) and the threads that hoisting renames
-    (see ``_Builder``), which within a search get their ``_thread_template``
-    from the unrenamed process, as every successor is keyed.  The
-    successor's threads are closed; it shares the parent's name sets when
-    the step hoisted no restriction.
+    The continuations spawn through ``_Builder`` as ``run``'s do, each a
+    template under an environment, and each thread spawned with an
+    environment is then closed by one ``rewrite``, as a ``Config`` holds
+    only closed threads.  ``memo`` keeps each closed process under its
+    template and environment, which determine it; a search passes one dict
+    for all its steps, so sibling states that fire the same receive or
+    hoist the same restrictions the same way share one closed node, and
+    with it its ``_thread_template`` and key entry.  The
+    successor shares the parent's name sets when the step hoisted no
+    restriction.
     """
     used = set(config.used)
     restricted = set(config.restricted)
-    builder = _Builder(used, restricted, config.next_tid, memo=subst)
+    builder = _Builder(used, restricted, config.next_tid)
     consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0)
     # one tuple of the final size: a tuple built from a generator is
     # allocated larger and shrunk, and each such tuple that dies strands a
@@ -815,7 +738,17 @@ def apply_redex(config: Config, redex: Redex,
     # ``map ((\x. (x, x)), [a, b])``)
     threads = [Thread(t.tid, folded[t.tid], t.depth) if t.tid in folded else t
                for t in config.threads if t.tid not in consumed]
-    threads += builder.new_threads
+    if memo is None:
+        memo = {}
+    for t in builder.new_threads:
+        if t.env is not None:
+            vm, nm = t.env
+            key = (t.proc, tuple(vm.items()), tuple(nm.items()))
+            proc = memo.get(key)
+            if proc is None:
+                proc = memo[key] = rewrite(t.proc, vm, nm)
+            t = Thread(t.tid, proc, t.depth)
+        threads.append(t)
     if len(used) == len(config.used):
         # no name hoisted (the builder adds every name it restricts to
         # both sets): share the parent's sets, most of what a state would
@@ -1038,7 +971,7 @@ class LiveSoup:
     def _builder(self) -> _Builder:
         # the names it hoists are gathered apart, for ``collect`` to see
         builder = self.builder = _Builder(self.used, set(), self.next_tid,
-                                          self.floors, defer=True)
+                                          self.floors)
         return builder
 
     def _take(self, builder: _Builder) -> None:
@@ -1595,10 +1528,10 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
 
     Sibling states share most threads, fire the same receives and hoist
     the same restrictions, so the search shares that work through memos
-    that live only as long as it does: a dict of receive substitutions
-    (``_received``) and of renamed threads with their templates
-    (``_Builder``), and a token that tags each thread's ``canonical_key``
-    entry, with its number, on its process node.
+    that live only as long as it does: a dict of the closed threads
+    ``apply_redex`` builds, keyed by template and environment, and a token
+    that tags each thread's ``canonical_key`` entry, with its number, on
+    its process node.
 
     A successor is keyed in full only if its multiset of entry numbers
     (``_entry_multiset``) is new to the level being built: an equal
@@ -1610,7 +1543,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     start = normalize_depths(config)
     table: dict = {}
     cache = object()  # tags this search's key entries on the process nodes
-    subst: dict = {}
+    memo: dict = {}  # closed threads by template and environment
     seen = {canonical_key(start, table, cache)}
     keyed: set[tuple[int, ...]] = set()  # entry multisets keyed in this level
     frontier = [start]
@@ -1637,7 +1570,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                     succ = _drop_threads(c, redex.participants)
                 else:
                     try:
-                        succ, _step = apply_redex(c, redex, subst)
+                        succ, _step = apply_redex(c, redex, memo)
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
                 multiset = _entry_multiset(succ, table, cache)

@@ -10,9 +10,10 @@ references swapped in.  ``reference_enabled_redexes`` lists a soup's
 redexes and arity diagnostics by scanning the whole ``Config``, with no
 ``LiveSoup``, and ``reference_garbage_collect`` collects unreachable
 servers by rescanning every other thread's names for each candidate.
-``reference_explore`` is the search that computes every key from scratch
-and shares nothing between states, and ``checking_entries`` checks the
-key entries ``explore`` caches and the successors it skips without a key.
+``reference_explore`` is the search that fires every redex through
+``SequentialBuilder``, computes every key from scratch and shares nothing
+between states, and ``checking_entries`` checks the key entries
+``explore`` caches and the successors it skips without a key.
 ``reference_channel`` and ``reference_out_barbs`` render a step's channel
 and a soup's output barbs with ``render_chan`` on built channels, and
 ``reference_mentioned`` builds a thread's closed name set in full.
@@ -353,9 +354,6 @@ class SequentialBuilder(_Builder):
         self.add(proc, depth, *(env or ()))
 
     def receive(self, rh: Head, values, env, depth: int) -> None:
-        if not self.defer:
-            super().receive(rh, values, env, depth)
-            return
         params = rh.core.params
         vm, nm = env or ({}, {})
         bound = {x: v for x, v in zip(params, values) if x is not None}
@@ -563,10 +561,10 @@ def reference_garbage_collect(config: Config) -> Config:
 
 def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100_000,
                       admin_only: bool = False, stop_barb: str | None = None):
-    """``explore`` as the loop that lists redexes by the full scan, keys
-    every successor and every terminal from scratch, with no memo of
-    substitutions, templates or key entries, and searches on after a
-    ``stop_barb`` state."""
+    """``explore`` as the loop that lists redexes by the full scan, fires
+    each by eager substitution (``sequential``), keys every successor and
+    every terminal from scratch, with no memo of closed threads or key
+    entries, and searches on after a ``stop_barb`` state."""
     start = normalize_depths(config)
     table: dict = {}
     seen = {canonical_key(start, table)}
@@ -593,7 +591,7 @@ def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100
                     succ = _drop_threads(c, redex.participants)
                 else:
                     try:
-                        succ, _step = apply_redex(c, redex)
+                        succ, _step = sequential(apply_redex, c, redex)
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
                 fired = True

@@ -4,8 +4,10 @@ The threads a ``LiveSoup`` spawns keep their receive bindings and renames
 as an environment, and are closed only where a ``Config`` is built.
 ``sequential`` runs the engine with ``SequentialBuilder``, which closes
 every thread as it spawns it, substituting and renaming eagerly; every
-run and every step here must come out the same both ways.  No ``Config``
-may hold an open thread.
+run and every step here must come out the same both ways, and so must
+every ``apply_redex``, which spawns through the deferring builder and then
+closes its threads under one memo shared by siblings.  No ``Config`` may
+hold an open thread.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 
 from butfpi.butf.parse import parse
 from butfpi.epi import engine
-from butfpi.epi.engine import Config, EngineError, LiveSoup, normalize, run
+from butfpi.epi.engine import Config, EngineError, LiveSoup, apply_redex, normalize, run
 from butfpi.epi.parse import parse_process
 from butfpi.translate import translate
 from corpus import CORPUS
@@ -91,6 +93,32 @@ def fires_agree(config, seed=0, limit=60) -> int:
     return open_threads
 
 
+def firings_agree(config, memo, levels=2) -> int:
+    """Fire every redex of ``config``, and of its successors down to
+    ``levels`` levels, through ``apply_redex`` with ``memo`` shared by all
+    of them, and by eager substitution; returns the redexes fired."""
+    fired = 0
+    frontier = [config]
+    for _ in range(levels):
+        successors = []
+        for c in frontier:
+            for redex in LiveSoup(c).redexes:
+                if redex.rule == "FAULT":
+                    continue
+                try:
+                    got = apply_redex(c, redex, memo)
+                except engine.CommitFault as fault:
+                    with pytest.raises(engine.CommitFault) as want:
+                        sequential(apply_redex, c, redex)
+                    assert (str(fault), fault.tids) == (str(want.value), want.value.tids)
+                    continue
+                assert got == sequential(apply_redex, c, redex)  # successor and step
+                successors.append(got[0])
+                fired += 1
+        frontier = successors
+    return fired
+
+
 def norm(text):
     return normalize(parse_process(text))
 
@@ -139,6 +167,25 @@ def test_generated_processes_run_as_eager():
         ran += 1
     assert ran > 200
     assert ClosedConfig.built > 1000
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_corpus_firings_match_eager(entry):
+    fired = firings_agree(normalize(translate(parse(entry.source), "o")), {}, levels=6)
+    assert fired > 0 or entry.steps == 0
+
+
+def test_generated_firings_match_eager():
+    rng = random.Random(83)
+    memo: dict = {}  # one memo for every sibling of every config, as a search's
+    fired = 0
+    for _ in range(150):
+        try:
+            config = normalize(random_redex_config(rng))
+        except EngineError:
+            continue
+        fired += firings_agree(config, memo)
+    assert fired > 1000 and len(memo) > 200, (fired, len(memo))
 
 
 # ------------------------------------------------------------ raw cases
@@ -224,7 +271,7 @@ def test_folded_replicated_thread_keeps_its_environment():
 
 def test_the_eager_reference_closes_what_it_is_handed():
     # SequentialBuilder closes a process handed over with bindings
-    builder = SequentialBuilder(set(), set(), 0, defer=True)
+    builder = SequentialBuilder(set(), set(), 0)
     proc = parse_process("c(x). x<y>").cont
     builder.add(proc, 0, {"x": engine.NameT("d")}, {"y": "e"})
     (thread,) = builder.new_threads

@@ -8,6 +8,8 @@ hand, which is the invariant the cache relies on: within one search, a
 name keeps its restricted or free status.  It also checks that every
 successor ``explore`` skips without a key, for repeating an entry multiset
 already keyed in its level, has a key the search has seen.
+``_closing_search`` checks the one memo through which a search closes the
+threads its steps spawn against the reference rewriter.
 """
 
 import random
@@ -23,8 +25,6 @@ from butfpi.epi.engine import (
     EngineError,
     LiveSoup,
     _drop_threads,
-    _renamed,
-    _thread_template,
     apply_redex,
     barbs,
     canonical_key,
@@ -35,22 +35,23 @@ from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from butfpi.epi.syntax import (
     Act,
+    Bullet,
     Chan,
+    Match,
     NameT,
     Nil,
     NumT,
     Par,
     Recv,
+    Repl,
     Send,
     VarT,
-    all_names,
-    symbols,
 )
 from butfpi.translate import translate
 from corpus import CORPUS
-from generators import NAME_POOL, random_closed_program, random_process, random_redex_config
+from generators import random_closed_program, random_redex_config
 from golden import EXPLORE_SKIP
-from reference import checking_entries, reference_binders, reference_explore
+from reference import checking_entries, reference_explore, reference_rewrite
 
 
 def _same_search(make_config, **kwargs) -> int:
@@ -186,21 +187,24 @@ def test_a_search_holds_nothing_alive_once_it_returns(monkeypatch):
         grabbed["table"], grabbed["cache"] = table, cache
         return key(config, table, cache)
 
-    def grabbing_fire(config, redex, subst=None):
-        grabbed["subst"] = subst
-        return fire(config, redex, subst)
+    def grabbing_fire(config, redex, memo=None):
+        grabbed["memo"] = memo
+        return fire(config, redex, memo)
 
     monkeypatch.setattr(engine, "canonical_key", grabbing_key)
     monkeypatch.setattr(engine, "apply_redex", grabbing_fire)
     terminals, _, _ = explore(normalize(translate(parse("map ((\\x. x), [7, 8])"))))
-    assert grabbed["table"] and grabbed["subst"]
-    # the memo holds hoisting renames (keyed on pairs) besides receive
-    # substitutions (keyed on triples)
-    assert {len(k) for k in grabbed["subst"]} == {2, 3}
+    assert grabbed["table"] and grabbed["memo"]
+    # the memo keys each closed thread on its template, receive bindings
+    # and hoisting renames
+    for template, vm, nm in grabbed["memo"]:
+        assert type(template) in (Act, Match, Repl, Bullet)
+        assert all(type(v) in (NumT, NameT) for _, v in vm)
+        assert all(type(new) is str for _, new in nm) and (vm or nm)
     # only ``grabbed`` refers to the table and the memo (getrefcount adds one)
     table_refs = sys.getrefcount(grabbed["table"])
-    subst_refs = sys.getrefcount(grabbed["subst"])
-    assert (table_refs, subst_refs) == (2, 2)
+    memo_refs = sys.getrefcount(grabbed["memo"])
+    assert (table_refs, memo_refs) == (2, 2)
     # the nodes keep the bare token, which refers to nothing
     assert type(grabbed["cache"]) is object and terminals
 
@@ -247,7 +251,7 @@ def test_stop_barb_search_returns_at_the_first_barb_state_it_expands():
     assert [("o", "out") in barbs(t) for t in want] == [True, True]
 
 
-# ------------------------------------------------- derived templates
+# ------------------------------------------------------- closed threads
 
 def _fresh_copy(x):
     """A structurally equal copy sharing no node, and so no memo, with ``x``."""
@@ -258,103 +262,76 @@ def _fresh_copy(x):
     return x
 
 
-def test_renamed_templates_match_fresh_copies():
-    rng = random.Random(71)
-    seen = {"composed": 0, "sequential": 0, "binder": 0}
-    for _ in range(1500):
-        p = random_process(rng, 4)
-        names = sorted(all_names(p) | set(NAME_POOL))
-        binders = sorted(reference_binders(p))
-        renames = []
-        for _ in range(rng.randint(1, 4)):
-            if binders and rng.random() < 0.25:
-                new = rng.choice(binders)  # a binder equal to a new name
-            else:
-                new = rng.choice(("a_2", "h_3", "z", "k_2") + NAME_POOL)
-            renames.append((rng.choice(names), new))
-        renamed = _renamed(p, tuple(renames), template=True)
-        if renamed is p:
-            continue
-        copy = _fresh_copy(renamed)
-        assert copy == renamed and "_memo_template" not in vars(copy)
-        derived = vars(renamed)["_memo_template"]
-        assert derived == _thread_template(copy), (pretty_process(p), renames)
-        present = symbols(p)
-        seen["sequential" if any(new in present for _, new in renames) else "composed"] += 1
-        seen["binder"] += any(new in binders for _, new in renames)
-    assert min(seen.values()) >= 200, seen
+class CountingMemo(dict):
+    """A search's memo of closed threads that counts its lookups (one per
+    thread closed) and refuses to store a key twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.closings = 0
+
+    def get(self, key, default=None):
+        self.closings += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        assert key not in self, "a key closed twice"
+        super().__setitem__(key, value)
 
 
-# ------------------------------------------------ shared hoisting renames
+def _closing_search(make_config, **kwargs) -> tuple[int, int]:
+    """Explore a config with its key entries checked, through a memo that
+    counts its lookups, and check each closed thread in it against the
+    reference rewrite of a fresh copy of its template.
 
-def _renaming_search(make_config, **kwargs) -> tuple[int, int]:
-    """Explore a config with its key entries checked, keeping the search's
-    memo, and check each renamed thread in it against a memo-free rename.
-
-    Returns the renamed threads the search spawned and the distinct
-    (process, renames) pairs among them.
+    Returns the threads the search closed and the distinct keys among them.
     """
-    grabbed = {}
-    fire, plain, shared = engine.apply_redex, engine._renamed, engine._Builder._renamed
-    computed = spawned = 0
+    fire = engine.apply_redex
+    memo = CountingMemo()
+    passed = set()  # the memos the search passes
 
-    def grabbing_fire(config, redex, subst=None):
-        grabbed["memo"] = subst
-        return fire(config, redex, subst)
-
-    def counting(proc, renames, template=False):
-        nonlocal computed
-        computed += template
-        return plain(proc, renames, template)
-
-    def spawning(builder, proc, renames):
-        nonlocal spawned
-        spawned += builder.memo is not None and bool(renames)
-        return shared(builder, proc, renames)
+    def counting_fire(config, redex, search_memo=None):
+        passed.add(id(search_memo))
+        return fire(config, redex, memo)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "apply_redex", grabbing_fire)
-        mp.setattr(engine, "_renamed", counting)
-        mp.setattr(engine._Builder, "_renamed", spawning)
+        mp.setattr(engine, "apply_redex", counting_fire)
         _, checked, _ = checking_entries(explore, make_config(), **kwargs)
-    assert checked > 0
-    memo = grabbed.get("memo") or {}
-    renamed_threads = {k: v for k, v in memo.items() if len(k) == 2}
-    assert computed == len(renamed_threads)  # each pair is renamed once
-    for (proc, renames), renamed in renamed_threads.items():
-        assert renamed == _renamed(_fresh_copy(proc), renames), pretty_process(proc)
-        if renamed is not proc:
-            copy = _fresh_copy(renamed)
-            assert vars(renamed)["_memo_template"] == _thread_template(copy)
-    return spawned, len(renamed_threads)
+    assert checked > 0 and len(passed) <= 1  # one memo for the whole search
+    for (template, vm, nm), closed in memo.items():
+        want = reference_rewrite(_fresh_copy(template), dict(vm), dict(nm))
+        assert closed == want, pretty_process(template)
+    return memo.closings, len(memo)
 
 
-def test_shared_renames_match_memo_free_renames_on_corpus():
-    spawned = distinct = 0
+def test_closed_threads_match_reference_rewrites_on_corpus():
+    closings = distinct = 0
     for entry in CORPUS:
         if f"corpus-{entry.name}" in EXPLORE_SKIP:
             continue
-        more, pairs = _renaming_search(lambda: normalize(translate(parse(entry.source))),
-                                       state_bound=1000, depth_bound=10**9)
-        spawned += more
-        distinct += pairs
-    # sibling states hoist the same restrictions the same way
-    assert distinct >= 20 and spawned > 50 * distinct, (spawned, distinct)
+        more, keys = _closing_search(lambda: normalize(translate(parse(entry.source))),
+                                     state_bound=1000, depth_bound=10**9)
+        closings += more
+        distinct += keys
+    # sibling states close the same templates under the same environments
+    # (5 142 closings of 463 keys)
+    assert distinct >= 20 and closings > 8 * distinct, (closings, distinct)
 
 
-def test_shared_renames_match_memo_free_renames_on_generated_programs():
+def test_closed_threads_match_reference_rewrites_on_generated_programs():
     rng = random.Random(73)
-    spawned = distinct = 0
+    closings = distinct = 0
     for _ in range(60):
         e = random_closed_program(rng, depth=3)
         try:
             normalize(translate(e))
         except (EngineError, RecursionError):
             continue
-        more, pairs = _renaming_search(lambda: normalize(translate(e)), state_bound=500)
-        spawned += more
-        distinct += pairs
-    assert distinct > 20 and spawned > 10 * distinct, (spawned, distinct)
+        more, keys = _closing_search(lambda: normalize(translate(e)), state_bound=500)
+        closings += more
+        distinct += keys
+    # 17 644 closings of 987 keys
+    assert distinct > 20 and closings > 12 * distinct, (closings, distinct)
 
 
 # ------------------------------------------------------- per-state name sets
