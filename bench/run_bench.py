@@ -27,8 +27,10 @@ the cold calls and ``readback_warm_s`` the least over the warm calls;
 a ``run`` row, which reads nothing back, has null there.  A row gives
 the steps fired (``LiveSoup.fire`` calls),
 the threads left at the end of a ``run`` (null for a ``check``, which
-runs many soups), the microseconds per step of each run's cold call and
-their median, the least and the median over every warm call
+runs many soups), ``peak_threads``, the most threads a soup held just
+before or just after a step it fired in the cold call (with ``gc``, what
+the collections let the soup grow to), the microseconds per step of each
+run's cold call and their median, the least and the median over every warm call
 (``warm_us_per_step_min`` and ``_median``), the median ``normalize_s``,
 ``close_s`` and ``report_s``, the ``rewrite`` calls the engine made per
 step (closing included), the peak RSS of the run (``ru_maxrss``) and a
@@ -81,13 +83,16 @@ from butfpi.translate import translate
 
 how, program, size, kwargs, warm = json.loads(sys.argv[1])
 e = FAMILIES[program](size) if size is not None else parse(program)
-counts = {"fire": 0, "rewrite": 0, "probes": 0, "readback_s": 0.0}
+counts = {"fire": 0, "peak_threads": 0, "rewrite": 0, "probes": 0, "readback_s": 0.0}
 fire, rewrite = engine.LiveSoup.fire, engine.rewrite
 ask, read_back = correspondence._Prober.ask, correspondence.read_back
 
 def counting_fire(soup, redex, index):
     counts["fire"] += 1
-    return fire(soup, redex, index)
+    counts["peak_threads"] = max(counts["peak_threads"], len(soup.threads))
+    step = fire(soup, redex, index)
+    counts["peak_threads"] = max(counts["peak_threads"], len(soup.threads))
+    return step
 
 def counting_rewrite(*args, **kw):
     counts["rewrite"] += 1
@@ -113,7 +118,7 @@ normalize_s = time.perf_counter() - started
 engine.rewrite = counting_rewrite
 
 def call():
-    counts.update(fire=0, rewrite=0, probes=0, readback_s=0.0)
+    counts.update(fire=0, peak_threads=0, rewrite=0, probes=0, readback_s=0.0)
     started = time.perf_counter()
     if how == "run":
         report = engine.run(config, **kwargs)
@@ -130,14 +135,15 @@ def call():
     dumps(result)
     report_s = time.perf_counter() - started
     text = json.dumps(result, sort_keys=True, indent=2)
-    return {"steps": counts["fire"], "threads": threads, "rewrites": counts["rewrite"],
+    return {"steps": counts["fire"], "threads": threads,
+            "peak_threads": counts["peak_threads"], "rewrites": counts["rewrite"],
             "probes": counts["probes"], "seconds": seconds,
             "readback_s": counts["readback_s"], "close_s": close_s, "report_s": report_s,
             "digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
 
 cold = call()
 warm_calls = [call() for _ in range(warm)]
-fixed = ("steps", "threads", "rewrites", "probes", "digest")
+fixed = ("steps", "threads", "peak_threads", "rewrites", "probes", "digest")
 assert all(w[k] == cold[k] for w in warm_calls for k in fixed), "a warm call differs"
 print(json.dumps({
     **cold, "normalize_s": normalize_s, "warm_seconds": [w["seconds"] for w in warm_calls],
@@ -182,7 +188,7 @@ def main() -> None:
     rows = []
     for (label, name), results in runs.items():
         first = results[0]
-        fixed = ("steps", "threads", "rewrites", "digest")
+        fixed = ("steps", "threads", "peak_threads", "rewrites", "digest")
         assert all(r[k] == first[k] for r in results for k in (*fixed, "probes")), (label, name)
         how, program, size, kwargs = PROGRAMS[name]
         checked = how == "check"

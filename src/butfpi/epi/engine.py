@@ -171,10 +171,8 @@ def _closed(t: Thread) -> Thread:
     return Thread(t.tid, rewrite(t.proc, *t.env), t.depth)
 
 
-def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[str]]:
-    """``all_names`` of ``t`` closed, read from its template and environment,
-    as the template's ``all_names``, the names of it that closing takes
-    out, and the names closing brings in that it lacks.
+def _mentioned(t: Thread) -> Collection[str]:
+    """``all_names`` of ``t`` closed, read from its template and environment.
 
     Closing renames no binder, so the binders stay; a free name is renamed
     if the renames map it, and a free variable gives the names of the value
@@ -183,26 +181,15 @@ def _mentioned(t: Thread) -> tuple[frozenset[str], Collection[str], Collection[s
     p = t.proc
     free, names, fvars, bound = p._memo_facts or _facts(p)
     if t.env is None:
-        return names, (), ()
+        return names
     vm, nm = t.env
-    renamed: list[str] = []
-    brought: list[str] = []
-    if nm:
-        renamed = [old for old in nm if old in free]
-        brought = [nm[old] for old in renamed]
-    if vm:
-        for x in fvars:
-            value = vm.get(x)
-            if value is not None:
-                cls = type(value)
-                if cls is NameT:
-                    brought.append(value.name)
-                elif cls is not NumT:
-                    brought.extend(term_names(value))
-    if not brought:  # so nothing renamed either
-        return names, (), ()
-    gone = [old for old in renamed if old not in bound and old not in brought]
-    return names, gone, {n for n in brought if n not in names}
+    closed = set(bound)
+    closed.update([nm.get(n, n) for n in free])
+    for x in fvars:
+        value = vm.get(x)
+        if value is not None:
+            closed.update(term_names(value))
+    return closed
 
 
 def _key_of(h: Head, env) -> tuple[str, object] | None:
@@ -831,8 +818,9 @@ class LiveSoup:
     their channels rather than the whole soup.
 
     ``fire`` unindexes the participants it consumes, then takes the
-    builder's hoisted names and new threads and indexes each in one loop
-    (``_take``).  Indexing a send or a receive enqueues it on its channel
+    builder's new threads and indexes each in one loop (``_take``); the
+    builder hoists names straight into the soup's ``used`` and
+    ``restricted``.  Indexing a send or a receive enqueues it on its channel
     and lists each COMM pair it forms with the other side's queue inline,
     with no call per pair: the arity test, the ``admin_only`` test, then a
     ``bisect`` insert into ``keys`` and ``redexes``; unindexing it unlists
@@ -848,6 +836,11 @@ class LiveSoup:
     each, only where a closed process is asked for: ``config``, which
     builds every ``Config`` taken from a soup.  Nothing calls it at the end
     of a ``run``: the ``Trace`` holds the soup, and read-back probes it.
+
+    The index keeps nothing for ``collect``, which counts every thread's
+    names afresh each time it is called; ``run`` calls it only when the
+    soup has doubled since the last call, so the threads spawned in
+    between pay for the count.
     """
 
     def __init__(self, config: Config, admin_only: bool = False):
@@ -866,10 +859,6 @@ class LiveSoup:
         self.mismatches = 0
         self.mismatched: dict[int, set[int]] = {}  # tid -> COMM partners of another arity
         self.out_barbs: Counter[str] = Counter()
-        # how many threads mention each name; None until the first
-        # ``collect``, which also makes the rest of its state (a soup never
-        # collected, as each of ``explore``'s, allocates none of it)
-        self.mentions: Counter[str] | None = None
         self.builder: _Builder | None = None  # made by the first fire or insert
         threads, index = self.threads, self._index
         for t in config.threads:
@@ -969,22 +958,14 @@ class LiveSoup:
         return step
 
     def _builder(self) -> _Builder:
-        # the names it hoists are gathered apart, for ``collect`` to see
-        builder = self.builder = _Builder(self.used, set(), self.next_tid,
+        # it hoists names straight into the soup's sets
+        builder = self.builder = _Builder(self.used, self.restricted, self.next_tid,
                                           self.floors)
         return builder
 
     def _take(self, builder: _Builder) -> None:
-        """Take the names ``builder`` hoisted, then index the threads it
-        spawned, leaving it empty.  The hoisted names are fresh, so no
-        thread indexed before mentions them."""
+        """Index the threads ``builder`` spawned, leaving it empty."""
         self.next_tid = builder.next_tid
-        hoisted = builder.restricted
-        if hoisted:
-            self.restricted |= hoisted
-            if self.mentions is not None:
-                self.unmentioned.extend(hoisted)
-            hoisted.clear()
         spawned = builder.new_threads
         builder.new_threads = []
         threads, index = self.threads, self._index
@@ -1004,52 +985,48 @@ class LiveSoup:
             self._unindex(self.threads.pop(tid))
 
     def collect(self) -> None:
-        """Drop the replicated servers on restricted channels that no other
-        thread mentions, until none is left, then the restricted names no
-        thread mentions: ``garbage_collect`` on the soup in place.
+        """Drop the replicated sends and receives on restricted channels
+        that no other thread mentions, until none is left, then the
+        restricted names no thread mentions: ``garbage_collect`` on the soup
+        in place.
 
-        The first call counts the mentions of every thread; the index keeps
-        the counts from then on, and notes each name whose count falls to
-        one, or that a new server's subject has alone.  A server is
-        unreachable exactly when its subject is restricted and mentioned
-        once, by the server itself, so only those names need a look.
-        Removing a server only lowers the counts, so every unreachable
-        server stays so and the result is the fixpoint ``garbage_collect``
-        reaches.  Likewise only names whose count reached zero, or that
-        were hoisted since the last call, can need pruning.
+        One pass counts the threads that mention each name and gathers the
+        servers by subject.  A server is unreachable exactly when its
+        subject is restricted and mentioned once, by the server itself:
+        nothing can then send or receive on that channel, so the server
+        forms no redex, no arity mismatch and no barb, and dropping it
+        changes no report.  Those subjects are the worklist; dropping a
+        server lowers the counts of its names, and a subject whose count
+        falls to one joins it.  Dropping only lowers counts, so every
+        unreachable server stays so and the result is the one fixpoint
+        ``garbage_collect`` reaches.  A replicated broadcast is kept, as it
+        fires with no receiver at all.
         """
-        mentions = self.mentions
         restricted = self.restricted
-        if mentions is None:
-            mentions = self.mentions = Counter()
-            # the replicated threads on each subject channel; the names
-            # whose count fell to one, this method's worklist; and the
-            # names to prune if no thread mentions them, which are those
-            # whose count reached zero and those hoisted since the last call
-            self.serving: dict[str, set[int]] = {}
-            # each counted thread's ``_mentioned``, to take out as counted
-            self.counted: dict[int, tuple] = {}
-            self.lone: list[str] = []
-            self.unmentioned: list[str] = list(restricted)
-            for t in self.threads.values():
-                self._mention(t, head_of(t.proc), 1)
-        lone, serving = self.lone, self.serving
+        mentions: Counter[str] = Counter()
+        serving: dict[str, list[Thread]] = {}
+        for t in self.threads.values():
+            mentions.update(_mentioned(t))
+            h = t.proc._memo_head or head_of(t.proc)
+            if h.repl and (type(h.core) is Send or type(h.core) is Recv):
+                key = _key_of(h, t.env)
+                if key is not None and key[0] in restricted:
+                    serving.setdefault(key[0], []).append(t)
+        lone = [name for name in serving if mentions[name] == 1]
         while lone:
-            name = lone.pop()
-            if mentions[name] == 1 and name in restricted and name in serving:
-                self.drop(tuple(serving[name]))
-        for name in self.unmentioned:
-            if not mentions[name]:
-                restricted.discard(name)
-        self.unmentioned.clear()
+            (server,) = serving.pop(lone.pop())
+            self.drop((server.tid,))
+            for name in _mentioned(server):
+                mentions[name] -= 1
+                if mentions[name] == 1 and name in serving:
+                    lone.append(name)
+        restricted.intersection_update([name for name, n in mentions.items() if n])
 
     # ------------------------------------------------------------ index
 
     def _index(self, t: Thread) -> None:
         tid, proc, env = t.tid, t.proc, t.env
         h = proc._memo_head or head_of(proc)
-        if self.mentions is not None:
-            self._mention(t, h, 1)
         core = h.core
         if core is None:
             return
@@ -1108,8 +1085,6 @@ class LiveSoup:
     def _unindex(self, t: Thread) -> None:
         tid, proc, env = t.tid, t.proc, t.env
         h = proc._memo_head or head_of(proc)
-        if self.mentions is not None:
-            self._mention(t, h, -1)
         if self.mismatched:
             partners = self.mismatched.pop(tid, ())
             self.mismatches -= len(partners)
@@ -1159,49 +1134,6 @@ class LiveSoup:
             participants, mismatches = self.broads.pop(tid)
             self._unlist(participants)
             self.mismatches -= mismatches
-
-    def _mention(self, t: Thread, h: Head, sign: int) -> None:
-        """Count ``t``'s names in ``mentions`` (``sign`` 1) or take them
-        out (-1), and enter or remove it as a server."""
-        mentions = self.mentions
-        if sign > 0:  # a count that rises marks no name
-            names, gone, extra = self.counted[t.tid] = _mentioned(t)
-            mentions.update(names)
-            if extra:
-                mentions.update(extra)
-            for name in gone:  # counted with ``names``
-                count = mentions[name] - 1
-                if count:
-                    mentions[name] = count
-                else:
-                    del mentions[name]
-        else:
-            names, gone, extra = self.counted.pop(t.tid)
-            for part in (names, extra):
-                for name in part:
-                    if name in gone:
-                        continue
-                    count = mentions[name] - 1
-                    if count:
-                        mentions[name] = count
-                        if count == 1:
-                            self.lone.append(name)
-                    else:
-                        del mentions[name]
-                        self.unmentioned.append(name)
-        if h.repl and not isinstance(h.core, Match):
-            key = _key_of(h, t.env)
-            if key is not None:
-                subject = key[0]
-                if sign > 0:
-                    self.serving.setdefault(subject, set()).add(t.tid)
-                    if mentions[subject] == 1:
-                        self.lone.append(subject)
-                else:
-                    servers = self.serving[subject]
-                    servers.discard(t.tid)
-                    if not servers:
-                        del self.serving[subject]
 
     def _broad(self, key: tuple, tid: int) -> None:
         """(Re)compute the BROAD of broadcast ``tid`` after its receivers changed."""
@@ -1270,10 +1202,14 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     ``"random"`` (uniform over enabled redexes, seeded).  ``admin_only``
     refuses to fire important redexes, which read-back probing uses to keep
     decoding free.  ``stop_barb`` halts as soon as the named channel is
-    observable.  ``gc`` runs ``LiveSoup.collect`` before every step.  A
-    ``LiveSoup`` is stepped in place, under the ``admin_only`` it was
-    built with; a ``Config`` is stepped as a ``LiveSoup`` built from it.
-    Either way the trace's ``soup`` is the soup stepped.
+    observable.  ``gc`` runs ``LiveSoup.collect`` before the first step,
+    whenever the soup holds more than twice the threads the last
+    collection left, and once more at the end; a collected server can
+    never fire, so the trace is the same with and without ``gc``, and only
+    the soup it holds is smaller.  A ``LiveSoup`` is stepped in place,
+    under the ``admin_only`` it was built with; a ``Config`` is stepped as
+    a ``LiveSoup`` built from it.  Either way the trace's ``soup`` is the
+    soup stepped.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -1284,9 +1220,13 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     trace = Trace(soup=soup)
     steps = trace.steps
     fire = soup.fire
+    if gc:
+        soup.collect()
+        collected = len(soup.threads)
     while True:
-        if gc:
+        if gc and len(soup.threads) > 2 * collected:
             soup.collect()
+            collected = len(soup.threads)
         if stop_barb is not None and soup.out_barbs[stop_barb]:
             trace.status = "barb"
             break
@@ -1318,6 +1258,8 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
                 break
             soup.drop(fault.tids)
             continue
+    if gc:
+        soup.collect()
     return trace
 
 
@@ -1329,8 +1271,11 @@ def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
     Local binders (guarded restrictions, receive patterns) encode
     positionally, so fresh names picked during unfolding cannot split
     states.  Every other name occurrence becomes an indexed hole; the
-    returned occurrence list restores them.  Cached on the process node:
-    threads survive across many states during exploration.
+    returned occurrence list restores them.  Names and variables are different
+    sorts, so the encoders' binder depths key a restriction by its name and
+    a receive parameter by ``("var", x)``: a name that happens to be
+    spelled as a parameter in scope stays a hole.  Cached on the process
+    node: threads survive across many states during exploration.
     """
     template = proc._memo_template
     if template is None:
@@ -1345,26 +1290,27 @@ def _thread_template(proc: Process) -> tuple[str, tuple[str, ...]]:
 # ``_thread_template``'s encoders are module functions, not closures: a
 # recursive closure is a reference cycle, left for the cyclic collector
 
-def _enc_name(name: str, env: dict[str, int], occs: list[str]):
+def _enc_name(name: str, env: dict[object, int], occs: list[str]):
     if name in env:
         return ("b", env[name])
     occs.append(name)
     return ("N", len(occs) - 1)
 
 
-def _enc_term(t: Term, env: dict[str, int], occs: list[str]):
+def _enc_term(t: Term, env: dict[object, int], occs: list[str]):
     match t:
         case NumT(v):
             return ("n", v)
         case NameT(name):
             return _enc_name(name, env, occs)
         case VarT(name):
-            return ("v", env[name]) if name in env else ("v?", name)
+            bound = ("var", name)
+            return ("v", env[bound]) if bound in env else ("v?", name)
         case OpT(op, left, right):
             return ("op", op, _enc_term(left, env, occs), _enc_term(right, env, occs))
 
 
-def _enc_chan(c: Chan, env: dict[str, int], occs: list[str]):
+def _enc_chan(c: Chan, env: dict[object, int], occs: list[str]):
     sfx = c.suffix
     if isinstance(sfx, (VarT, NameT)):
         sfx = _enc_term(sfx, env, occs)
@@ -1374,7 +1320,7 @@ def _enc_chan(c: Chan, env: dict[str, int], occs: list[str]):
 _ACTION_TAGS = {Send: "snd", Recv: "rcv", Bcast: "bct"}
 
 
-def _enc_process(p: Process, env: dict[str, int], depth: int, occs: list[str]):
+def _enc_process(p: Process, env: dict[object, int], depth: int, occs: list[str]):
     match p:
         case Nil():
             return ("0",)
@@ -1397,7 +1343,7 @@ def _enc_process(p: Process, env: dict[str, int], depth: int, occs: list[str]):
                     if x is None:
                         shape.append("_")
                     else:
-                        inner[x] = d
+                        inner[("var", x)] = d
                         shape.append(d)
                         d += 1
                 return (tag, _enc_chan(action.chan, env, occs), tuple(shape),
@@ -1603,10 +1549,12 @@ def normalize_depths(config: Config) -> Config:
 def garbage_collect(config: Config) -> Config:
     """Drop replicated servers on restricted channels that no client can reach.
 
-    A folded replication whose subject channel is restricted and whose base
-    name occurs in no other thread can never synchronize again; removing it
-    preserves behavior.  Restricted names that then occur nowhere are
-    dropped too.  The work is ``LiveSoup.collect``'s.
+    A folded replicated send or receive whose subject channel is restricted
+    and whose base name occurs in no other thread can never synchronize
+    again; removing it preserves behavior.  A replicated broadcast is kept:
+    it fires with no receiver, so removing it would change the run.
+    Restricted names that then occur nowhere are dropped too.  The work is
+    ``LiveSoup.collect``'s.
     """
     soup = LiveSoup(config)
     soup.collect()

@@ -536,13 +536,16 @@ def reference_mentioned(t) -> set[str]:
 
 def reference_garbage_collect(config: Config) -> Config:
     """``garbage_collect`` as the loop that removes the first unreachable
-    server in soup order, rescanning the others, until none is left."""
+    server in soup order, rescanning the others, until none is left.  A
+    server is a replicated send or receive: a replicated broadcast fires
+    with no receiver, so it is never unreachable."""
     threads = list(config.threads)
     while True:
         for i, t in enumerate(threads):
-            if not head_of(t.proc).repl:
+            h = head_of(t.proc)
+            if not h.repl or isinstance(h.core, Bcast):
                 continue
-            key = head_of(t.proc).key
+            key = h.key
             if key is None or key[0] not in config.restricted:
                 continue
             others = threads[:i] + threads[i + 1:]

@@ -56,6 +56,21 @@ def test_normalize_binder_order_irrelevant():
     assert canonical_key(c1, table) == canonical_key(c2, table)
 
 
+def test_canonical_key_keeps_names_and_variables_apart():
+    # one step leaves ``b(z). c<z>`` with ``z`` a name the receive of ``z``
+    # does not bind: it must not key as ``b(w). c<w>``, nor a restricted
+    # name as a free one
+    def stepped(text):
+        return run(norm(text), budget=1).soup.config()
+
+    for left, right in (("a<z> | a(y). b(z). c<y>", "a<w> | a(y). b(w). c<y>"),
+                        ("new k.( a<k> | a(y). b(k). c<y> )", "a<f> | a(y). b(f). c<y>")):
+        table: dict = {}
+        assert canonical_key(stepped(left), table) != canonical_key(stepped(right), table)
+        # and each still keys as itself
+        assert canonical_key(stepped(left), table) == canonical_key(stepped(left), table)
+
+
 def test_normalize_renames_on_collision():
     c = norm("a<1> | new a. a<2>")
     assert "a" not in c.restricted and len(c.restricted) == 1
@@ -336,6 +351,12 @@ def test_gc_server_with_client_kept():
 
 def test_gc_unrestricted_server_kept():
     c = norm("!f(x, r). r<x>")
+    assert len(garbage_collect(c).threads) == 1
+
+
+def test_gc_replicated_broadcast_kept():
+    # it fires with no receiver, so it is never unreachable
+    c = norm("new a. !a:<1>")
     assert len(garbage_collect(c).threads) == 1
 
 

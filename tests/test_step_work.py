@@ -3,8 +3,9 @@
 A step's channel text and a soup's output barbs are read from channel
 keys, never from a channel built and rendered; a thread's environment
 dicts are shared with the threads spawned under them and never changed;
-``--gc`` counts a thread's names from its template's memoized set and its
-environment; and ``_fresh_variant`` with ``floors`` skips only probes that
+``LiveSoup.collect`` reads a thread's names, in its one counting pass,
+from its template's memoized name facts and its environment, without
+closing the thread; and ``_fresh_variant`` with ``floors`` skips only probes that
 would fail.  Each is checked against the full path in ``reference.py``.
 """
 
@@ -68,8 +69,7 @@ def checked_run(config, **kwargs):
     for step in trace.steps:
         assert step.channel == reference_channel(step)
     for t in trace.soup.threads.values():
-        names, gone, extra = _mentioned(t)
-        assert (names - set(gone)) | set(extra) == reference_mentioned(t)
+        assert set(_mentioned(t)) == reference_mentioned(t)
         assert reference_mentioned(t) == all_names(_closed(t).proc)
     return trace
 
@@ -131,10 +131,9 @@ def test_mentioned_names_match_the_full_set():
         while soup.redexes:
             soup.fire(soup.redexes[rng.randrange(len(soup.redexes))], 0)
             for t in soup.threads.values():
-                names, gone, extra = _mentioned(t)
-                assert (set(names) - set(gone)) | set(extra) == reference_mentioned(t)
-                assert not set(extra) & names
-                seen += bool(gone) + bool(extra)
+                names = set(_mentioned(t))
+                assert names == reference_mentioned(t)
+                seen += names != all_names(t.proc)
     assert seen
 
 
