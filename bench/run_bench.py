@@ -1,7 +1,7 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 7 --out BENCH_19.json
+        --repeat 7 --out BENCH_22.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory.  It translates and normalizes the program, timed as
@@ -11,7 +11,7 @@ call translates and normalizes again, on nodes of its own).  It then
 times one cold call with ``perf_counter`` followed by ``WARM`` (5) more
 calls of the same kind: ``run`` for a ``run`` program (``gc`` as the row
 says), ``check_program`` for a ``check`` program (its seeded runs and
-every read-back probe).  The cold call pays each template's first walks
+every read-back).  The cold call pays each template's first walks
 that normalizing did not make; the warm calls show the cost per step
 alone, and their spread is far smaller than the cold calls' on a shared
 host.  Closing a ``run``'s final soup into a ``Config``
@@ -20,9 +20,11 @@ open) is timed apart as ``close_s``, and so is the report: ``report_s``
 is ``to_dict()`` of the trace (or of the ``check`` report) plus
 ``cli.dumps`` of it, the JSON that ``simulate`` (or ``check``) prints,
 after the cold call, and ``report_warm_s`` is its least over one report
-per warm call.  A ``check`` row also gives the read-back probes of one
-call (``_Prober.ask`` calls; the steps they fire are among the steps
-counted) and the seconds spent in ``read_back``: ``readback_s`` is the median over
+per warm call.  A ``check`` row also gives the handle reads of one call,
+``reads`` (``LiveSoup.ask`` calls; on a tree that reads back by running
+a probe per handle, ``_Prober.ask`` calls, and the steps those probes
+fire are among the steps counted), and the seconds spent in
+``read_back``: ``readback_s`` is the median over
 the cold calls and ``readback_warm_s`` the least over the warm calls;
 a ``run`` row, which reads nothing back, has null there.  A row gives
 the steps fired (``LiveSoup.fire`` calls),
@@ -83,9 +85,11 @@ from butfpi.translate import translate
 
 how, program, size, kwargs, warm = json.loads(sys.argv[1])
 e = FAMILIES[program](size) if size is not None else parse(program)
-counts = {"fire": 0, "peak_threads": 0, "rewrite": 0, "probes": 0, "readback_s": 0.0}
+counts = {"fire": 0, "peak_threads": 0, "rewrite": 0, "reads": 0, "readback_s": 0.0}
 fire, rewrite = engine.LiveSoup.fire, engine.rewrite
-ask, read_back = correspondence._Prober.ask, correspondence.read_back
+# a tree older than the index reads asks each handle through a probe run
+reader = engine.LiveSoup if hasattr(engine.LiveSoup, "ask") else correspondence._Prober
+ask, read_back = reader.ask, correspondence.read_back
 
 def counting_fire(soup, redex, index):
     counts["fire"] += 1
@@ -98,9 +102,9 @@ def counting_rewrite(*args, **kw):
     counts["rewrite"] += 1
     return rewrite(*args, **kw)
 
-def counting_ask(prober, *args):
-    counts["probes"] += 1
-    return ask(prober, *args)
+def counting_ask(asked, *args):
+    counts["reads"] += 1
+    return ask(asked, *args)
 
 def timed_read_back(*args, **kw):
     started = time.perf_counter()
@@ -110,7 +114,7 @@ def timed_read_back(*args, **kw):
         counts["readback_s"] += time.perf_counter() - started
 
 engine.LiveSoup.fire = counting_fire
-correspondence._Prober.ask = counting_ask
+reader.ask = counting_ask
 correspondence.read_back = timed_read_back
 started = time.perf_counter()
 config = engine.normalize(translate(e, "o"))
@@ -118,7 +122,7 @@ normalize_s = time.perf_counter() - started
 engine.rewrite = counting_rewrite
 
 def call():
-    counts.update(fire=0, peak_threads=0, rewrite=0, probes=0, readback_s=0.0)
+    counts.update(fire=0, peak_threads=0, rewrite=0, reads=0, readback_s=0.0)
     started = time.perf_counter()
     if how == "run":
         report = engine.run(config, **kwargs)
@@ -137,13 +141,13 @@ def call():
     text = json.dumps(result, sort_keys=True, indent=2)
     return {"steps": counts["fire"], "threads": threads,
             "peak_threads": counts["peak_threads"], "rewrites": counts["rewrite"],
-            "probes": counts["probes"], "seconds": seconds,
+            "reads": counts["reads"], "seconds": seconds,
             "readback_s": counts["readback_s"], "close_s": close_s, "report_s": report_s,
             "digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
 
 cold = call()
 warm_calls = [call() for _ in range(warm)]
-fixed = ("steps", "threads", "peak_threads", "rewrites", "probes", "digest")
+fixed = ("steps", "threads", "peak_threads", "rewrites", "reads", "digest")
 assert all(w[k] == cold[k] for w in warm_calls for k in fixed), "a warm call differs"
 print(json.dumps({
     **cold, "normalize_s": normalize_s, "warm_seconds": [w["seconds"] for w in warm_calls],
@@ -189,7 +193,7 @@ def main() -> None:
     for (label, name), results in runs.items():
         first = results[0]
         fixed = ("steps", "threads", "peak_threads", "rewrites", "digest")
-        assert all(r[k] == first[k] for r in results for k in (*fixed, "probes")), (label, name)
+        assert all(r[k] == first[k] for r in results for k in (*fixed, "reads")), (label, name)
         how, program, size, kwargs = PROGRAMS[name]
         checked = how == "check"
         us = [round(r["seconds"] / first["steps"] * 1e6, 1) for r in results]
@@ -209,7 +213,7 @@ def main() -> None:
                         round(statistics.median(r["close_s"] for r in results), 5)),
             "report_s": round(statistics.median(r["report_s"] for r in results), 5),
             "report_warm_s": round(min(r["report_warm_s"] for r in results), 5),
-            "probes": first["probes"] if checked else None,
+            "reads": first["reads"] if checked else None,
             "readback_s": (round(statistics.median(r["readback_s"] for r in results), 5)
                            if checked else None),
             "readback_warm_s": (round(min(r["readback_warm_s"] for r in results), 5)

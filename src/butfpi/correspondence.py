@@ -1,18 +1,16 @@
 """Running a program both ways and reconciling values and step counts.
 
 A translated program is reduced to quiescence, the delivered result is
-decoded back into a first-order value by probing the handle protocols
+decoded back into a first-order value through the handle protocols
 (``h.len``, ``h.i``, ``h.tup``), and the important-step total is compared
 against the source evaluator's reduction count.
 
-Probes run under an administrative-only scheduler, so decoding can never
-consume a bullet: important steps measure the program, not the observer.
-They run on the soup the program's run left (``Trace.soup``), read
-through its index: no ``Config`` is built, nor any thread closed, to
-decode it.  Nor is a probe built: each is one of three templates, made
-once per process (``_probe_template``), spawned into the soup under an
-environment that binds its handle, cell index and reply channel, as
-``run`` spawns every continuation.
+Decoding reads the soup the program's run left (``Trace.soup``) off its
+send queues (``LiveSoup.ask``): each handle read takes what an
+administrative probe receiver would have received there, so decoding
+never consumes a bullet, and important steps measure the program, not
+the observer.  No probe is built or run, no ``Config`` is built and no
+thread is closed to decode.
 
 Accounting follows the translation's one documented blind spot: a map
 invokes its function once on a dummy argument without reading the result,
@@ -24,7 +22,6 @@ recorded function to ``0``) and subtracted in the adjusted comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Union
 
 from butfpi.butf.eval import Diverged, EvalResult, Stuck, eval_expr
@@ -38,22 +35,7 @@ from butfpi.epi.engine import (
     normalize,
     run,
 )
-from butfpi.epi.syntax import (
-    Act,
-    Chan,
-    NameT,
-    Nil,
-    NumT,
-    Process,
-    Recv,
-    Send,
-    Term,
-    TermError,
-    VarT,
-    _NO_NAMES,
-    _fresh_variant,
-    eval_term,
-)
+from butfpi.epi.syntax import NameT, NumT, Term, TermError, eval_term
 from butfpi.translate import TranslationOptions, translate
 
 
@@ -81,7 +63,7 @@ class FunctionOpaque:
 
 @dataclass(frozen=True)
 class Incomplete:
-    channel: str  # the probe that blocked or disagreed
+    channel: str  # the handle read that found nothing or disagreed
 
 
 ReadBack = Union[NumRB, ArrayRB, TupleRB, FunctionOpaque, Incomplete]
@@ -104,76 +86,31 @@ def render_readback(r: ReadBack) -> str:
     raise TypeError(r)
 
 
-@cache
-def _probe_template(label: str | None, arity: int) -> Process:
-    """The probe ``rcv h.label(x0..xk). r<x0..xk>``, with the cell suffix
-    ``h.i`` for ``label`` None, where ``h``, ``i`` and ``r`` are variables:
-    it has no free names, and an environment binding them makes it a probe.
-
-    Built once per process for each shape asked (``len``, a cell, ``tup``
-    of some arity).  A template is immutable and the memos the engine keeps
-    on its nodes (facts, symbols, head) depend on the node alone, so
-    sharing it across read-backs makes no result depend on what the
-    process read back before.
-    """
-    params = tuple(f"x{i}" for i in range(arity))
-    suffix = VarT("i") if label is None else label
-    return Act(Recv(Chan(VarT("h"), suffix), params),
-               Act(Send(Chan(VarT("r")), tuple(map(VarT, params))), Nil()))
-
-
-class _Prober:
-    """Injects administrative probe receivers into one quiesced soup,
-    switched to ``admin_only``.
-
-    A probe is the shared ``_probe_template`` of its shape, inserted under
-    an environment, so asking builds no syntax and walks no process; the
-    thread stands for the closed probe that substituting the environment
-    gives, and chooses the same names."""
-
-    def __init__(self, soup: LiveSoup, budget: int = 200_000):
-        soup.admin_only_from_now()
-        self.soup = soup
-        self.budget = budget
-
-    def ask(self, handle: str, suffix, arity: int) -> tuple[Term, ...] | None:
-        """Receive ``arity`` values on ``handle.suffix``; None if none arrive."""
-        soup = self.soup
-        reply = _fresh_variant("probe", soup.used, soup.floors)
-        bound = {"h": NameT(handle), "r": NameT(reply)}
-        if type(suffix) is int:
-            bound["i"] = NumT(suffix)
-            template = _probe_template(None, arity)
-        else:
-            template = _probe_template(suffix, arity)
-        soup.insert(template, 0, (bound, _NO_NAMES))
-        run(soup, policy="priority", budget=self.budget, stop_barb=reply,
-            permissive=True)
-        return soup.sent((reply, None))
-
-
-def read_back(soup: LiveSoup, result: Term, shape: Expr,
-              budget: int = 200_000) -> ReadBack:
+def read_back(soup: LiveSoup, result: Term, shape: Expr) -> ReadBack:
     """Decode ``result`` against the expected value ``shape``.
 
-    The shape comes from the source-side oracle; it is required because the
-    tuple channel is polyadic, so the arity to receive cannot be discovered
-    by probing.  All probes run on ``soup`` itself, which they change.
+    The shape comes from the source-side oracle: it names the protocol to
+    read each handle through and, as the tuple channel is polyadic, how
+    many values a tuple read takes.  Each handle is read off ``soup``'s
+    send queues with ``LiveSoup.ask``, which consumes the non-replicated
+    sends it reads.
     """
-    return _decode(_Prober(soup, budget), result, shape)
+    return _decode(soup, result, shape)
 
 
-def read_output(soup: LiveSoup, shape: Expr | None,
-                budget: int = 200_000) -> ReadBack | None:
+def read_output(soup: LiveSoup, shape: Expr | None) -> ReadBack | None:
     """Decode what a quiesced soup delivers on ``o``; None if it delivers
-    nothing.  The soup is probed, and so changed, in place."""
+    nothing.  The soup is read, and so changed, in place."""
     sent = soup.sent(("o", None))
     if sent is None:
         return None
-    return read_back(soup, sent[0], shape, budget)
+    return read_back(soup, sent[0], shape)
 
 
-def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
+def _decode(reader, result: Term, shape: Expr) -> ReadBack:
+    """Decode ``result`` against ``shape``, asking ``reader.ask(handle,
+    suffix, arity)`` for what each handle serves (a ``LiveSoup``, or the
+    closed-probe oracle of the tests)."""
     try:
         value = eval_term(result)
     except TermError as exc:
@@ -191,7 +128,7 @@ def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
             if not isinstance(value, NameT):
                 return Incomplete("expected an array handle")
             h = value.name
-            got = prober.ask(h, "len", 1)
+            got = reader.ask(h, "len", 1)
             if got is None:
                 return Incomplete(f"{h}.len")
             n = eval_term(got[0])
@@ -201,20 +138,20 @@ def _decode(prober: _Prober, result: Term, shape: Expr) -> ReadBack:
                 return Incomplete(f"{h}.len reported {n.value}, expected {len(items)}")
             elements = []
             for i, item_shape in enumerate(items):
-                got = prober.ask(h, i, 2)  # (index, element)
+                got = reader.ask(h, i, 2)  # (index, element)
                 if got is None:
                     return Incomplete(f"{h}.{i}")
-                elements.append(_decode(prober, got[1], item_shape))
+                elements.append(_decode(reader, got[1], item_shape))
             return ArrayRB(tuple(elements))
         case Tup(items):
             if not isinstance(value, NameT):
                 return Incomplete("expected a tuple handle")
             h = value.name
-            got = prober.ask(h, "tup", len(items))
+            got = reader.ask(h, "tup", len(items))
             if got is None:
                 return Incomplete(f"{h}.tup")
             return TupleRB(tuple(
-                _decode(prober, t, item_shape) for t, item_shape in zip(got, items)))
+                _decode(reader, t, item_shape) for t, item_shape in zip(got, items)))
     return Incomplete(f"unsupported shape {type(shape).__name__}")
 
 
@@ -253,9 +190,9 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
 
     The run is not stopped at the first observable output: concurrent
     housekeeping (for example a map's dummy call) still fires, which keeps
-    the important-step total schedule-independent.  Probing afterwards is
-    purely administrative, and probes the run's own soup in place; the
-    report keeps the value and counts, not the soup.  ``config``, when
+    the important-step total schedule-independent.  Reading back afterwards
+    fires nothing, and reads the run's own soup in place; the report keeps
+    the value and counts, not the soup.  ``config``, when
     given, is ``e``'s normalized translation under ``opts``, so runs of one
     program can share it.
     """
@@ -268,7 +205,7 @@ def simulate_to_result(e: Expr, policy: str = "priority", seed: int = 0,
     important = trace.work
     if trace.status in ("timeout", "fault"):
         return RunReport(None, important, trace.status)
-    value = read_output(trace.soup, shape, budget)
+    value = read_output(trace.soup, shape)
     if value is None:
         return RunReport(None, important, "stuck-in-process")
     return RunReport(value, important, "ok")

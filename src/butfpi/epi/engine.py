@@ -42,10 +42,10 @@ closes the new threads; both drivers fire through the same ``_fire``, and
 every spawn, in every driver, is a template plus an environment.
 ``normalize`` closes the threads it spawns likewise.  A ``run``'s trace
 holds the soup it stepped, which ``LiveSoup.config`` closes into a
-``Config`` where one is wanted.  Read-back probes that soup: each probe
-is a template shared by every probe of its shape, ``LiveSoup.insert``-ed
-under an environment that binds its handle, cell index and reply channel,
-so a probe builds no syntax, and ``run`` steps the soup in place.
+``Config`` where one is wanted.  Read-back reads that soup off its send
+queues (``LiveSoup.ask``), taking from each handle what an
+administrative probe receiver would receive, without building or running
+one.
 
 ``explore`` identifies states by ``canonical_key``, and sibling states
 share most of their threads, fire the same receives and hoist the same
@@ -217,15 +217,6 @@ def _key_of(h: Head, env) -> tuple[str, object] | None:
     elif type(suffix) is NameT:
         return None
     return (name, suffix)
-
-
-def _sent(h: Head, env) -> tuple[Term, ...]:
-    """The terms ``h``'s send or broadcast carries under a thread's environment."""
-    args = h.core.args
-    if env is None:
-        return args
-    vm, nm = env
-    return tuple([_sub_term(a, vm, nm) for a in args])
 
 
 def _values(h: Head, env) -> tuple[NumT | NameT, ...]:
@@ -769,7 +760,7 @@ def barbs(config: Config) -> frozenset[tuple[str, str]]:
 @dataclass(slots=True)
 class Trace:
     """What a ``run`` did: its steps, how it stopped, its faults, and the
-    soup it stepped, which the caller may go on stepping (read-back does)."""
+    soup it stepped, which the caller may go on stepping or read back."""
 
     steps: list[Step] = field(default_factory=list)
     status: str = "terminated"
@@ -827,7 +818,7 @@ class LiveSoup:
     the pairs the same way.  Arity mismatches, broadcasts and matches go
     through their helpers (``_mismatch``, ``_broad``, ``_list``/``_unlist``).
 
-    The threads a soup spawns itself (``fire``, ``insert``) keep their
+    The threads a soup spawns itself (``fire``) keep their
     environments (see ``Thread``): a continuation is spawned as the shared
     template it is in the process text, with the received values and the
     hoisting renames recorded beside it, so a step copies no syntax.  The
@@ -835,7 +826,8 @@ class LiveSoup:
     operands under its environment.  A thread is closed, one ``rewrite``
     each, only where a closed process is asked for: ``config``, which
     builds every ``Config`` taken from a soup.  Nothing calls it at the end
-    of a ``run``: the ``Trace`` holds the soup, and read-back probes it.
+    of a ``run``: the ``Trace`` holds the soup, and read-back reads its
+    send queues (``ask``).
 
     The index keeps nothing for ``collect``, which counts every thread's
     names afresh each time it is called; ``run`` calls it only when the
@@ -885,7 +877,36 @@ class LiveSoup:
         if not queue:
             return None
         tid, h = next(iter(queue.items()))
-        return _sent(h, self.threads[tid].env)
+        env = self.threads[tid].env
+        args = h.core.args
+        return args if env is None else tuple([_sub_term(a, *env) for a in args])
+
+    def ask(self, handle: str, suffix, arity: int) -> tuple[NumT | NameT, ...] | None:
+        """The values an administrative receive of ``arity`` on
+        ``handle.suffix`` takes from the quiesced soup; None if none arrive.
+
+        That receive would fire with the lowest-tid pending send on the
+        channel whose head carries no bullets, whose arity is ``arity`` and
+        whose payload evaluates: the pair the priority policy picks under
+        ``admin_only``.  In a quiesced soup nothing else is enabled, and no
+        broadcast is pending, as a BROAD fires even with no receiver.  A
+        send that is not replicated is consumed, so asking again reads the
+        next one; its continuation is not spawned, as a read runs nothing.
+        """
+        queue = self.sends.get((handle, suffix))
+        if not queue:
+            return None
+        for tid, h in sorted(queue.items()):
+            if h.bullets or len(h.core.args) != arity:
+                continue
+            try:
+                values = _values(h, self.threads[tid].env)
+            except TermError:
+                continue
+            if not h.repl:
+                self.drop((tid,))
+            return values
+        return None
 
     def diagnostics(self) -> list[str]:
         """The texts of the ``mismatches`` arity mismatches, in soup order:
@@ -916,25 +937,12 @@ class LiveSoup:
 
     # ---------------------------------------------------------- changes
 
-    def insert(self, proc: Process, depth: int = 0,
-               env: tuple[dict[str, NumT | NameT], dict[str, str]] | None = None) -> None:
-        """Drop an extra process into the soup: ``proc`` itself, or with
-        ``env`` (receive bindings, renames) the process ``rewrite(proc,
-        *env)`` stands for, spawned as ``fire`` spawns a continuation, with
-        ``proc`` a template the new thread shares (read-back probes).
-
-        As ``Thread`` requires, no binder of ``proc`` may be a name the
-        environment brings in; the names it brings in are taken in ``used``.
-        """
+    def insert(self, proc: Process, depth: int = 0) -> None:
+        """Drop an extra closed process into the soup, spawned as ``fire``
+        spawns a continuation."""
         self.used |= free_names(proc)
-        if env is not None:
-            vm, nm = env
-            brought = [v.name for v in vm.values() if type(v) is NameT]
-            brought += nm.values()
-            assert binders(proc).isdisjoint(brought), "closing would rename a binder"
-            self.used.update(brought)
         builder = self.builder or self._builder()
-        builder.spawn(proc, depth, env)
+        builder.spawn(proc, depth, None)
         self._take(builder)
 
     def fire(self, redex: Redex, index: int) -> Step:
@@ -972,13 +980,6 @@ class LiveSoup:
         for t in spawned:
             threads[t.tid] = t
             index(t)
-
-    def admin_only_from_now(self) -> None:
-        """Fire only administrative redexes from now on, as if built with
-        ``admin_only``: unlist the important and FAULT redexes listed."""
-        self.admin_only = True
-        self.redexes = [r for r in self.redexes if _administrative(r)]
-        self.keys = [r.participants for r in self.redexes]
 
     def drop(self, tids: tuple[int, ...]) -> None:
         for tid in tids:
@@ -1200,13 +1201,12 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
 
     ``policy`` is ``"priority"`` (lowest participant thread ids win) or
     ``"random"`` (uniform over enabled redexes, seeded).  ``admin_only``
-    refuses to fire important redexes, which read-back probing uses to keep
-    decoding free.  ``stop_barb`` halts as soon as the named channel is
-    observable.  ``gc`` runs ``LiveSoup.collect`` before the first step,
-    whenever the soup holds more than twice the threads the last
-    collection left, and once more at the end; a collected server can
-    never fire, so the trace is the same with and without ``gc``, and only
-    the soup it holds is smaller.  A ``LiveSoup`` is stepped in place,
+    refuses to fire important redexes.  ``stop_barb`` halts as soon as the
+    named channel is observable.  ``gc`` runs ``LiveSoup.collect`` before
+    the first step, whenever the soup holds more than twice the threads
+    the last collection left, and once more at the end; a collected server
+    can never fire, so the trace is the same with and without ``gc``, and
+    only the soup it holds is smaller.  A ``LiveSoup`` is stepped in place,
     under the ``admin_only`` it was built with; a ``Config`` is stepped as
     a ``LiveSoup`` built from it.  Either way the trace's ``soup`` is the
     soup stepped.

@@ -171,33 +171,37 @@ def random_chan(rng: random.Random, bound_vars: tuple[str, ...]) -> Chan:
 
 
 def random_process(rng: random.Random, depth: int = 3,
-                   bound_vars: tuple[str, ...] = ()) -> Process:
+                   bound_vars: tuple[str, ...] = (),
+                   param_pool: tuple[str, ...] | None = None) -> Process:
     """A process whose variables are all receive-bound (free identifiers are
-    names), replications and bullets guard sequential processes."""
+    names), replications and bullets guard sequential processes.  With
+    ``param_pool`` receive parameters are spelled from it (distinct within
+    one receive), so that they may spell names too."""
     if depth <= 0:
-        return rng.choice((Nil(), _random_action(rng, 0, bound_vars)))
+        return rng.choice((Nil(), _random_action(rng, 0, bound_vars, param_pool)))
     kind = rng.choice(("nil", "act", "act", "par", "new", "match", "repl", "bullet"))
     if kind == "nil":
         return Nil()
     if kind == "act":
-        return _random_action(rng, depth, bound_vars)
+        return _random_action(rng, depth, bound_vars, param_pool)
     if kind == "par":
-        return Par(random_process(rng, depth - 1, bound_vars),
-                   random_process(rng, depth - 1, bound_vars))
+        return Par(random_process(rng, depth - 1, bound_vars, param_pool),
+                   random_process(rng, depth - 1, bound_vars, param_pool))
     if kind == "new":
-        return New(rng.choice(NAME_POOL), random_process(rng, depth - 1, bound_vars))
+        return New(rng.choice(NAME_POOL),
+                   random_process(rng, depth - 1, bound_vars, param_pool))
     if kind == "match":
         return Match(random_term(rng, bound_vars, 1),
                      rng.choice(("<", ">", "<=", ">=", "=", "!=")),
                      random_term(rng, bound_vars, 1),
-                     random_process(rng, depth - 1, bound_vars),
-                     random_process(rng, depth - 1, bound_vars))
-    guarded = _random_action(rng, depth - 1, bound_vars)
+                     random_process(rng, depth - 1, bound_vars, param_pool),
+                     random_process(rng, depth - 1, bound_vars, param_pool))
+    guarded = _random_action(rng, depth - 1, bound_vars, param_pool)
     return Repl(guarded) if kind == "repl" else Bullet(guarded)
 
 
-def _random_action(rng: random.Random, depth: int,
-                   bound_vars: tuple[str, ...]) -> Process:
+def _random_action(rng: random.Random, depth: int, bound_vars: tuple[str, ...],
+                   param_pool: tuple[str, ...] | None = None) -> Process:
     chan = random_chan(rng, bound_vars)
     kind = rng.choice(("send", "send", "recv", "bcast"))
     arity = rng.randint(0, 3)
@@ -208,13 +212,17 @@ def _random_action(rng: random.Random, depth: int,
             if rng.random() < 0.2:
                 params.append(None)
             else:
-                x = f"p{len(inner_vars)}_{i}"
+                if param_pool is None:
+                    x = f"p{len(inner_vars)}_{i}"
+                else:
+                    x = rng.choice([y for y in param_pool if y not in params])
                 params.append(x)
                 inner_vars = inner_vars + (x,)
-        cont = random_process(rng, depth - 1, inner_vars) if depth > 0 else Nil()
+        cont = (random_process(rng, depth - 1, inner_vars, param_pool) if depth > 0
+                else Nil())
         return Act(Recv(chan, tuple(params)), cont)
     args = tuple(random_term(rng, bound_vars) for _ in range(arity))
-    cont = random_process(rng, depth - 1, bound_vars) if depth > 0 else Nil()
+    cont = random_process(rng, depth - 1, bound_vars, param_pool) if depth > 0 else Nil()
     action = Send(chan, args) if kind == "send" else Bcast(chan, args)
     return Act(action, cont)
 

@@ -27,10 +27,10 @@ and ``reference_value`` and ``reference_match_redex`` read a term and a
 comparison under an environment by substituting it first
 (``_sub_term``), then deciding and evaluating the closed terms: ``_value``
 and ``_match_redex`` must give the same value, redex or ``TermError`` text.
-``ClosedProber`` asks each read-back probe by building it as closed
-syntax and inserting that, and ``reference_read_output`` decodes with it:
-read-back through the shared probe templates must give the same value and
-leave the same soup.
+``ClosedProber`` reads a handle back by running a closed probe receiver
+on an ``admin_only`` copy of the soup, and ``reference_read_output``
+decodes with it: read-back off the soup's send queues (``LiveSoup.ask``)
+must give the same value.
 """
 
 from collections import Counter
@@ -38,13 +38,14 @@ from collections import Counter
 import pytest
 
 from butfpi.butf.eval import apply_arith
-from butfpi.correspondence import _decode, _Prober
+from butfpi.correspondence import _decode
 from butfpi.epi import engine
 from butfpi.epi.engine import (
     CommitFault,
     Config,
     EngineError,
     Head,
+    LiveSoup,
     Redex,
     _administrative,
     _broad_redex,
@@ -415,9 +416,16 @@ class SequentialBuilder(_Builder):
                 raise TypeError(f"not a process: {p!r}")
 
 
-class ClosedProber(_Prober):
-    """``_Prober`` with every probe built as closed syntax and inserted
-    without an environment: ``rcv handle.suffix(x0..xk). reply<x0..xk>``."""
+class ClosedProber:
+    """Reads each handle back by running a probe: the closed receive
+    ``rcv handle.suffix(x0..xk). reply<x0..xk>``, inserted into an
+    ``admin_only`` copy of the soup and run under the priority policy
+    until the reply shows, so that decoding never consumes a bullet.
+    ``LiveSoup.ask`` must give what the probe receives."""
+
+    def __init__(self, soup, budget: int = 200_000):
+        self.soup = LiveSoup(soup.config(), admin_only=True)
+        self.budget = budget
 
     def ask(self, handle: str, suffix, arity: int):
         reply = _fresh_variant("probe", self.soup.used, self.soup.floors)
@@ -431,7 +439,8 @@ class ClosedProber(_Prober):
 
 
 def reference_read_output(soup, shape, budget: int = 200_000):
-    """``read_output`` decoding through ``ClosedProber``."""
+    """``read_output`` decoding through ``ClosedProber``; ``soup`` is left
+    as it was."""
     sent = soup.sent(("o", None))
     if sent is None:
         return None

@@ -147,3 +147,15 @@ def test_check_translates_once_per_program(monkeypatch):
     assert report.status == "ok" and report.seeds_run == 5
     # the program itself, and the map's dummy call measured once
     assert len(calls) == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the source evaluator clamps iota of a negative count to [], while the "
+    "translation publishes the raw count on h.len, so read-back reports "
+    "h.len -1 and check reports value-mismatch"))
+def test_iota_of_a_negative_number_checks_ok(capsys):
+    import json
+
+    from butfpi.cli import dispatch
+    assert dispatch(["check", "-e", "iota (0 - 1)", "--seeds", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"

@@ -12,7 +12,7 @@ import pytest
 
 from butfpi.butf.eval import EvalResult, eval_expr
 from butfpi.butf.parse import parse
-from butfpi.correspondence import _decode, _Prober, check_program, read_output
+from butfpi.correspondence import _decode, check_program, read_output
 from butfpi.epi import engine
 from butfpi.epi.engine import LiveSoup, head_of, normalize, run
 from butfpi.epi.parse import parse_process
@@ -48,12 +48,12 @@ CASES = list(_cases())
 
 
 def _closed_read_output(config, shape):
-    """What read-back gave when it searched the closed final ``Config``
-    for the delivery on ``o`` and probed a soup built from it."""
+    """What read-back gives when it searches the closed final ``Config``
+    for the delivery on ``o`` and reads a soup built from it."""
     for t in config.threads:
         core = head_of(t.proc).core
         if isinstance(core, Send) and core.chan == Chan(NameT("o")):
-            return _decode(_Prober(LiveSoup(config)), core.args[0], shape)
+            return _decode(LiveSoup(config), core.args[0], shape)
     return None
 
 

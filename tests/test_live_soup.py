@@ -48,8 +48,8 @@ class CheckedSoup(engine.LiveSoup):
         CheckedSoup.built += 1
         self.verify()
 
-    def insert(self, proc, depth=0, env=None):
-        super().insert(proc, depth, env)
+    def insert(self, proc, depth=0):
+        super().insert(proc, depth)
         self.verify()
 
     def fire(self, redex, index):
@@ -197,8 +197,8 @@ def test_read_back_probes_are_checked(checked):
     report = check_program(e, seeds=2)
     assert report.status == "ok"
     assert CheckedSoup.verified > before
-    # the seven probes of one read-back (a length, three elements, three
-    # tuples) all run on one soup
+    # the seven reads of one read-back (a length, three elements, three
+    # tuples) all read one soup
     quiesced = run(normalize(translate(e, "o"))).soup.config()
     built = CheckedSoup.built
     value = read_output(engine.LiveSoup(quiesced), eval_expr(e).value)

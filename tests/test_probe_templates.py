@@ -1,10 +1,10 @@
-"""Read-back through the shared probe templates agrees with closed probes.
+"""Read-back off the soup's send queues agrees with closed probes.
 
-``read_output`` spawns each probe as a template under an environment; the
-oracle, ``reference_read_output``, builds each probe as closed syntax.  On
-every case the two must decode the same value and leave equal soups (the
-same threads once closed, ``used``, ``restricted`` and ``next_tid``), so
-that nothing after a read-back can tell which way it probed.
+``read_output`` reads each handle off the quiesced soup's send queues
+(``LiveSoup.ask``); the oracle, ``reference_read_output``, runs a closed
+probe receiver for each on an ``admin_only`` copy of the soup.  On every
+case the two must decode the same value, and reading must leave the soup
+as it was but for the non-replicated sends it consumed.
 """
 
 import os
@@ -16,14 +16,15 @@ from pathlib import Path
 import pytest
 
 import butfpi
+from butfpi import correspondence
 from butfpi.butf.eval import EvalResult, eval_expr
 from butfpi.butf.parse import parse
 from butfpi.cli import dispatch
-from butfpi.correspondence import Incomplete, _probe_template, read_output
+from butfpi.correspondence import Incomplete, check_program, read_output, render_readback
 from butfpi.epi import engine
-from butfpi.epi.engine import LiveSoup, normalize, run
+from butfpi.epi.engine import LiveSoup, head_of, normalize, run
 from butfpi.epi.parse import parse_process
-from butfpi.epi.syntax import Act, Chan, NameT, Nil, NumT, Recv, Send, VarT, rewrite
+from butfpi.epi.syntax import Send
 from butfpi.translate import translate
 from corpus import TERMINATING
 from generators import random_closed_program
@@ -34,19 +35,33 @@ SRC = Path(butfpi.__file__).resolve().parents[1]
 SCHEDULES = (("priority", 0), ("random", 0), ("random", 1))
 
 
-def read_back_both_ways(config, shape, policy="priority", seed=0, budget=200_000):
-    """Read back one run's soup through the templates and a second run's
-    soup through closed probes; both must agree.  Returns the value."""
+def read_back_both_ways(soup, shape):
+    """Read ``soup`` back off its queues and through closed probes; both
+    must agree, and reading may only drop non-replicated sends.  Returns
+    the value."""
+    before = soup.config()
+    want = reference_read_output(soup, shape)
+    assert soup.config() == before  # the oracle probes a copy
+    got = read_output(soup, shape)
+    assert got == want
+    after = soup.config()
+    assert (after.restricted, after.used, after.next_tid) == (
+        before.restricted, before.used, before.next_tid)
+    kept = {t.tid for t in after.threads}
+    assert [t for t in before.threads if t.tid in kept] == list(after.threads)
+    for t in before.threads:
+        if t.tid not in kept:
+            h = head_of(t.proc)
+            assert type(h.core) is Send and not h.repl and not h.bullets
+    assert soup.redexes == []  # still quiesced
+    return got
+
+
+def run_and_read_back(config, shape, policy="priority", seed=0, budget=200_000):
     ran = run(config, policy=policy, seed=seed, budget=budget)
     if ran.status != "terminated":
         return None
-    soup = ran.soup
-    oracle = run(config, policy=policy, seed=seed, budget=budget).soup
-    assert soup.config() == oracle.config()
-    got = read_output(soup, shape)
-    assert got == reference_read_output(oracle, shape)
-    assert soup.config() == oracle.config()
-    return got
+    return read_back_both_ways(ran.soup, shape)
 
 
 def value_of(e):
@@ -60,15 +75,15 @@ def test_corpus_reads_back_as_with_closed_probes(entry):
     config = normalize(translate(e, "o"))
     shape = value_of(e)
     for policy, seed in SCHEDULES:
-        assert read_back_both_ways(config, shape, policy, seed) is not None
+        assert run_and_read_back(config, shape, policy, seed) is not None
 
 
 def test_corpus_against_wrong_shapes_reads_back_as_with_closed_probes():
-    # the next entry's value as the shape: probes that block, arities that
-    # mismatch and lengths that disagree take the same paths both ways
+    # the next entry's value as the shape: reads that find nothing, arities
+    # that mismatch and lengths that disagree take the same paths both ways
     shapes = [value_of(parse(entry.source)) for entry in TERMINATING]
     for entry, shape in zip(TERMINATING, shapes[1:] + shapes[:1]):
-        read_back_both_ways(normalize(translate(parse(entry.source), "o")), shape)
+        run_and_read_back(normalize(translate(parse(entry.source), "o")), shape)
 
 
 def test_programs_read_back_as_with_closed_probes():
@@ -78,7 +93,7 @@ def test_programs_read_back_as_with_closed_probes():
         e = parse(path.read_text(encoding="utf-8"))
         config = normalize(translate(e, "o"))
         for policy, seed in SCHEDULES:
-            assert read_back_both_ways(config, value_of(e), policy, seed) is not None
+            assert run_and_read_back(config, value_of(e), policy, seed) is not None
 
 
 def test_generated_programs_read_back_as_with_closed_probes():
@@ -93,42 +108,68 @@ def test_generated_programs_read_back_as_with_closed_probes():
             config = normalize(translate(e, "o"))
         except engine.EngineError:
             continue
-        if read_back_both_ways(config, shape, "random", i, budget=5_000) is not None:
+        if run_and_read_back(config, shape, "random", i, budget=5_000) is not None:
             read += 1
     assert read > 15
 
 
-@pytest.mark.parametrize("label,suffix,arity", [("len", "len", 1), (None, 3, 2),
-                                                ("tup", "tup", 3)])
-def test_a_probe_thread_stands_for_the_closed_probe(label, suffix, arity):
-    config = normalize(parse_process("h.len<1> | h.3<3, 4>"))
-    soup, oracle = LiveSoup(config), LiveSoup(config)
-    bound = {"h": NameT("h"), "r": NameT("probe")}
-    if label is None:
-        bound["i"] = NumT(suffix)
-    template = _probe_template(label, arity)
-    assert _probe_template(label, arity) is template
-    params = tuple(f"x{i}" for i in range(arity))
-    closed = Act(Recv(Chan(NameT("h"), suffix), params),
-                 Act(Send(Chan(NameT("probe")), tuple(map(VarT, params))), Nil()))
-    assert rewrite(template, bound) == closed
-    soup.insert(template, 0, (bound, {}))
-    oracle.insert(closed)
-    assert soup.threads[soup.next_tid - 1].proc is template
-    assert soup.config() == oracle.config()
-    assert soup.redexes == oracle.redexes
+# soups built by hand, read back once run to quiescence: (process, shape,
+# what reads back)
+HAND_BUILT = {
+    # a bulleted server is skipped: reading it would be an important step
+    "bulleted-server": ("new h.( o<h> | *!h.len<1> | !h.len<1> | !h.0<0, 7> )",
+                        "[0]", "[7]"),
+    "bulleted-only": ("new h.( o<h> | *!h.len<1> )", "[0]", "<incomplete: h.len>"),
+    # the lowest tid wins
+    "two-servers": ("new h.( o<h> | !h.len<1> | !h.len<2> | !h.0<0, 5> | !h.1<1, 6> )",
+                    "[0]", "[5]"),
+    # the server of tid 1 spends its bullet on the receive and is queued
+    # again behind the server of tid 2: the lowest tid still wins
+    "requeued-server": ("new h.( o<h> | *!h.len<1> | !h.len<2> | h.len(x). 0 "
+                        "| !h.0<0, 7> )", "[0]", "[7]"),
+    "arity-mismatch": ("new h.( o<h> | !h.len<1, 2> | !h.len<1> | !h.0<0, 3> )",
+                       "[0]", "[3]"),
+    "arity-mismatch-only": ("new t.( o<t> | !t.tup<1, 2, 3> )", "(0, 0)",
+                            "<incomplete: t.tup>"),
+    # a payload that does not evaluate is skipped
+    "faulting-payload": ("new h.( o<h> | !h.len<1 / 0> | !h.len<1> | !h.0<0, a + 1> "
+                         "| !h.0<0, 4> )", "[0]", "[4]"),
+    # a send that is not replicated is consumed by the first read
+    "read-twice": ("new t, a.( o<t> | !t.tup<a, a> | a.len<1> | !a.0<0, 4> )",
+                   "([0], [0])", "([4], <incomplete: a.len>)"),
+    "read-twice-two-sends": ("new t, a.( o<t> | !t.tup<a, a> | a.len<1> | a.len<1> "
+                             "| a.0<0, 4> | a.0<0, 5> )", "([0], [0])", "([4], [5])"),
+}
 
 
-def test_insert_refuses_an_environment_that_renames_a_binder():
-    soup = LiveSoup(normalize(parse_process("0")))
-    with pytest.raises(AssertionError):
-        soup.insert(parse_process("new a. a<x>"), 0, ({"x": NameT("a")}, {}))
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_soups_read_back_as_with_closed_probes(name):
+    text, shape, want = HAND_BUILT[name]
+    ran = run(normalize(parse_process(text)))
+    assert ran.status == "terminated"
+    got = read_back_both_ways(ran.soup, parse(shape))
+    assert render_readback(got) == want
 
 
 def test_a_length_carrying_a_handle_is_incomplete():
     soup = LiveSoup(normalize(parse_process("new h, a.( o<h> | !h.len<a> )")))
-    got = read_output(soup, parse("[1]"))
+    got = read_back_both_ways(soup, parse("[1]"))
     assert got == Incomplete("h.len: expected a number, got a handle")
+
+
+def test_check_runs_each_schedule_once(monkeypatch):
+    # five schedules and the map's dummy call: reading back runs nothing
+    runs = [0]
+    plain = correspondence.run
+
+    def counting(*args, **kwargs):
+        runs[0] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(correspondence, "run", counting)
+    report = check_program(parse(r"map ((\x. (x, x * x + 7)), iota 8)"), seeds=4)
+    assert report.status == "ok"
+    assert runs[0] == 6
 
 
 def check_json(capsys, source):
@@ -136,26 +177,13 @@ def check_json(capsys, source):
     return capsys.readouterr().out
 
 
-def test_read_back_does_not_depend_on_what_was_read_back_before(capsys, monkeypatch):
+def test_read_back_does_not_depend_on_what_was_read_back_before(capsys):
     a = r"map ((\x. (x, [x, x * x])), iota 3)"
     b = r"((1, [2]), (), [[3], []])"
-    inserted: list = []
-    insert = engine.LiveSoup.insert
-
-    def recording_insert(soup, proc, depth=0, env=None):
-        inserted.append(proc)
-        insert(soup, proc, depth, env)
-
-    monkeypatch.setattr(engine.LiveSoup, "insert", recording_insert)
     first = check_json(capsys, a)
-    templates_first = {id(p) for p in inserted}
-    inserted.clear()
     check_json(capsys, b)
-    inserted.clear()
     second = check_json(capsys, a)
     assert first == second
-    assert templates_first == {id(p) for p in inserted}
-    assert len(templates_first) == 3  # len, cells and pairs
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
     fresh = subprocess.run(

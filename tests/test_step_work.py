@@ -48,8 +48,8 @@ class WatchedSoup(LiveSoup):
         self.watch()
         return step
 
-    def insert(self, proc, depth=0, env=None):
-        super().insert(proc, depth, env)
+    def insert(self, proc, depth=0):
+        super().insert(proc, depth)
         self.watch()
 
     def watch(self):
