@@ -1,7 +1,7 @@
 """Time ``run`` per step on a set of programs, for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 7 --out BENCH_22.json
+        --repeat 7 --out BENCH_23.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory.  It translates and normalizes the program, timed as
@@ -65,7 +65,7 @@ PROGRAMS = {
     "check-arrays": ("check", CHECK_ARRAYS, None, {"seeds": 4}),
     **{f"{family}-{n}": ("run", family, n, {})
        for family, sizes in (("array-of-apps", (16, 64)), ("nested-apps", (16, 64)),
-                             ("map-over-iota", (16, 64, 256)))
+                             ("map-over-iota", (16, 64, 256, 1024)))
        for n in sizes},
     # the ``map-square-over-iota`` family, from its source text so that a
     # tree older than the family runs the same program

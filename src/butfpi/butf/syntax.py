@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from butfpi.lexer import _fresh_variant
+
 ARITH_OPS = ("add", "sub", "mul", "div")
 ARRAY_OPS = ("map", "iota", "size")
 BUILTIN_OPS = ARRAY_OPS + ARITH_OPS
@@ -115,19 +117,6 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """A variant of ``base`` not in ``avoid``, staying in the identifier class."""
-    if base not in avoid:
-        return base
-    root = base.rstrip("0123456789_") or base
-    i = 1
-    while True:
-        candidate = f"{root}_{i}"
-        if candidate not in avoid:
-            return candidate
-        i += 1
-
-
 def substitute(e: Expr, x: str, v: Expr) -> Expr:
     """Capture-avoiding substitution ``e{x := v}``.
 
@@ -161,7 +150,7 @@ def _substitute(e: Expr, x: str, v: Expr, fv_v: frozenset[str]) -> Expr:
             if param == x or x not in free_vars(body):
                 return e
             if param in fv_v:
-                renamed = fresh_name(param, fv_v | free_vars(body) | {x})
+                renamed = _fresh_variant(param, fv_v | free_vars(body) | {x})
                 body = substitute(body, param, Var(renamed))
                 param = renamed
             return Lam(param, _substitute(body, x, v, fv_v))

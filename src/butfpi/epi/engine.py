@@ -15,16 +15,17 @@ one.  The redexes of the soup are:
 * THEN / ELSE -- a comparison thread whose operands evaluate now.
 
 There are two reduction drivers: ``run`` follows one schedule (values,
-step counts, work and span), ``explore`` all of them (confluence, and the
-value/barb lemma under the same ``admin_only``/``stop_barb`` constraints).
-Both read a soup's redexes, arity diagnostics and output barbs from one
-index, ``LiveSoup``: per-channel queues of pending sends, receives and
-broadcasts (the channel queues of Pict's abstract machine), the sorted
-redex list, the arity-mismatch count and the observable output barbs.
-``run`` steps one soup in place; a step updates the index only for the
-threads it consumes, folds or spawns, listing and unlisting the COMM pairs
-each forms on its channel, so its cost grows with the soup only through
-the pairs a channel's queues form.  Nor does it copy syntax: a thread the
+step counts, work and span), ``explore`` all of them (confluence, and,
+firing only administrative redexes up to a ``stop_barb``, the value/barb
+lemma).  Both read a soup's redexes, arity diagnostics and output barbs
+from one index, ``LiveSoup``: per-channel queues of pending sends,
+receives and broadcasts (the channel queues of Pict's abstract machine),
+the sorted redex list and the arity-mismatch count; the output barbs are
+the queues' unrestricted channels.  ``run`` steps one soup in place; a
+step updates the index only for the threads it consumes, folds or
+spawns, listing and unlisting the COMM pairs each forms on its channel,
+so its cost grows with the soup only through the pairs a channel's
+queues form.  Nor does it copy syntax: a thread the
 soup spawns is the continuation's subtree of the process text itself, a
 template shared by every thread spawned from it, plus an environment of
 the values its receives bound and the fresh names its restrictions were
@@ -111,7 +112,6 @@ from butfpi.epi.syntax import (
     _NO_NAMES,
     _NO_VARS,
     _facts,
-    _fresh_variant,
     _sub_term,
     _value,
     all_names,
@@ -123,6 +123,7 @@ from butfpi.epi.syntax import (
     term_names,
     term_vars,
 )
+from butfpi.lexer import _fresh_variant
 
 
 class EngineError(Exception):
@@ -255,6 +256,7 @@ class Head:
     residual: Process | None
     # ``_chan_key`` of an action's channel; None for a match or an inert thread
     key: tuple[str, object] | None
+    arity: int = 0  # of an action: the values it sends or the parameters it binds
 
 
 def head_of(proc: Process) -> Head:
@@ -286,18 +288,23 @@ def _head(proc: Process) -> Head:
             inner = inner.body
         residual = p if bullets else None  # the first fire spends outer bullets
         if isinstance(inner, Act):
-            return Head(inner.action, inner.cont, bullets + copy_bullets, True, residual,
-                        _chan_key(inner.action.chan))
+            return _act_head(inner, bullets + copy_bullets, True, residual)
         if isinstance(inner, Match):
             return Head(inner, None, bullets + copy_bullets, True, residual, None)
         raise EngineError("replication must guard an action or a match")
     if isinstance(p, Act):
-        return Head(p.action, p.cont, bullets, False, None, _chan_key(p.action.chan))
+        return _act_head(p, bullets, False, None)
     if isinstance(p, Match):
         return Head(p, None, bullets, False, None, None)
     if isinstance(p, Nil):
         return Head(None, None, bullets, False, None, None)
     raise AssertionError(f"non-normalized thread process: {p!r}")
+
+
+def _act_head(p: Act, bullets: int, repl: bool, residual: Process | None) -> Head:
+    action = p.action
+    arity = len(action.params) if type(action) is Recv else len(action.args)
+    return Head(action, p.cont, bullets, repl, residual, _chan_key(action.chan), arity)
 
 
 # ------------------------------------------------------------ normalize
@@ -318,17 +325,16 @@ class _Builder:
     mutated: a restriction that renames or shadows a name copies it.
 
     A soup keeps one builder, and takes its new threads and hoisted names
-    after each fire or insert.  ``normalize`` and ``apply_redex`` make one
-    per call and close the threads it spawns, as a ``Config`` holds only
-    closed threads.
+    after each fire.  ``normalize``, ``insert_process`` and ``apply_redex``
+    make one per call and close the threads it spawns, as a ``Config``
+    holds only closed threads.
     """
 
-    def __init__(self, used: set[str], restricted: set[str], next_tid: int,
-                 floors: dict[str, int] | None = None):
+    def __init__(self, used: set[str], restricted: set[str], next_tid: int):
         self.used = used
         self.restricted = restricted
         self.next_tid = next_tid
-        self.floors = {} if floors is None else floors  # see _fresh_variant
+        self.floors: dict[str, int] = {}  # see _fresh_variant
         self.new_threads: list[Thread] = []
 
     def spawn(self, proc: Process, depth: int, env) -> None:
@@ -471,9 +477,12 @@ def normalize(p: Process) -> Config:
 
 def insert_process(config: Config, p: Process, depth: int = 0) -> Config:
     """Drop an extra process into a copy of a soup."""
-    soup = LiveSoup(config)
-    soup.insert(p, depth)
-    return soup.config()
+    used = set(config.used) | free_names(p)
+    restricted = set(config.restricted)
+    builder = _Builder(used, restricted, config.next_tid)
+    builder.add(p, depth)
+    threads = config.threads + tuple([_closed(t) for t in builder.new_threads])
+    return _make_config(threads, restricted, used, builder.next_tid)
 
 
 def config_to_process(config: Config) -> Process:
@@ -513,6 +522,21 @@ def _key_text(key: tuple[str, object]) -> str:
     return name if suffix is None else f"{name}.{suffix}"
 
 
+def _text_key(text: str) -> tuple[str, object] | None:
+    """The channel key whose ``_key_text`` is ``text``; None if none is.
+
+    A name has no ``.``, and a suffix is a number or a label.
+    """
+    name, dot, suffix = text.partition(".")
+    if not dot:
+        return (name, None)
+    try:
+        key = (name, int(suffix))
+    except ValueError:
+        key = (name, suffix)
+    return key if _key_text(key) == text else None
+
+
 def _match_redex(tid: int, h: Head, env=None) -> Redex | None:
     """THEN, ELSE or FAULT for a comparison thread, whose operands are read
     under its environment; None while undecidable, that is while an operand
@@ -529,24 +553,16 @@ def _match_redex(tid: int, h: Head, env=None) -> Redex | None:
                  bullets=h.bullets)
 
 
-def _comm_redex(key: tuple, tid: int, h: Head, rtid: int, rh: Head) -> Redex | str:
-    """COMM of a send and a receive on ``key``, or its arity-mismatch diagnostic."""
-    arity, rarity = len(h.core.args), len(rh.core.params)
-    if rarity != arity:
-        return f"arity mismatch on {key[0]}: send of {arity} vs receive of {rarity}"
-    return Redex("COMM", (tid, rtid), channel=key, bullets=h.bullets + rh.bullets)
-
-
 def _broad_redex(key: tuple, tid: int, h: Head,
                  receivers: Iterable[tuple[int, Head]]) -> tuple[Redex, list[str]]:
     """BROAD of a broadcast with every receiver of its arity on ``key``, plus
     a diagnostic per receiver of another arity."""
-    arity = len(h.core.args)
+    arity = h.arity
     rtids: list[int] = []
     bullets = h.bullets
     diagnostics: list[str] = []
     for rtid, rh in receivers:
-        rarity = len(rh.core.params)
+        rarity = rh.arity
         if rarity != arity:
             diagnostics.append(f"arity mismatch on broadcast {key[0]}: {arity} vs {rarity}")
             continue
@@ -798,25 +814,28 @@ class Trace:
 class LiveSoup:
     """The mutable, channel-indexed soup: the one index of a soup's redexes.
 
-    Holds the threads by tid (in soup order), the pending sends, receives
-    and broadcasts of each evaluated channel, the enabled redexes sorted
-    by participants (important and FAULT redexes left out under
-    ``admin_only``), the number of arity mismatches, whose texts
-    ``diagnostics`` gives, and how many threads show each observable
-    output barb.  ``run`` steps a soup in place and ``explore`` builds one
-    per state it expands.  A step updates the index only for the threads
-    it consumes, folds or spawns, so its cost follows the participants and
-    their channels rather than the whole soup.
+    Holds the threads by tid (in soup order) and four things derived from
+    them: the pending sends, receives and broadcasts of each evaluated
+    channel, the enabled redexes sorted by participants (``redexes``, with
+    their participants in ``keys``), the BROAD each broadcast forms
+    (``broads``), and the number of arity mismatches, whose texts
+    ``diagnostics`` gives.  The observable barbs are the unrestricted keys
+    of the queues (``barbs``, ``shows``).  ``run`` steps a soup in place
+    and ``explore`` builds one per state it expands.  A step updates the
+    index only for the threads it consumes, folds or spawns, so its cost
+    follows the participants and their channels rather than the whole
+    soup.
 
     ``fire`` unindexes the participants it consumes, then takes the
-    builder's new threads and indexes each in one loop (``_take``); the
-    builder hoists names straight into the soup's ``used`` and
-    ``restricted``.  Indexing a send or a receive enqueues it on its channel
-    and lists each COMM pair it forms with the other side's queue inline,
-    with no call per pair: the arity test, the ``admin_only`` test, then a
-    ``bisect`` insert into ``keys`` and ``redexes``; unindexing it unlists
-    the pairs the same way.  Arity mismatches, broadcasts and matches go
-    through their helpers (``_mismatch``, ``_broad``, ``_list``/``_unlist``).
+    builder's new threads and indexes each in one loop; the soup's one
+    builder hoists names straight into its ``used`` and ``restricted``.
+    Indexing a send or a receive enqueues it on its channel and walks the
+    other side's queue there in one loop, with no call per partner: a
+    partner of another arity adds a mismatch, any other forms a COMM pair,
+    ``bisect``-inserted into ``keys`` and ``redexes``.  Unindexing it
+    walks the same queue and takes back the same pairs and mismatches.
+    Broadcasts and matches go through their helpers (``_broad``,
+    ``_list``/``_unlist``).
 
     The threads a soup spawns itself (``fire``) keep their
     environments (see ``Thread``): a continuation is spawned as the shared
@@ -835,11 +854,9 @@ class LiveSoup:
     between pay for the count.
     """
 
-    def __init__(self, config: Config, admin_only: bool = False):
-        self.admin_only = admin_only
+    def __init__(self, config: Config):
         self.restricted = set(config.restricted)
         self.used = set(config.used)
-        self.floors: dict[str, int] = {}  # fresh-name probes ``used`` has ruled out
         self.next_tid = config.next_tid
         self.threads: dict[int, Thread] = {}
         self.sends: dict[tuple, dict[int, Head]] = {}
@@ -849,9 +866,8 @@ class LiveSoup:
         self.keys: list[tuple[int, ...]] = []  # participants of ``redexes``, sorted
         self.redexes: list[Redex] = []
         self.mismatches = 0
-        self.mismatched: dict[int, set[int]] = {}  # tid -> COMM partners of another arity
-        self.out_barbs: Counter[str] = Counter()
-        self.builder: _Builder | None = None  # made by the first fire or insert
+        # it hoists names straight into the soup's sets
+        self.builder = _Builder(self.used, self.restricted, self.next_tid)
         threads, index = self.threads, self._index
         for t in config.threads:
             threads[t.tid] = t
@@ -871,6 +887,10 @@ class LiveSoup:
                                                    (self.bcasts, "out"))
                           for key in queues if key[0] not in restricted])
 
+    def shows(self, key: tuple) -> bool:
+        """Whether the soup shows an output barb on the channel ``key``."""
+        return (key in self.sends or key in self.bcasts) and key[0] not in self.restricted
+
     def sent(self, key: tuple) -> tuple[Term, ...] | None:
         """The terms the first pending send on ``key`` carries, if any."""
         queue = self.sends.get(key)
@@ -887,17 +907,18 @@ class LiveSoup:
 
         That receive would fire with the lowest-tid pending send on the
         channel whose head carries no bullets, whose arity is ``arity`` and
-        whose payload evaluates: the pair the priority policy picks under
-        ``admin_only``.  In a quiesced soup nothing else is enabled, and no
-        broadcast is pending, as a BROAD fires even with no receiver.  A
-        send that is not replicated is consumed, so asking again reads the
-        next one; its continuation is not spawned, as a read runs nothing.
+        whose payload evaluates: the first administrative pair the
+        priority policy would pick.  In a quiesced soup nothing else is
+        enabled, and no broadcast is pending, as a BROAD fires even with no
+        receiver.  A send that is not replicated is consumed, so asking
+        again reads the next one; its continuation is not spawned, as a
+        read runs nothing.
         """
         queue = self.sends.get((handle, suffix))
         if not queue:
             return None
         for tid, h in sorted(queue.items()):
-            if h.bullets or len(h.core.args) != arity:
+            if h.bullets or h.arity != arity:
                 continue
             try:
                 values = _values(h, self.threads[tid].env)
@@ -926,28 +947,20 @@ class LiveSoup:
             return sorted(self.recvs.get(key, {}).items(), key=lambda e: order[e[0]])
 
         texts: list[str] = []
-        for tid, key, h in pending(self.sends):
-            for rtid, rh in receivers(key):
-                redex = _comm_redex(key, tid, h, rtid, rh)
-                if isinstance(redex, str):
-                    texts.append(redex)
+        for _tid, key, h in pending(self.sends):
+            for _rtid, rh in receivers(key):
+                if rh.arity != h.arity:
+                    texts.append(f"arity mismatch on {key[0]}: send of {h.arity} "
+                                 f"vs receive of {rh.arity}")
         for tid, key, h in pending(self.bcasts):
             texts.extend(_broad_redex(key, tid, h, receivers(key))[1])
         return texts
 
     # ---------------------------------------------------------- changes
 
-    def insert(self, proc: Process, depth: int = 0) -> None:
-        """Drop an extra closed process into the soup, spawned as ``fire``
-        spawns a continuation."""
-        self.used |= free_names(proc)
-        builder = self.builder or self._builder()
-        builder.spawn(proc, depth, None)
-        self._take(builder)
-
     def fire(self, redex: Redex, index: int) -> Step:
         threads = self.threads
-        builder = self.builder or self._builder()
+        builder = self.builder
         consumed, folded, step = _fire(redex, threads.__getitem__, self.restricted,
                                        builder, index)
         # sender first: a broadcast leaves before its receivers, so their
@@ -962,24 +975,13 @@ class LiveSoup:
                 unindex(old)
                 new = threads[tid] = Thread(tid, residual, old.depth, old.env)
                 self._index(new)
-        self._take(builder)
-        return step
-
-    def _builder(self) -> _Builder:
-        # it hoists names straight into the soup's sets
-        builder = self.builder = _Builder(self.used, self.restricted, self.next_tid,
-                                          self.floors)
-        return builder
-
-    def _take(self, builder: _Builder) -> None:
-        """Index the threads ``builder`` spawned, leaving it empty."""
         self.next_tid = builder.next_tid
-        spawned = builder.new_threads
-        builder.new_threads = []
-        threads, index = self.threads, self._index
+        spawned, builder.new_threads = builder.new_threads, []
+        index = self._index
         for t in spawned:
             threads[t.tid] = t
             index(t)
+        return step
 
     def drop(self, tids: tuple[int, ...]) -> None:
         for tid in tids:
@@ -1038,59 +1040,31 @@ class LiveSoup:
         key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
-        # a COMM pair is listed here and in ``_unindex`` without a call per
-        # pair: arity, then ``admin_only``, then its place by participants
-        if cls is Recv:
-            _enqueue(self.recvs, key, tid, h)
-            senders = self.sends.get(key)
-            if senders:
-                arity, bullets = len(core.params), h.bullets
-                keys, redexes = self.keys, self.redexes
-                for stid, sh in senders.items():
-                    if len(sh.core.args) != arity:
-                        self._mismatch(stid, tid)
-                        continue
-                    pair_bullets = sh.bullets + bullets
-                    if pair_bullets and self.admin_only:
-                        continue
-                    pair = (stid, tid)
-                    i = bisect_left(keys, pair)
-                    keys.insert(i, pair)
-                    redexes.insert(i, Redex("COMM", pair, key, None, pair_bullets))
-            for btid in self.bcasts.get(key, _NO_QUEUE):
-                self._broad(key, btid)
-            return
-        if key[0] not in self.restricted:
-            self.out_barbs[_key_text(key)] += 1
-        if cls is Send:
-            _enqueue(self.sends, key, tid, h)
-            receivers = self.recvs.get(key)
-            if receivers:
-                arity, bullets = len(core.args), h.bullets
-                keys, redexes = self.keys, self.redexes
-                for rtid, rh in receivers.items():
-                    if len(rh.core.params) != arity:
-                        self._mismatch(tid, rtid)
-                        continue
-                    pair_bullets = bullets + rh.bullets
-                    if pair_bullets and self.admin_only:
-                        continue
-                    pair = (tid, rtid)
-                    i = bisect_left(keys, pair)
-                    keys.insert(i, pair)
-                    redexes.insert(i, Redex("COMM", pair, key, None, pair_bullets))
-        else:
+        if cls is Bcast:
             _enqueue(self.bcasts, key, tid, h)
             self._broad(key, tid)
+            return
+        send = cls is Send
+        _enqueue(self.sends if send else self.recvs, key, tid, h)
+        partners = (self.recvs if send else self.sends).get(key)
+        if partners:
+            arity, bullets = h.arity, h.bullets
+            keys, redexes = self.keys, self.redexes
+            for ptid, ph in partners.items():
+                if ph.arity != arity:
+                    self.mismatches += 1
+                    continue
+                pair = (tid, ptid) if send else (ptid, tid)
+                i = bisect_left(keys, pair)
+                keys.insert(i, pair)
+                redexes.insert(i, Redex("COMM", pair, key, None, bullets + ph.bullets))
+        if not send:
+            for btid in self.bcasts.get(key, _NO_QUEUE):
+                self._broad(key, btid)
 
     def _unindex(self, t: Thread) -> None:
         tid, proc, env = t.tid, t.proc, t.env
         h = proc._memo_head or head_of(proc)
-        if self.mismatched:
-            partners = self.mismatched.pop(tid, ())
-            self.mismatches -= len(partners)
-            for other in partners:
-                self.mismatched[other].discard(tid)
         core = h.core
         if core is None:
             return
@@ -1101,40 +1075,30 @@ class LiveSoup:
         key = h.key if env is None else _key_of(h, env)
         if key is None:
             return
-        # a pair absent from ``keys`` was never listed: an arity mismatch,
-        # or kept out by ``admin_only``
-        if cls is Recv:
-            _discard(self.recvs, key, tid)
-            senders = self.sends.get(key)
-            if senders:
-                keys = self.keys
-                for stid in senders:
-                    pair = (stid, tid)
-                    i = bisect_left(keys, pair)
-                    if i < len(keys) and keys[i] == pair:
-                        del keys[i]
-                        del self.redexes[i]
-            for btid in self.bcasts.get(key, _NO_QUEUE):
-                self._broad(key, btid)
-            return
-        if key[0] not in self.restricted:
-            self.out_barbs[_key_text(key)] -= 1
-        if cls is Send:
-            _discard(self.sends, key, tid)
-            receivers = self.recvs.get(key)
-            if receivers:
-                keys = self.keys
-                for rtid in receivers:
-                    pair = (tid, rtid)
-                    i = bisect_left(keys, pair)
-                    if i < len(keys) and keys[i] == pair:
-                        del keys[i]
-                        del self.redexes[i]
-        else:
+        if cls is Bcast:
             _discard(self.bcasts, key, tid)
             participants, mismatches = self.broads.pop(tid)
             self._unlist(participants)
             self.mismatches -= mismatches
+            return
+        send = cls is Send
+        _discard(self.sends if send else self.recvs, key, tid)
+        # the partners queued now are those ``_index`` paired it with, or
+        # were queued after it and paired with it then
+        partners = (self.recvs if send else self.sends).get(key)
+        if partners:
+            arity = h.arity
+            keys, redexes = self.keys, self.redexes
+            for ptid, ph in partners.items():
+                if ph.arity != arity:
+                    self.mismatches -= 1
+                    continue
+                i = bisect_left(keys, (tid, ptid) if send else (ptid, tid))
+                del keys[i]
+                del redexes[i]
+        if not send:
+            for btid in self.bcasts.get(key, _NO_QUEUE):
+                self._broad(key, btid)
 
     def _broad(self, key: tuple, tid: int) -> None:
         """(Re)compute the BROAD of broadcast ``tid`` after its receivers changed."""
@@ -1148,21 +1112,15 @@ class LiveSoup:
         self.mismatches += len(diagnostics)
         self._list(redex)
 
-    def _mismatch(self, tid: int, rtid: int) -> None:
-        """Count the arity mismatch of send ``tid`` and receive ``rtid``."""
-        self.mismatches += 1
-        self.mismatched.setdefault(tid, set()).add(rtid)
-        self.mismatched.setdefault(rtid, set()).add(tid)
-
     def _list(self, redex: Redex | None) -> None:
-        if redex is None or (self.admin_only and not _administrative(redex)):
+        if redex is None:
             return
         i = bisect_left(self.keys, redex.participants)
         self.keys.insert(i, redex.participants)
         self.redexes.insert(i, redex)
 
     def _unlist(self, participants: tuple[int, ...]) -> None:
-        # absent if never formed (arity mismatch) or kept out by admin_only
+        # absent if never formed: an undecidable match
         i = bisect_left(self.keys, participants)
         if i < len(self.keys) and self.keys[i] == participants:
             del self.keys[i]
@@ -1195,28 +1153,27 @@ def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None
 
 def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         budget: int = 1_000_000, stop_barb: str | None = None,
-        admin_only: bool = False, permissive: bool = False,
-        gc: bool = False) -> Trace:
+        permissive: bool = False, gc: bool = False) -> Trace:
     """Schedule redexes until quiescence, a stop barb, a fault, or the budget.
 
     ``policy`` is ``"priority"`` (lowest participant thread ids win) or
-    ``"random"`` (uniform over enabled redexes, seeded).  ``admin_only``
-    refuses to fire important redexes.  ``stop_barb`` halts as soon as the
-    named channel is observable.  ``gc`` runs ``LiveSoup.collect`` before
+    ``"random"`` (uniform over enabled redexes, seeded).  ``stop_barb``
+    halts as soon as the named channel is observable: a send or a
+    broadcast is queued on it and its name is not restricted.  ``gc`` runs ``LiveSoup.collect`` before
     the first step, whenever the soup holds more than twice the threads
     the last collection left, and once more at the end; a collected server
     can never fire, so the trace is the same with and without ``gc``, and
     only the soup it holds is smaller.  A ``LiveSoup`` is stepped in place,
-    under the ``admin_only`` it was built with; a ``Config`` is stepped as
-    a ``LiveSoup`` built from it.  Either way the trace's ``soup`` is the
-    soup stepped.
+    and a ``Config`` as a ``LiveSoup`` built from it.  Either way the
+    trace's ``soup`` is the soup stepped.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     # redexes are sorted by participants, so index 0 is the priority pick;
     # ``choice(redexes)`` draws ``redexes[randrange(len(redexes))]``
     choose = random.Random(seed).choice if policy == "random" else None
-    soup = LiveSoup(config, admin_only) if isinstance(config, Config) else config
+    soup = LiveSoup(config) if isinstance(config, Config) else config
+    stop = None if stop_barb is None else _text_key(stop_barb)
     trace = Trace(soup=soup)
     steps = trace.steps
     fire = soup.fire
@@ -1227,7 +1184,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         if gc and len(soup.threads) > 2 * collected:
             soup.collect()
             collected = len(soup.threads)
-        if stop_barb is not None and soup.out_barbs[stop_barb]:
+        if stop is not None and soup.shows(stop):
             trace.status = "barb"
             break
         if soup.mismatches and not permissive:
@@ -1464,12 +1421,13 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     Returns terminal configs (no enabled redexes), whether a bound was hit,
     and the number of distinct states visited.  Arity mismatches and match
     faults are treated permissively (the offending thread blocks or drops).
-    ``admin_only`` and ``stop_barb`` mean what they mean to ``run``: only
-    administrative redexes fire, and a state where the named channel is
-    observable is terminal.  The search returns as soon as it expands such
-    a state, with that state as the last terminal and no bound hit; a state
-    only discovered does not stop it, so the bounds cut the search where
-    they would without the goal.  Each expanded state's redexes and output
+    ``admin_only`` fires only administrative redexes: those of a state's
+    ``LiveSoup`` that ``_administrative`` passes.  ``stop_barb`` means what
+    it means to ``run``: a state where the named channel is observable is
+    terminal.  The search returns as soon as it expands such a state, with
+    that state as the last terminal and no bound hit; a state only
+    discovered does not stop it, so the bounds cut the search where they
+    would without the goal.  Each expanded state's redexes and output
     barbs come from a ``LiveSoup`` built on it, as ``run``'s do.
 
     Sibling states share most threads, fire the same receives and hoist
@@ -1487,6 +1445,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
     needs no second key, as no state enters the frontier twice.
     """
     start = normalize_depths(config)
+    stop = None if stop_barb is None else _text_key(stop_barb)
     table: dict = {}
     cache = object()  # tags this search's key entries on the process nodes
     memo: dict = {}  # closed threads by template and environment
@@ -1502,11 +1461,13 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
             break
         next_frontier: list[Config] = []
         for c in frontier:
-            soup = LiveSoup(c, admin_only)
-            if stop_barb is not None and soup.out_barbs[stop_barb]:
+            soup = LiveSoup(c)
+            if stop is not None and soup.shows(stop):
                 terminals.append(c)
                 return terminals, False, len(seen)
             redexes = soup.redexes
+            if admin_only:
+                redexes = [r for r in redexes if _administrative(r)]
             if not redexes:
                 # frontier states have distinct keys: no terminal repeats
                 terminals.append(c)

@@ -13,7 +13,7 @@ Grammar::
     action  ::= chan '(' patterns? ')'              -- receive
               | chan ':' '<' terms? '>'             -- broadcast
               | chan '<' terms? '>'                 -- send
-    chan    ::= ident ('.' suffix)?
+    chan    ::= (ident | num | '-' num) ('.' suffix)?
     suffix  ::= num | '-' num | 'all' | 'tup' | 'len' | ident
     pattern ::= ident | '_'
     term    ::= factor (('+' | '-') factor)*
@@ -26,7 +26,10 @@ syntax; no word is reserved.  Identifier occurrences are resolved
 lexically: bound by an enclosing ``new`` they are names, bound by a receive
 pattern they are variables, and free identifiers are names.  A restriction
 extends over the following sequential process only; parenthesize for wider
-scope, e.g. ``new a.( P | Q )``.
+scope, e.g. ``new a.( P | Q )``.  A channel's base is a numeral where a
+step has substituted a number for a channel variable (``a<5> | a(x).
+x<7>`` steps to ``5<7>``); a numeral starts a channel only when ``<``,
+``:``, ``(`` or ``.`` follows it, so a lone ``0`` is the inert process.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ class _Parser(Parser):
             if self.accept(","):
                 orelse = self.seq(env)
             return Match(left, op, right, then, orelse)
+        if self.number_chan():
+            return self.action_seq(env)
         if tok.kind == "num" and tok.text == "0":
             self.next()
             return Nil()
@@ -152,8 +157,19 @@ class _Parser(Parser):
         name = self.ident("a pattern variable")
         return None if name == "_" else name
 
+    def number_chan(self) -> bool:
+        """Whether a channel whose base is a numeral, optionally negative,
+        starts here."""
+        ahead = 1 if self.at("-") else 0
+        after = self.peek(ahead + 1)
+        return (self.peek(ahead).kind == "num" and after.kind == "sym"
+                and after.text in ("<", ":", "(", "."))
+
     def chan(self, env: dict[str, str]) -> Chan:
-        base = self.resolve(self.ident("a channel"), env)
+        if self.peek().kind == "ident":
+            base = self.resolve(self.ident("a channel"), env)
+        else:
+            base = self.termatom(env)  # a numeral, as ``number_chan`` found
         if not self.accept("."):
             return Chan(base)
         tok = self.peek()

@@ -31,11 +31,11 @@ from butfpi.epi.syntax import (
     Repl,
     Term,
     VarT,
-    _fresh_variant,
     _identifiers,
     rewrite,
     symbols,
 )
+from butfpi.lexer import _fresh_variant
 
 _OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _ADD, _MUL, _ATOM = 1, 2, 3

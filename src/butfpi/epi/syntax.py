@@ -18,6 +18,7 @@ from operator import is_
 from typing import Union
 
 from butfpi.butf.eval import apply_arith
+from butfpi.lexer import _fresh_variant
 
 LABELS = ("all", "tup", "len")
 COMPARATORS = ("<", ">", "<=", ">=", "=", "!=")
@@ -440,29 +441,6 @@ def symbols(p: Process) -> frozenset[str]:
 
 
 # ---------------------------------------------------------- rewriting
-
-def _fresh_variant(base: str, avoid: set[str],
-                   floors: dict[str, int] | None = None) -> str:
-    """``base`` if ``avoid`` lacks it, else the first ``root_i`` (i >= 2) it lacks.
-
-    ``floors`` maps a root to an index below which every variant is known
-    to be in ``avoid``.  A caller whose ``avoid`` only grows, and that adds
-    each name returned to it, may pass the same dict on every call to skip
-    those probes; the result is the same.  The index returned is recorded
-    as taken, so the next call for the same root probes once.
-    """
-    if base not in avoid:
-        return base
-    root = base.rstrip("0123456789_") or base
-    i = 2 if floors is None else floors.get(root, 2)
-    while True:
-        candidate = f"{root}_{i}"
-        if candidate not in avoid:
-            if floors is not None:
-                floors[root] = i + 1  # the caller takes the candidate
-            return candidate
-        i += 1
-
 
 def rewrite(p: Process, var_map: dict[str, Term] | None = None,
             name_map: dict[str, str] | None = None) -> Process:

@@ -4,7 +4,9 @@ Both languages have the same lexical rules: ``--`` starts a comment running
 to end of line, identifiers are ``[A-Za-z_][A-Za-z0-9_]*``, numerals are
 unsigned decimal digit strings, and spaces, tabs and newlines separate
 tokens.  Each grammar supplies its own symbols, of which the longest that
-matches is taken, and its reserved words.
+matches is taken, and its reserved words.  ``_fresh_variant`` picks the
+identifier either language renames a binder to, so that both spell fresh
+names alike.
 """
 
 from __future__ import annotations
@@ -165,3 +167,26 @@ class Parser:
             if not self.at("+", "-"):
                 return total
             pending = OP_NAMES[self.next().text]
+
+
+def _fresh_variant(base: str, avoid: set[str],
+                   floors: dict[str, int] | None = None) -> str:
+    """``base`` if ``avoid`` lacks it, else the first ``root_i`` (i >= 2) it lacks.
+
+    ``floors`` maps a root to an index below which every variant is known
+    to be in ``avoid``.  A caller whose ``avoid`` only grows, and that adds
+    each name returned to it, may pass the same dict on every call to skip
+    those probes; the result is the same.  The index returned is recorded
+    as taken, so the next call for the same root probes once.
+    """
+    if base not in avoid:
+        return base
+    root = base.rstrip("0123456789_") or base
+    i = 2 if floors is None else floors.get(root, 2)
+    while True:
+        candidate = f"{root}_{i}"
+        if candidate not in avoid:
+            if floors is not None:
+                floors[root] = i + 1  # the caller takes the candidate
+            return candidate
+        i += 1

@@ -28,12 +28,10 @@ comparison under an environment by substituting it first
 (``_sub_term``), then deciding and evaluating the closed terms: ``_value``
 and ``_match_redex`` must give the same value, redex or ``TermError`` text.
 ``ClosedProber`` reads a handle back by running a closed probe receiver
-on an ``admin_only`` copy of the soup, and ``reference_read_output``
-decodes with it: read-back off the soup's send queues (``LiveSoup.ask``)
-must give the same value.
+on a copy of the soup, firing only administrative redexes in priority
+order, and ``reference_read_output`` decodes with it: read-back off the
+soup's send queues (``LiveSoup.ask``) must give the same value.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -52,14 +50,13 @@ from butfpi.epi.engine import (
     _Builder,
     _chan_key,
     _closed,
-    _comm_redex,
     _drop_threads,
     apply_redex,
     barbs,
     canonical_key,
     head_of,
+    insert_process,
     normalize_depths,
-    run,
 )
 from butfpi.epi.syntax import (
     Act,
@@ -80,7 +77,6 @@ from butfpi.epi.syntax import (
     Term,
     TermError,
     VarT,
-    _fresh_variant,
     _sub_term,
     all_names,
     binders,
@@ -89,6 +85,7 @@ from butfpi.epi.syntax import (
     term_vars,
 )
 from butfpi.epi.pretty import render_chan
+from butfpi.lexer import _fresh_variant
 
 
 def _chan_names(c: Chan) -> frozenset[str]:
@@ -418,24 +415,35 @@ class SequentialBuilder(_Builder):
 
 class ClosedProber:
     """Reads each handle back by running a probe: the closed receive
-    ``rcv handle.suffix(x0..xk). reply<x0..xk>``, inserted into an
-    ``admin_only`` copy of the soup and run under the priority policy
-    until the reply shows, so that decoding never consumes a bullet.
-    ``LiveSoup.ask`` must give what the probe receives."""
+    ``rcv handle.suffix(x0..xk). reply<x0..xk>``, inserted into a copy of
+    the soup, which then fires its least administrative redex, as the
+    priority policy orders them, until the reply shows or none is left,
+    so that decoding never consumes a bullet.  A commit fault drops its
+    thread.  ``LiveSoup.ask`` must give what the probe receives."""
 
     def __init__(self, soup, budget: int = 200_000):
-        self.soup = LiveSoup(soup.config(), admin_only=True)
+        self.config = soup.config()
         self.budget = budget
 
     def ask(self, handle: str, suffix, arity: int):
-        reply = _fresh_variant("probe", self.soup.used, self.soup.floors)
+        reply = _fresh_variant("probe", self.config.used)
         params = tuple(f"x{i}" for i in range(arity))
-        self.soup.insert(Act(Recv(Chan(NameT(handle), suffix), params),
-                             Act(Send(Chan(NameT(reply)), tuple(map(VarT, params))),
-                                 Nil())))
-        run(self.soup, policy="priority", budget=self.budget, stop_barb=reply,
-            permissive=True)
-        return self.soup.sent((reply, None))
+        probe = Act(Recv(Chan(NameT(handle), suffix), params),
+                    Act(Send(Chan(NameT(reply)), tuple(map(VarT, params))), Nil()))
+        soup = LiveSoup(insert_process(self.config, probe))
+        steps = 0
+        while (reply, None) not in soup.sends and steps < self.budget:
+            redex = next((r for r in soup.redexes if _administrative(r)), None)
+            if redex is None:
+                break
+            try:
+                soup.fire(redex, steps + 1)
+            except CommitFault as fault:
+                soup.drop(fault.tids)
+                continue
+            steps += 1
+        self.config = soup.config()
+        return soup.sent((reply, None))
 
 
 def reference_read_output(soup, shape, budget: int = 200_000):
@@ -453,6 +461,14 @@ def sequential(fn, *args, **kwargs):
         mp.setattr(engine, "_Builder", SequentialBuilder)
         mp.setattr(engine, "rewrite", reference_rewrite)
         return fn(*args, **kwargs)
+
+
+def _comm_redex(key: tuple, tid: int, h: Head, rtid: int, rh: Head) -> Redex | str:
+    """COMM of a send and a receive on ``key``, or its arity-mismatch diagnostic."""
+    arity, rarity = len(h.core.args), len(rh.core.params)
+    if rarity != arity:
+        return f"arity mismatch on {key[0]}: send of {arity} vs receive of {rarity}"
+    return Redex("COMM", (tid, rtid), channel=key, bullets=h.bullets + rh.bullets)
 
 
 def reference_enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
@@ -513,18 +529,17 @@ def reference_channel(step) -> str | None:
     return step.mark + render_chan(Chan(NameT(name), suffix))
 
 
-def reference_out_barbs(soup) -> Counter:
-    """How many threads of a live soup show each output barb: ``render_chan``
-    of the channel of each pending send or broadcast, closed, that is not
-    restricted."""
-    out = Counter()
+def reference_out_barbs(soup) -> set[str]:
+    """The output barbs of a live soup: ``render_chan`` of the channel of
+    each pending send or broadcast, closed, that is not restricted."""
+    out = set()
     for t in soup.threads.values():
         h = head_of(_closed(t).proc)
         if h.core is None or isinstance(h.core, (Match, Recv)):
             continue
         key = _chan_key(h.core.chan)
         if key is not None and key[0] not in soup.restricted:
-            out[render_chan(h.core.chan)] += 1
+            out.add(render_chan(h.core.chan))
     return out
 
 

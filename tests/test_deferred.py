@@ -69,7 +69,7 @@ def fires_agree(config, seed=0, limit=60) -> int:
     open_threads = 0
     for index in range(1, limit):
         assert soup.redexes == reference.redexes
-        assert soup.out_barbs == reference.out_barbs
+        assert soup.barbs() == reference.barbs()
         if not soup.redexes:
             break
         i = rng.randrange(len(soup.redexes))

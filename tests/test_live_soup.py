@@ -1,11 +1,13 @@
 """The live soup ``run`` steps on agrees with the pure engine at every step.
 
 ``CheckedSoup`` re-derives the whole index from the materialized config
-after every change made to it (build, insert, fire, drop, collect) and
-compares it with ``reference_enabled_redexes`` (the full scan), ``barbs``
-and the diagnostics.  Each run is also replayed by ``reference_run``, the
-scheduling loop written over the scan and the pure ``apply_redex``, and
-the traces and final configs must be equal.
+after every change made to it (build, fire, drop, collect) and compares
+it with ``reference_enabled_redexes`` (the full scan), ``barbs`` and the
+diagnostics: the mismatch count the index keeps, and the barbs it reads
+off its queues, must equal what the scan finds.  Each run is also
+replayed by ``reference_run``, the scheduling loop written over the scan
+and the pure ``apply_redex``, and the traces and final configs must be
+equal.
 """
 
 import random
@@ -22,8 +24,8 @@ from butfpi.epi.engine import (
     CommitFault,
     EngineError,
     Trace,
-    _administrative,
     _drop_threads,
+    _text_key,
     apply_redex,
     barbs,
     enabled_redexes,
@@ -33,6 +35,7 @@ from butfpi.epi.engine import (
     run,
 )
 from butfpi.epi.parse import parse_process
+from butfpi.epi.syntax import NumT
 from butfpi.translate import translate
 from corpus import CORPUS, STUCK, TERMINATING
 from generators import random_closed_program, random_process, random_redex_config
@@ -43,13 +46,9 @@ class CheckedSoup(engine.LiveSoup):
     verified = 0
     built = 0
 
-    def __init__(self, config, admin_only=False):
-        super().__init__(config, admin_only)
+    def __init__(self, config):
+        super().__init__(config)
         CheckedSoup.built += 1
-        self.verify()
-
-    def insert(self, proc, depth=0):
-        super().insert(proc, depth)
         self.verify()
 
     def fire(self, redex, index):
@@ -68,15 +67,14 @@ class CheckedSoup(engine.LiveSoup):
     def verify(self):
         config = self.config()
         redexes, diagnostics = reference_enabled_redexes(config)
-        if self.admin_only:
-            redexes = [r for r in redexes if r.bullets == 0 and r.rule != "FAULT"]
         assert self.redexes == redexes
         assert self.keys == [r.participants for r in redexes]
         assert self.mismatches == len(diagnostics)
         assert self.diagnostics() == diagnostics
-        assert all(n >= 0 for n in self.out_barbs.values())
-        assert ({name for name, n in self.out_barbs.items() if n}
-                == {name for name, pol in barbs(config) if pol == "out"})
+        assert self.barbs() == barbs(config)
+        outputs = {name for name, polarity in barbs(config) if polarity == "out"}
+        for name, _polarity in barbs(config):
+            assert self.shows(_text_key(name)) == (name in outputs)
         CheckedSoup.verified += 1
 
 
@@ -87,7 +85,7 @@ def checked(monkeypatch):
 
 
 def reference_run(config, policy="priority", seed=0, budget=1_000_000,
-                  stop_barb=None, admin_only=False, permissive=False, gc=False):
+                  stop_barb=None, permissive=False, gc=False):
     """The scheduling loop over the pure engine: a full rescan per step."""
     rng = random.Random(seed) if policy == "random" else None
     trace = Trace()
@@ -103,8 +101,6 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
             trace.status = "fault"
             trace.faults.extend(diagnostics)
             break
-        if admin_only:
-            redexes = [r for r in redexes if r.bullets == 0 and r.rule != "FAULT"]
         if not redexes:
             trace.status = "terminated"
             break
@@ -182,8 +178,6 @@ def test_generated_processes_agree(checked):
             continue
         for permissive in (False, True):
             agree(config, policy="random", seed=i, budget=60, permissive=permissive)
-        agree(config, policy="random", seed=i, budget=60, admin_only=True,
-              permissive=True)
         agree(config, policy="random", seed=i, budget=60, stop_barb="o",
               permissive=True)
         agree(config, budget=60, gc=True, permissive=True)
@@ -210,14 +204,12 @@ def test_read_back_probes_are_checked(checked):
 def test_probes_stepped_in_place_agree_with_fresh_runs(checked, name):
     entry = next(e for e in TERMINATING if e.name == name)
     config = run(normalize(translate(parse(entry.source), "o"))).soup.config()
-    soup = engine.LiveSoup(config, admin_only=True)
     for text, reply in (("o(v). probe1<v>", "probe1"),
                         ("probe1(w). probe2<w, w>", "probe2")):
-        probe = parse_process(text)
-        want = reference_run(insert_process(config, probe), stop_barb=reply,
-                             admin_only=True, permissive=True)
-        soup.insert(probe)
-        got = run(soup, stop_barb=reply, admin_only=True, permissive=True)
+        probed = insert_process(config, parse_process(text))
+        want = reference_run(probed, stop_barb=reply, permissive=True)
+        soup = engine.LiveSoup(probed)
+        got = run(soup, stop_barb=reply, permissive=True)
         assert got.status == want.status == "barb"
         assert got.steps == want.steps
         assert got.soup is soup  # stepped in place
@@ -267,9 +259,9 @@ def test_enabled_redexes_matches_reference_scan(monkeypatch):
     expanded = []
 
     class Recording(engine.LiveSoup):
-        def __init__(self, config, admin_only=False):
-            super().__init__(config, admin_only)
-            expanded.append((config, admin_only, self.redexes))
+        def __init__(self, config):
+            super().__init__(config)
+            expanded.append((config, self.redexes))
 
     monkeypatch.setattr(engine, "LiveSoup", Recording)
     configs = [normalize(translate(parse(source), "o"))
@@ -283,10 +275,8 @@ def test_enabled_redexes_matches_reference_scan(monkeypatch):
     monkeypatch.undo()
     assert len(expanded) > 1000
     mismatched = 0
-    for config, admin_only, redexes in expanded:
+    for config, redexes in expanded:
         want, diagnostics = reference_enabled_redexes(config)
-        if admin_only:
-            want = [r for r in want if _administrative(r)]
         assert redexes == want
         assert enabled_redexes(config)[1] == diagnostics
         mismatched += bool(diagnostics)
@@ -324,6 +314,31 @@ def test_arity_mismatch_appearing_mid_run(checked):
     assert tr.status == "terminated" and len(tr.steps) == 2
 
 
+def test_mismatch_count_on_hand_built_soups(checked):
+    # a mismatched replicated receiver whose outer bullets change its head:
+    # the fire re-indexes it, taking back its mismatch and counting it again
+    soup = engine.LiveSoup(norm("*!c(x, y). 0 | c<1> | c<1, 2>"))
+    assert soup.mismatches == 1
+    soup.fire(soup.redexes[0], 1)
+    assert soup.diagnostics() == ["arity mismatch on c: send of 1 vs receive of 2"]
+    soup.drop((1,))
+    assert soup.mismatches == 0
+    # a mismatched sender leaves by ``ask`` or by ``drop``
+    soup = engine.LiveSoup(norm("h.len<1, 2> | h.len<3> | h.len(x, y). 0 | g<1> | g(). 0"))
+    assert soup.mismatches == 2
+    assert soup.ask("h", "len", 1) == (NumT(3),)
+    assert soup.diagnostics() == ["arity mismatch on g: send of 1 vs receive of 0"]
+    soup.drop((3,))
+    assert soup.mismatches == 0 and len(soup.redexes) == 1
+    # a broadcast with receivers of another arity, one of them replicated
+    soup = engine.LiveSoup(norm("c:<1> | c(x, y). 0 | c(z). 0 | !c(u, v). 0"))
+    assert soup.mismatches == 2
+    soup.drop((1,))
+    assert soup.mismatches == 1
+    soup.fire(soup.redexes[0], 1)
+    assert soup.mismatches == 0 and list(soup.threads) == [3]
+
+
 def test_permissive_fault_drops(checked):
     tr = agree(norm("new h.( [h >= 0] t<>, e<> | t() . 0 | h<1> | h(x). o<x> )"),
                permissive=True)
@@ -343,14 +358,12 @@ def test_broadcast_receivers_change_while_pending(checked):
             "| *(c(z). f<z>) | e(w). 0")
     for seed in range(12):
         agree(norm(text), policy="random", seed=seed, budget=40)
-    agree(norm(text), budget=40, admin_only=True)
 
 
 def test_replicated_participants_with_outer_bullets(checked):
     text = "*!f(x, r). r<x> | f<1, o1> | f<2, o2> | **!h.0<0, 5> | h.0(i, v). o<v>"
     for seed in range(6):
         agree(norm(text), policy="random", seed=seed)
-    agree(norm(text), admin_only=True)
 
 
 def test_stop_barb_and_gc(checked):

@@ -2,7 +2,8 @@
 
 ``read_output`` reads each handle off the quiesced soup's send queues
 (``LiveSoup.ask``); the oracle, ``reference_read_output``, runs a closed
-probe receiver for each on an ``admin_only`` copy of the soup.  On every
+probe receiver for each on a copy of the soup, firing only administrative
+redexes in priority order (``ClosedProber``).  On every
 case the two must decode the same value, and reading must leave the soup
 as it was but for the non-replicated sends it consumed.
 """

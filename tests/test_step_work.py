@@ -5,8 +5,10 @@ keys, never from a channel built and rendered; a thread's environment
 dicts are shared with the threads spawned under them and never changed;
 ``LiveSoup.collect`` reads a thread's names, in its one counting pass,
 from its template's memoized name facts and its environment, without
-closing the thread; and ``_fresh_variant`` with ``floors`` skips only probes that
-would fail.  Each is checked against the full path in ``reference.py``.
+closing the thread; ``_text_key`` turns a barb's text back into the
+channel key it renders; and ``_fresh_variant`` with ``floors`` skips only
+probes that would fail.  Each is checked against the full path in
+``reference.py``.
 """
 
 import random
@@ -15,9 +17,19 @@ from pathlib import Path
 import pytest
 
 from butfpi.butf.parse import parse
-from butfpi.epi.engine import EngineError, LiveSoup, _closed, _mentioned, normalize, run
+from butfpi.epi.engine import (
+    EngineError,
+    LiveSoup,
+    _closed,
+    _key_text,
+    _mentioned,
+    _text_key,
+    normalize,
+    run,
+)
 from butfpi.epi.parse import parse_process
-from butfpi.epi.syntax import _fresh_variant, all_names
+from butfpi.epi.syntax import all_names
+from butfpi.lexer import _fresh_variant
 from butfpi.translate import translate
 from corpus import CORPUS
 from generators import random_process, random_redex_config
@@ -34,13 +46,14 @@ def program_config(path: Path):
 
 
 class WatchedSoup(LiveSoup):
-    """A soup that checks, after every fire and insert, its output barbs
-    against ``reference_out_barbs``, and every environment dict any of its
-    threads has held against a snapshot taken when a thread first held it."""
+    """A soup that checks, after every fire, the output barbs it reads off
+    its queues against ``reference_out_barbs``, and every environment dict
+    any of its threads has held against a snapshot taken when a thread
+    first held it."""
 
-    def __init__(self, config, admin_only=False):
+    def __init__(self, config):
         self.envs: dict[int, tuple[dict, dict]] = {}  # id -> (the dict, its snapshot)
-        super().__init__(config, admin_only)
+        super().__init__(config)
         self.watch()
 
     def fire(self, redex, index):
@@ -48,12 +61,9 @@ class WatchedSoup(LiveSoup):
         self.watch()
         return step
 
-    def insert(self, proc, depth=0):
-        super().insert(proc, depth)
-        self.watch()
-
     def watch(self):
-        assert +self.out_barbs == reference_out_barbs(self)
+        assert ({name for name, polarity in self.barbs() if polarity == "out"}
+                == reference_out_barbs(self))
         for held, snapshot in self.envs.values():
             assert held == snapshot, "an environment dict changed"
         for t in self.threads.values():
@@ -155,3 +165,18 @@ def test_fresh_variant_floors_skip_only_failing_probes():
             assert got == want
             plain.add(want)
             floored.add(got)
+
+
+def test_barb_texts_turn_back_into_their_channel_keys():
+    keys = {("h", -1), ("h", -12), ("h_2", 0), ("o", None), ("h", "len")}
+    for entry in CORPUS:
+        trace = run(normalize(translate(parse(entry.source), "o")), budget=400)
+        keys.update(step.key for step in trace.steps if step.key is not None)
+        for queues in (trace.soup.sends, trace.soup.recvs, trace.soup.bcasts):
+            keys.update(queues)
+    assert len(keys) > 50
+    for key in keys:
+        assert _text_key(_key_text(key)) == key
+    # a text no channel renders names no key
+    for text in ("h.01", "h.-0", "h.+1", "h. 1"):
+        assert _text_key(text) is None
