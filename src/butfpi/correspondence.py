@@ -36,6 +36,7 @@ from butfpi.epi.engine import (
     run,
 )
 from butfpi.epi.syntax import NameT, NumT, Term, TermError, eval_term
+from butfpi.schedules import run_schedules
 from butfpi.translate import TranslationOptions, translate
 
 
@@ -268,7 +269,14 @@ class CorrespondenceReport:
 def check_program(e: Expr, seeds: int = 20, budget: int = 200_000,
                   opts: TranslationOptions | None = None,
                   fuel: int = 1_000_000) -> CorrespondenceReport:
-    """Evaluate ``e`` both ways and reconcile values and step counts."""
+    """Evaluate ``e`` both ways and reconcile values and step counts.
+
+    The translation is normalized once and run, then read back, under the
+    priority schedule and ``seeds`` seeded random ones
+    (``schedules.run_schedules``, which may run the seeded ones in forked
+    processes when the priority run shows it pays; the report is the same
+    either way).  The map dummy calls are measured first, here.
+    """
     opts = opts or TranslationOptions()
     mode = "strict" if opts.strict_bullets else "paper-literal"
     report = CorrespondenceReport(program=pretty(e), mode=mode, status="ok")
@@ -303,16 +311,16 @@ def check_program(e: Expr, seeds: int = 20, budget: int = 200_000,
             f"paper-literal mode: {report.expected_deficit} size/iota firings carry no bullet")
 
     config = normalize(translate(e, "o", opts))
-    schedules = [("priority", "priority", 0)]
-    schedules += [(f"seed{seed}", "random", seed) for seed in range(seeds)]
     report.seeds_run = seeds
+
+    def one(policy: str, seed: int) -> RunReport:
+        # a report holds no soup: each run's soup is freed once read back
+        return simulate_to_result(e, policy, seed, budget, opts, oracle.value,
+                                  config=config)
 
     importants = []
     match_all = True
-    # a report holds no soup: each run's soup is freed before the next
-    for label, policy, seed in schedules:
-        rr = simulate_to_result(e, policy, seed, budget, opts, oracle.value,
-                                config=config)
+    for label, rr in run_schedules(one, seeds):
         report.important_per_run[label] = rr.important_steps
         if rr.status != "ok":
             report.status = "process-error"

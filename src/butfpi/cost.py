@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from butfpi.butf.syntax import App, Array, Builtin, Expr, Lam, Num, Tup, Var
 from butfpi.epi.engine import normalize, run
+from butfpi.schedules import run_schedules
 from butfpi.translate import TranslationOptions, translate
 
 
@@ -44,24 +45,28 @@ def measure(e: Expr, seeds: int = 0, budget: int = 500_000,
     """Work and span of ``e``'s translation, aggregated over runs.
 
     Always includes one deterministic run; ``seeds`` adds seeded random
-    schedules.  The report carries the per-run numbers and their maxima.
+    schedules.  The translation is normalized once and every schedule runs
+    on it (``schedules.run_schedules``, which may run the seeded ones in
+    forked processes when the priority run shows it pays; the report is the
+    same either way).  The report carries the per-run numbers and their
+    maxima.
     """
     opts = opts or TranslationOptions()
-    labels: list[tuple[str, str, int]] = [("priority", "priority", 0)]
-    for seed in range(seeds):
-        labels.append((f"seed{seed}", "random", seed))
     report = CostReport(0, 0, 0, "ok")
     config = normalize(translate(e, "o", opts))
-    for label, pol, seed in labels:
-        trace = run(config, policy=pol, seed=seed, budget=budget)
-        entry = {"work": trace.work, "span": trace.span,
-                 "admin_steps": trace.admin_steps, "status": trace.status}
+
+    def one(policy: str, seed: int) -> dict:
+        trace = run(config, policy=policy, seed=seed, budget=budget)
+        return {"work": trace.work, "span": trace.span,
+                "admin_steps": trace.admin_steps, "status": trace.status}
+
+    for label, entry in run_schedules(one, seeds):
         report.per_run[label] = entry
-        report.work = max(report.work, trace.work)
-        report.span = max(report.span, trace.span)
-        report.admin_steps = max(report.admin_steps, trace.admin_steps)
-        if trace.status != "terminated":
-            report.status = trace.status
+        report.work = max(report.work, entry["work"])
+        report.span = max(report.span, entry["span"])
+        report.admin_steps = max(report.admin_steps, entry["admin_steps"])
+        if entry["status"] != "terminated":
+            report.status = entry["status"]
     return report
 
 

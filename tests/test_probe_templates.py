@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import butfpi
-from butfpi import correspondence
+from butfpi import correspondence, schedules
 from butfpi.butf.eval import EvalResult, eval_expr
 from butfpi.butf.parse import parse
 from butfpi.cli import dispatch
@@ -158,19 +158,38 @@ def test_a_length_carrying_a_handle_is_incomplete():
     assert got == Incomplete("h.len: expected a number, got a handle")
 
 
-def test_check_runs_each_schedule_once(monkeypatch):
-    # five schedules and the map's dummy call: reading back runs nothing
-    runs = [0]
+def counting_runs(monkeypatch, processes):
+    """The ``run`` calls this process makes, the seeded schedules spread
+    over ``processes`` processes; a forked child's runs are not seen."""
+    monkeypatch.setattr(schedules, "_processes", lambda left, first_s: processes)
+    runs = []
     plain = correspondence.run
 
     def counting(*args, **kwargs):
-        runs[0] += 1
+        runs.append(kwargs.get("seed", 0))
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(correspondence, "run", counting)
+    return runs
+
+
+def test_check_runs_each_schedule_once(monkeypatch):
+    # five schedules and the map's dummy call: reading back runs nothing
+    runs = counting_runs(monkeypatch, 1)
     report = check_program(parse(r"map ((\x. (x, x * x + 7)), iota 8)"), seeds=4)
     assert report.status == "ok"
-    assert runs[0] == 6
+    assert len(runs) == 6
+
+
+def test_forked_check_runs_each_schedule_once(monkeypatch):
+    # here: the dummy call, the priority run and the first chunk (seeds 0
+    # and 1); a child runs seeds 2 and 3
+    runs = counting_runs(monkeypatch, 2)
+    report = check_program(parse(r"map ((\x. (x, x * x + 7)), iota 8)"), seeds=4)
+    assert report.status == "ok"
+    assert runs == [0, 0, 0, 1]
+    assert list(report.important_per_run) == ["priority", "seed0", "seed1", "seed2",
+                                              "seed3"]
 
 
 def check_json(capsys, source):
