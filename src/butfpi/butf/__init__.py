@@ -11,7 +11,6 @@ from butfpi.butf.syntax import (
     Num,
     Tup,
     Var,
-    alpha_equal,
     free_vars,
     is_value,
     substitute,
@@ -31,7 +30,7 @@ from butfpi.butf.eval import (
 
 __all__ = [
     "App", "Array", "Builtin", "Expr", "If", "Index", "Lam", "Num", "Tup", "Var",
-    "alpha_equal", "free_vars", "is_value", "substitute",
+    "free_vars", "is_value", "substitute",
     "ParseError", "parse", "pretty",
     "AlreadyValue", "Diverged", "EvalResult", "Reduced", "Stuck",
     "apply_arith", "eval_expr", "step",

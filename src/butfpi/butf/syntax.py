@@ -155,37 +155,3 @@ def _substitute(e: Expr, x: str, v: Expr, fv_v: frozenset[str]) -> Expr:
                 param = renamed
             return Lam(param, _substitute(body, x, v, fv_v))
     raise TypeError(f"not an expression: {e!r}")
-
-
-def alpha_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality up to renaming of bound variables."""
-
-    def go(a: Expr, b: Expr, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
-        match a, b:
-            case Num(x), Num(y):
-                return x == y
-            case Builtin(x), Builtin(y):
-                return x == y
-            case Var(x), Var(y):
-                ia, ib = env_a.get(x), env_b.get(y)
-                return (x == y) if ia is None and ib is None else ia == ib
-            case (Array(xs), Array(ys)) | (Tup(xs), Tup(ys)):
-                return len(xs) == len(ys) and all(
-                    go(p, q, env_a, env_b, depth) for p, q in zip(xs, ys)
-                )
-            case Index(t1, i1), Index(t2, i2):
-                return go(t1, t2, env_a, env_b, depth) and go(i1, i2, env_a, env_b, depth)
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env_a, env_b, depth) and go(a1, a2, env_a, env_b, depth)
-            case If(c1, t1, e1), If(c2, t2, e2):
-                return (
-                    go(c1, c2, env_a, env_b, depth)
-                    and go(t1, t2, env_a, env_b, depth)
-                    and go(e1, e2, env_a, env_b, depth)
-                )
-            case Lam(p1, b1), Lam(p2, b2):
-                return go(b1, b2, {**env_a, p1: depth}, {**env_b, p2: depth}, depth + 1)
-            case _:
-                return False
-
-    return go(a, b, {}, {}, 0)

@@ -19,7 +19,6 @@ from butfpi.epi.syntax import (
     Term,
     TermError,
     VarT,
-    alpha_equal_process,
     eval_term,
     par,
     seq_news,
@@ -35,10 +34,8 @@ from butfpi.epi.engine import (
     apply_redex,
     barbs,
     canonical_key,
-    config_to_process,
     enabled_redexes,
     explore,
-    garbage_collect,
     head_of,
     insert_process,
     normalize,
@@ -48,9 +45,9 @@ from butfpi.epi.engine import (
 __all__ = [
     "Act", "Bcast", "Bullet", "Chan", "Match", "NameT", "New", "Nil", "NumT",
     "OpT", "Par", "Process", "Recv", "Repl", "Send", "Term", "TermError",
-    "VarT", "alpha_equal_process", "eval_term", "par", "seq_news",
+    "VarT", "eval_term", "par", "seq_news",
     "ProcessParseError", "parse_process", "pretty_process", "render_chan",
     "Config", "EngineError", "Redex", "Step", "Trace", "apply_redex", "barbs",
-    "canonical_key", "config_to_process", "enabled_redexes", "explore",
-    "garbage_collect", "head_of", "insert_process", "normalize", "run",
+    "canonical_key", "enabled_redexes", "explore", "head_of", "insert_process",
+    "normalize", "run",
 ]

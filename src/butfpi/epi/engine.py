@@ -252,7 +252,8 @@ class Head:
     repl: bool  # folded replication: the thread survives a fire
     # what a replicated thread becomes after a fire, when its outer bullets
     # change it; None when it stays as it is, so that a head memoized on a
-    # process never refers back to that process
+    # process never refers back to that process, and for a thread a fire
+    # consumes
     residual: Process | None
     # ``_chan_key`` of an action's channel; None for a match or an inert thread
     key: tuple[str, object] | None
@@ -485,16 +486,6 @@ def insert_process(config: Config, p: Process, depth: int = 0) -> Config:
     return _make_config(threads, restricted, used, builder.next_tid)
 
 
-def config_to_process(config: Config) -> Process:
-    """Fold a config back into a single process (restrictions out front)."""
-    body: Process = Nil()
-    for t in reversed(config.threads):
-        body = t.proc if isinstance(body, Nil) else Par(t.proc, body)
-    for name in sorted(config.restricted):
-        body = New(name, body)
-    return body
-
-
 # -------------------------------------------------------------- redexes
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -615,24 +606,22 @@ class CommitFault(Exception):
         self.tids = tids
 
 
-def _residual(t: Thread, h: Head) -> Process:
-    """What replicated thread ``t``, headed by ``h``, becomes after a fire."""
-    return t.proc if h.residual is None else h.residual
-
-
 def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
-          builder: _Builder, index: int) -> tuple[set[int], dict[int, Process], Step]:
+          builder: _Builder, index: int) -> tuple[list[tuple[Thread, Process | None]], tuple]:
     """Fire one redex: spawn its continuations into ``builder``.
 
-    Returns the participants consumed, the folded residual of each
-    replicated participant (outer bullets consumed), and the step.  Raises
+    Returns the participants whose thread changes, in participant order,
+    each with what it becomes: None for one the step consumes, the folded
+    residual for a replicated one whose outer bullets the step spends.  A
+    replicated participant without outer bullets stays as it is and is not
+    listed.  Then the step, as the row of ``Step``'s fields: ``(index,
+    kind, rule, key, mark, participants, depth_after, bullets)``.  Raises
     ``CommitFault``, before spawning anything, if commit-time evaluation
     fails.  Sent values, channels and match operands are read under each
     participant's environment, and the continuations spawn under it (see
     ``_Builder.spawn`` and ``_Builder.receive``).
     """
-    consumed: set[int] = set()
-    folded: dict[int, Process] = {}
+    changed: list[tuple[Thread, Process | None]] = []
     important = redex.bullets > 0
     inc = 1 if important else 0
     mark = ""
@@ -648,14 +637,10 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         except TermError as exc:
             raise CommitFault(str(exc), (stid,))
         depth_after = (s.depth if s.depth > r.depth else r.depth) + inc
-        if sh.repl:
-            folded[stid] = _residual(s, sh)
-        else:
-            consumed.add(stid)
-        if rh.repl:
-            folded[rtid] = _residual(r, rh)
-        else:
-            consumed.add(rtid)
+        if sh.residual is not None or not sh.repl:
+            changed.append((s, sh.residual))
+        if rh.residual is not None or not rh.repl:
+            changed.append((r, rh.residual))
         builder.spawn(sh.cont, depth_after, s.env)
         builder.receive(rh, values, r.env, depth_after)
     elif rule == "THEN" or rule == "ELSE":
@@ -664,10 +649,8 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         m = h.core
         branch = m.then if redex.branch_then else m.orelse
         depth_after = t.depth + inc
-        if h.repl:
-            folded[t.tid] = _residual(t, h)
-        else:
-            consumed.add(t.tid)
+        if h.residual is not None or not h.repl:
+            changed.append((t, h.residual))
         builder.spawn(branch, depth_after, t.env)
     elif rule == "BROAD":
         s = thread(redex.participants[0])
@@ -680,20 +663,16 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         if redex.channel[0] not in restricted:
             mark = ":"
         depths = [s.depth]
-        if sh.repl:
-            folded[s.tid] = _residual(s, sh)
-        else:
-            consumed.add(s.tid)
+        if sh.residual is not None or not sh.repl:
+            changed.append((s, sh.residual))
         receivers: list[tuple[Thread, Head]] = []
         for rtid in redex.participants[1:]:
             r = thread(rtid)
             rh = head_of(r.proc)
             depths.append(r.depth)
             receivers.append((r, rh))
-            if rh.repl:
-                folded[rtid] = _residual(r, rh)
-            else:
-                consumed.add(rtid)
+            if rh.residual is not None or not rh.repl:
+                changed.append((r, rh.residual))
         depth_after = max(depths) + inc
         builder.spawn(sh.cont, depth_after, s.env)
         for r, rh in receivers:
@@ -701,9 +680,8 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     else:
         raise ValueError(f"cannot apply redex {rule}")
 
-    step = Step(index, "important" if important else "administrative", rule,
-                redex.channel, mark, redex.participants, depth_after, redex.bullets)
-    return consumed, folded, step
+    return changed, (index, "important" if important else "administrative", rule,
+                     redex.channel, mark, redex.participants, depth_after, redex.bullets)
 
 
 def apply_redex(config: Config, redex: Redex,
@@ -717,21 +695,28 @@ def apply_redex(config: Config, redex: Redex,
     template and environment, which determine it; a search passes one dict
     for all its steps, so sibling states that fire the same receive or
     hoist the same restrictions the same way share one closed node, and
-    with it its ``_thread_template`` and key entry.  The
-    successor shares the parent's name sets when the step hoisted no
-    restriction.
+    with it its ``_thread_template`` and key entry.  A participant the
+    step leaves as it is stays the parent's ``Thread``, and the successor
+    shares the parent's name sets when the step hoisted no restriction.
     """
     used = set(config.used)
     restricted = set(config.restricted)
     builder = _Builder(used, restricted, config.next_tid)
-    consumed, folded, step = _fire(redex, config.thread, restricted, builder, 0)
-    # one tuple of the final size: a tuple built from a generator is
-    # allocated larger and shrunk, and each such tuple that dies strands a
-    # block in the interpreter's per-size tuple free lists, which only a
-    # full collection empties (about 1.5 MB after ten explores of
-    # ``map ((\x. (x, x)), [a, b])``)
-    threads = [Thread(t.tid, folded[t.tid], t.depth) if t.tid in folded else t
-               for t in config.threads if t.tid not in consumed]
+    changed, row = _fire(redex, config.thread, restricted, builder, 0)
+    # built as a list, so that the successor's tuple has its final size: a
+    # tuple built from a generator is allocated larger and shrunk, and each
+    # such tuple that dies strands a block in the interpreter's per-size
+    # tuple free lists, which only a full collection empties (about 1.5 MB
+    # after ten explores of ``map ((\x. (x, x)), [a, b])``)
+    threads = list(config.threads)
+    if changed:
+        tids = [t.tid for t in threads]
+        for t, residual in changed:
+            i = tids.index(t.tid)
+            if residual is None:
+                del threads[i], tids[i]
+            else:
+                threads[i] = Thread(t.tid, residual, t.depth)
     if memo is None:
         memo = {}
     for t in builder.new_threads:
@@ -743,6 +728,7 @@ def apply_redex(config: Config, redex: Redex,
                 proc = memo[key] = rewrite(t.proc, vm, nm)
             t = Thread(t.tid, proc, t.depth)
         threads.append(t)
+    step = Step(*row)
     if len(used) == len(config.used):
         # no name hoisted (the builder adds every name it restricts to
         # both sets): share the parent's sets, most of what a state would
@@ -776,31 +762,42 @@ def barbs(config: Config) -> frozenset[tuple[str, str]]:
 @dataclass(slots=True)
 class Trace:
     """What a ``run`` did: its steps, how it stopped, its faults, and the
-    soup it stepped, which the caller may go on stepping or read back."""
+    soup it stepped, which the caller may go on stepping or read back.
 
-    steps: list[Step] = field(default_factory=list)
+    ``rows`` holds each step as ``LiveSoup.fire`` returns it, the row of
+    ``Step``'s fields; ``work``, ``span``, ``admin_steps`` and ``to_dict``
+    read the rows, and ``steps`` builds the ``Step``s where one is wanted.
+    """
+
+    rows: list[tuple] = field(default_factory=list)
     status: str = "terminated"
     faults: list[str] = field(default_factory=list)
     soup: LiveSoup | None = None
 
     @property
+    def steps(self) -> tuple[Step, ...]:
+        """The steps, built from the rows; a tuple, as appending to it
+        would change no trace."""
+        return tuple([Step(*row) for row in self.rows])
+
+    @property
     def work(self) -> int:
-        return sum(1 for s in self.steps if s.kind == "important")
+        return sum(1 for row in self.rows if row[1] == "important")
 
     @property
     def admin_steps(self) -> int:
-        return sum(1 for s in self.steps if s.kind == "administrative")
+        return sum(1 for row in self.rows if row[1] == "administrative")
 
     @property
     def span(self) -> int:
-        return max((s.depth_after for s in self.steps), default=0)
+        return max((row[6] for row in self.rows), default=0)
 
     def to_dict(self) -> dict:
         return {
             "steps": [
-                {"idx": s.index, "kind": s.kind, "rule": s.rule,
-                 "channel": s.channel, "depth": s.depth_after}
-                for s in self.steps
+                {"idx": index, "kind": kind, "rule": rule,
+                 "channel": None if key is None else mark + _key_text(key), "depth": depth}
+                for index, kind, rule, key, mark, _participants, depth, _bullets in self.rows
             ],
             "work": self.work,
             "span": self.span,
@@ -826,9 +823,13 @@ class LiveSoup:
     follows the participants and their channels rather than the whole
     soup.
 
-    ``fire`` unindexes the participants it consumes, then takes the
-    builder's new threads and indexes each in one loop; the soup's one
-    builder hoists names straight into its ``used`` and ``restricted``.
+    ``fire`` walks the participants ``_fire`` lists as changed, unindexing
+    each and then dropping it or indexing its residual, takes the
+    builder's new threads and indexes each in one loop, and returns the
+    step's row; the soup's one builder hoists names straight into its
+    ``used`` and ``restricted``.  A step allocates only what the soup
+    keeps: the threads it spawns or folds, the redexes it lists, and the
+    row the trace keeps.
     Indexing a send or a receive enqueues it on its channel and walks the
     other side's queue there in one loop, with no call per partner: a
     partner of another arity adds a mismatch, any other forms a COMM pair,
@@ -958,30 +959,28 @@ class LiveSoup:
 
     # ---------------------------------------------------------- changes
 
-    def fire(self, redex: Redex, index: int) -> Step:
+    def fire(self, redex: Redex, index: int) -> tuple:
+        """Fire ``redex`` as step ``index``; returns the step's row (see
+        ``_fire``)."""
         threads = self.threads
         builder = self.builder
-        consumed, folded, step = _fire(redex, threads.__getitem__, self.restricted,
-                                       builder, index)
+        changed, row = _fire(redex, threads.__getitem__, self.restricted, builder, index)
         # sender first: a broadcast leaves before its receivers, so their
         # removal does not recompute it
-        unindex = self._unindex
-        for tid in redex.participants:
-            if tid in consumed:
-                unindex(threads.pop(tid))
-        for tid, residual in folded.items():
-            old = threads[tid]
-            if residual is not old.proc:  # outer bullets spent: the head changed
-                unindex(old)
-                new = threads[tid] = Thread(tid, residual, old.depth, old.env)
-                self._index(new)
+        unindex, index = self._unindex, self._index
+        for t, residual in changed:
+            unindex(t)
+            if residual is None:
+                del threads[t.tid]
+            else:  # outer bullets spent: the head changed
+                new = threads[t.tid] = Thread(t.tid, residual, t.depth, t.env)
+                index(new)
         self.next_tid = builder.next_tid
         spawned, builder.new_threads = builder.new_threads, []
-        index = self._index
         for t in spawned:
             threads[t.tid] = t
             index(t)
-        return step
+        return row
 
     def drop(self, tids: tuple[int, ...]) -> None:
         for tid in tids:
@@ -990,8 +989,7 @@ class LiveSoup:
     def collect(self) -> None:
         """Drop the replicated sends and receives on restricted channels
         that no other thread mentions, until none is left, then the
-        restricted names no thread mentions: ``garbage_collect`` on the soup
-        in place.
+        restricted names no thread mentions.
 
         One pass counts the threads that mention each name and gathers the
         servers by subject.  A server is unreachable exactly when its
@@ -1002,8 +1000,8 @@ class LiveSoup:
         server lowers the counts of its names, and a subject whose count
         falls to one joins it.  Dropping only lowers counts, so every
         unreachable server stays so and the result is the one fixpoint
-        ``garbage_collect`` reaches.  A replicated broadcast is kept, as it
-        fires with no receiver at all.
+        that removing unreachable servers one at a time reaches.  A
+        replicated broadcast is kept, as it fires with no receiver at all.
         """
         restricted = self.restricted
         mentions: Counter[str] = Counter()
@@ -1175,7 +1173,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     soup = LiveSoup(config) if isinstance(config, Config) else config
     stop = None if stop_barb is None else _text_key(stop_barb)
     trace = Trace(soup=soup)
-    steps = trace.steps
+    rows = trace.rows
     fire = soup.fire
     if gc:
         soup.collect()
@@ -1195,7 +1193,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         if not redexes:
             trace.status = "terminated"
             break
-        if len(steps) >= budget:
+        if len(rows) >= budget:
             trace.status = "timeout"
             break
         redex = redexes[0] if choose is None else choose(redexes)
@@ -1207,7 +1205,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
             soup.drop(redex.participants)
             continue
         try:
-            steps.append(fire(redex, len(steps) + 1))
+            rows.append(fire(redex, len(rows) + 1))
         except CommitFault as fault:
             trace.faults.append(str(fault))
             if not permissive:
@@ -1503,20 +1501,3 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
 def normalize_depths(config: Config) -> Config:
     threads = tuple(replace(t, depth=0) for t in config.threads)
     return replace(config, threads=threads)
-
-
-# ------------------------------------------------------------------- gc
-
-def garbage_collect(config: Config) -> Config:
-    """Drop replicated servers on restricted channels that no client can reach.
-
-    A folded replicated send or receive whose subject channel is restricted
-    and whose base name occurs in no other thread can never synchronize
-    again; removing it preserves behavior.  A replicated broadcast is kept:
-    it fires with no receiver, so removing it would change the run.
-    Restricted names that then occur nowhere are dropped too.  The work is
-    ``LiveSoup.collect``'s.
-    """
-    soup = LiveSoup(config)
-    soup.collect()
-    return soup.config()

@@ -632,77 +632,3 @@ class _Rewrite:
 _REBUILD = {Act: _Rewrite.act, Par: _Rewrite.par, New: _Rewrite.new,
             Match: _Rewrite.match, Repl: _Rewrite.repl, Bullet: _Rewrite.bullet,
             Nil: _Rewrite.nil}
-
-
-def alpha_equal_process(p: Process, q: Process) -> bool:
-    """Equality up to renaming of restriction-bound names and pattern variables."""
-
-    def terms_eq(a: Term, b: Term, na, nb, va, vb) -> bool:
-        match a, b:
-            case NumT(x), NumT(y):
-                return x == y
-            case NameT(x), NameT(y):
-                ia, ib = na.get(x), nb.get(y)
-                return (x == y) if ia is None and ib is None else ia == ib
-            case VarT(x), VarT(y):
-                ia, ib = va.get(x), vb.get(y)
-                return (x == y) if ia is None and ib is None else ia == ib
-            case OpT(o1, l1, r1), OpT(o2, l2, r2):
-                return o1 == o2 and terms_eq(l1, l2, na, nb, va, vb) and terms_eq(r1, r2, na, nb, va, vb)
-            case _:
-                return False
-
-    def suffix_eq(a, b, na, nb, va, vb) -> bool:
-        if isinstance(a, (VarT, NameT)) or isinstance(b, (VarT, NameT)):
-            return (type(a) is type(b)
-                    and terms_eq(a, b, na, nb, va, vb))
-        return a == b
-
-    def chans_eq(a: Chan, b: Chan, na, nb, va, vb) -> bool:
-        return (terms_eq(a.base, b.base, na, nb, va, vb)
-                and suffix_eq(a.suffix, b.suffix, na, nb, va, vb))
-
-    def go(p, q, na, nb, va, vb, depth) -> bool:
-        match p, q:
-            case Nil(), Nil():
-                return True
-            case Par(l1, r1), Par(l2, r2):
-                return go(l1, l2, na, nb, va, vb, depth) and go(r1, r2, na, nb, va, vb, depth)
-            case Repl(b1), Repl(b2):
-                return go(b1, b2, na, nb, va, vb, depth)
-            case Bullet(b1), Bullet(b2):
-                return go(b1, b2, na, nb, va, vb, depth)
-            case New(n1, b1), New(n2, b2):
-                return go(b1, b2, {**na, n1: depth}, {**nb, n2: depth}, va, vb, depth + 1)
-            case Act(a1, c1), Act(a2, c2):
-                if type(a1) is not type(a2):
-                    return False
-                if not chans_eq(a1.chan, a2.chan, na, nb, va, vb):
-                    return False
-                if isinstance(a1, (Send, Bcast)):
-                    if len(a1.args) != len(a2.args):
-                        return False
-                    if not all(terms_eq(x, y, na, nb, va, vb) for x, y in zip(a1.args, a2.args)):
-                        return False
-                    return go(c1, c2, na, nb, va, vb, depth)
-                if len(a1.params) != len(a2.params):
-                    return False
-                va2, vb2, d = dict(va), dict(vb), depth
-                for x, y in zip(a1.params, a2.params):
-                    if (x is None) != (y is None):
-                        return False
-                    if x is not None:
-                        va2[x] = d
-                        vb2[y] = d
-                        d += 1
-                return go(c1, c2, na, nb, va2, vb2, d)
-            case Match(l1, o1, r1, t1, e1), Match(l2, o2, r2, t2, e2):
-                return (o1 == o2
-                        and terms_eq(l1, l2, na, nb, va, vb)
-                        and terms_eq(r1, r2, na, nb, va, vb)
-                        and go(t1, t2, na, nb, va, vb, depth)
-                        and go(e1, e2, na, nb, va, vb, depth))
-            case _:
-                return False
-
-    return go(p, q, {}, {}, {}, {}, 0)

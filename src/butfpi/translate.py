@@ -48,7 +48,6 @@ from butfpi.epi.syntax import (
     Nil,
     NumT,
     OpT,
-    Par,
     Process,
     Recv,
     Repl,
@@ -446,46 +445,3 @@ def translate(e: Expr, out: str = "o", opts: TranslationOptions | None = None) -
     """
     tr = Translator(opts, avoid=frozenset(free_vars(e)) | {out})
     return tr.expr(tr.rename_binders(e), NameT(out))
-
-
-def count_bullets(p: Process) -> int:
-    match p:
-        case Bullet(body):
-            return 1 + count_bullets(body)
-        case Par(left, right):
-            return count_bullets(left) + count_bullets(right)
-        case New(_, body) | Repl(body):
-            return count_bullets(body)
-        case Act(_, cont):
-            return count_bullets(cont)
-        case Match(_, _, _, then, orelse):
-            return count_bullets(then) + count_bullets(orelse)
-        case _:
-            return 0
-
-
-def expected_bullets(e: Expr, strict_bullets: bool = True) -> int:
-    """The bullet census of ``translate(e)``: one per application, conditional,
-    and indexing site, one per direct map site, and one per direct size/iota
-    site in strict mode.  Builtins referenced as bare values add none."""
-    def go(e: Expr) -> int:
-        match e:
-            case Num() | Var() | Builtin():
-                return 0
-            case Lam(_, body):
-                return go(body)
-            case Array(items) | Tup(items):
-                return sum(go(x) for x in items)
-            case Index(target, index):
-                return 1 + go(target) + go(index)
-            case If(cond, then, orelse):
-                return 1 + go(cond) + go(then) + go(orelse)
-            case App(Builtin("map"), arg):
-                return 1 + go(arg)
-            case App(Builtin(op), arg) if op in ("iota", "size"):
-                return (1 if strict_bullets else 0) + go(arg)
-            case App(fun, arg):
-                return 1 + go(fun) + go(arg)
-        raise TypeError(f"not an expression: {e!r}")
-
-    return go(e)

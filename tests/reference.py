@@ -31,11 +31,30 @@ and ``_match_redex`` must give the same value, redex or ``TermError`` text.
 on a copy of the soup, firing only administrative redexes in priority
 order, and ``reference_read_output`` decodes with it: read-back off the
 soup's send queues (``LiveSoup.ask``) must give the same value.
+
+The helpers at the end serve tests alone: ``alpha_equal`` and
+``alpha_equal_process`` compare terms and processes up to renaming of
+bound names, ``count_bullets`` counts a process's bullets and
+``expected_bullets`` the bullets ``translate`` should give a program,
+``config_to_process`` folds a ``Config`` back into one process, and
+``garbage_collect`` runs ``LiveSoup.collect`` on a ``Config``.
 """
 
 import pytest
 
 from butfpi.butf.eval import apply_arith
+from butfpi.butf.syntax import (
+    App,
+    Array,
+    Builtin,
+    Expr,
+    If,
+    Index,
+    Lam,
+    Num,
+    Tup,
+    Var,
+)
 from butfpi.correspondence import _decode
 from butfpi.epi import engine
 from butfpi.epi.engine import (
@@ -695,3 +714,181 @@ def checking_entries(fn, *args, **kwargs):
         result = fn(*args, **kwargs)
         settle()
         return result, checked, skipped
+
+
+# ------------------------------------------------ test-only helpers
+
+def alpha_equal(a: Expr, b: Expr) -> bool:
+    """Structural equality up to renaming of bound variables."""
+
+    def go(a: Expr, b: Expr, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+        match a, b:
+            case Num(x), Num(y):
+                return x == y
+            case Builtin(x), Builtin(y):
+                return x == y
+            case Var(x), Var(y):
+                ia, ib = env_a.get(x), env_b.get(y)
+                return (x == y) if ia is None and ib is None else ia == ib
+            case (Array(xs), Array(ys)) | (Tup(xs), Tup(ys)):
+                return len(xs) == len(ys) and all(
+                    go(p, q, env_a, env_b, depth) for p, q in zip(xs, ys)
+                )
+            case Index(t1, i1), Index(t2, i2):
+                return go(t1, t2, env_a, env_b, depth) and go(i1, i2, env_a, env_b, depth)
+            case App(f1, a1), App(f2, a2):
+                return go(f1, f2, env_a, env_b, depth) and go(a1, a2, env_a, env_b, depth)
+            case If(c1, t1, e1), If(c2, t2, e2):
+                return (
+                    go(c1, c2, env_a, env_b, depth)
+                    and go(t1, t2, env_a, env_b, depth)
+                    and go(e1, e2, env_a, env_b, depth)
+                )
+            case Lam(p1, b1), Lam(p2, b2):
+                return go(b1, b2, {**env_a, p1: depth}, {**env_b, p2: depth}, depth + 1)
+            case _:
+                return False
+
+    return go(a, b, {}, {}, 0)
+
+
+def alpha_equal_process(p: Process, q: Process) -> bool:
+    """Equality up to renaming of restriction-bound names and pattern variables."""
+
+    def terms_eq(a: Term, b: Term, na, nb, va, vb) -> bool:
+        match a, b:
+            case NumT(x), NumT(y):
+                return x == y
+            case NameT(x), NameT(y):
+                ia, ib = na.get(x), nb.get(y)
+                return (x == y) if ia is None and ib is None else ia == ib
+            case VarT(x), VarT(y):
+                ia, ib = va.get(x), vb.get(y)
+                return (x == y) if ia is None and ib is None else ia == ib
+            case OpT(o1, l1, r1), OpT(o2, l2, r2):
+                return o1 == o2 and terms_eq(l1, l2, na, nb, va, vb) and terms_eq(r1, r2, na, nb, va, vb)
+            case _:
+                return False
+
+    def suffix_eq(a, b, na, nb, va, vb) -> bool:
+        if isinstance(a, (VarT, NameT)) or isinstance(b, (VarT, NameT)):
+            return (type(a) is type(b)
+                    and terms_eq(a, b, na, nb, va, vb))
+        return a == b
+
+    def chans_eq(a: Chan, b: Chan, na, nb, va, vb) -> bool:
+        return (terms_eq(a.base, b.base, na, nb, va, vb)
+                and suffix_eq(a.suffix, b.suffix, na, nb, va, vb))
+
+    def go(p, q, na, nb, va, vb, depth) -> bool:
+        match p, q:
+            case Nil(), Nil():
+                return True
+            case Par(l1, r1), Par(l2, r2):
+                return go(l1, l2, na, nb, va, vb, depth) and go(r1, r2, na, nb, va, vb, depth)
+            case Repl(b1), Repl(b2):
+                return go(b1, b2, na, nb, va, vb, depth)
+            case Bullet(b1), Bullet(b2):
+                return go(b1, b2, na, nb, va, vb, depth)
+            case New(n1, b1), New(n2, b2):
+                return go(b1, b2, {**na, n1: depth}, {**nb, n2: depth}, va, vb, depth + 1)
+            case Act(a1, c1), Act(a2, c2):
+                if type(a1) is not type(a2):
+                    return False
+                if not chans_eq(a1.chan, a2.chan, na, nb, va, vb):
+                    return False
+                if isinstance(a1, (Send, Bcast)):
+                    if len(a1.args) != len(a2.args):
+                        return False
+                    if not all(terms_eq(x, y, na, nb, va, vb) for x, y in zip(a1.args, a2.args)):
+                        return False
+                    return go(c1, c2, na, nb, va, vb, depth)
+                if len(a1.params) != len(a2.params):
+                    return False
+                va2, vb2, d = dict(va), dict(vb), depth
+                for x, y in zip(a1.params, a2.params):
+                    if (x is None) != (y is None):
+                        return False
+                    if x is not None:
+                        va2[x] = d
+                        vb2[y] = d
+                        d += 1
+                return go(c1, c2, na, nb, va2, vb2, d)
+            case Match(l1, o1, r1, t1, e1), Match(l2, o2, r2, t2, e2):
+                return (o1 == o2
+                        and terms_eq(l1, l2, na, nb, va, vb)
+                        and terms_eq(r1, r2, na, nb, va, vb)
+                        and go(t1, t2, na, nb, va, vb, depth)
+                        and go(e1, e2, na, nb, va, vb, depth))
+            case _:
+                return False
+
+    return go(p, q, {}, {}, {}, {}, 0)
+
+
+def count_bullets(p: Process) -> int:
+    match p:
+        case Bullet(body):
+            return 1 + count_bullets(body)
+        case Par(left, right):
+            return count_bullets(left) + count_bullets(right)
+        case New(_, body) | Repl(body):
+            return count_bullets(body)
+        case Act(_, cont):
+            return count_bullets(cont)
+        case Match(_, _, _, then, orelse):
+            return count_bullets(then) + count_bullets(orelse)
+        case _:
+            return 0
+
+
+def expected_bullets(e: Expr, strict_bullets: bool = True) -> int:
+    """The bullet census of ``translate(e)``: one per application, conditional,
+    and indexing site, one per direct map site, and one per direct size/iota
+    site in strict mode.  Builtins referenced as bare values add none."""
+    def go(e: Expr) -> int:
+        match e:
+            case Num() | Var() | Builtin():
+                return 0
+            case Lam(_, body):
+                return go(body)
+            case Array(items) | Tup(items):
+                return sum(go(x) for x in items)
+            case Index(target, index):
+                return 1 + go(target) + go(index)
+            case If(cond, then, orelse):
+                return 1 + go(cond) + go(then) + go(orelse)
+            case App(Builtin("map"), arg):
+                return 1 + go(arg)
+            case App(Builtin(op), arg) if op in ("iota", "size"):
+                return (1 if strict_bullets else 0) + go(arg)
+            case App(fun, arg):
+                return 1 + go(fun) + go(arg)
+        raise TypeError(f"not an expression: {e!r}")
+
+    return go(e)
+
+
+def config_to_process(config: Config) -> Process:
+    """Fold a config back into a single process (restrictions out front)."""
+    body: Process = Nil()
+    for t in reversed(config.threads):
+        body = t.proc if isinstance(body, Nil) else Par(t.proc, body)
+    for name in sorted(config.restricted):
+        body = New(name, body)
+    return body
+
+
+def garbage_collect(config: Config) -> Config:
+    """Drop replicated servers on restricted channels that no client can reach.
+
+    A folded replicated send or receive whose subject channel is restricted
+    and whose base name occurs in no other thread can never synchronize
+    again; removing it preserves behavior.  A replicated broadcast is kept:
+    it fires with no receiver, so removing it would change the run.
+    Restricted names that then occur nowhere are dropped too.  The work is
+    ``LiveSoup.collect``'s.
+    """
+    soup = LiveSoup(config)
+    soup.collect()
+    return soup.config()

@@ -12,13 +12,13 @@ from butfpi.butf.syntax import (
     Num,
     Tup,
     Var,
-    alpha_equal,
     free_vars,
     is_value,
     substitute,
 )
 from debruijn import oracle_substitute, to_db
 from generators import random_expr, random_value
+from reference import alpha_equal
 
 
 def test_is_value_basics():

@@ -78,7 +78,7 @@ def fires_agree(config, seed=0, limit=60) -> int:
             reference.drop(reference.redexes[i].participants)
             continue
         try:
-            step = soup.fire(soup.redexes[i], index)
+            row = soup.fire(soup.redexes[i], index)
         except engine.CommitFault as fault:
             with pytest.raises(engine.CommitFault) as want:
                 sequential(reference.fire, reference.redexes[i], index)
@@ -86,7 +86,7 @@ def fires_agree(config, seed=0, limit=60) -> int:
             soup.drop(fault.tids)
             reference.drop(fault.tids)
             continue
-        assert step == sequential(reference.fire, reference.redexes[i], index)
+        assert row == sequential(reference.fire, reference.redexes[i], index)
         assert soup.config() == reference.config()
         assert all(t.env is None for t in reference.threads.values())
         open_threads += sum(t.env is not None for t in soup.threads.values())

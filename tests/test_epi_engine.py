@@ -13,10 +13,8 @@ from butfpi.epi.engine import (
     apply_redex,
     barbs,
     canonical_key,
-    config_to_process,
     enabled_redexes,
     explore,
-    garbage_collect,
     head_of,
     insert_process,
     normalize,
@@ -25,9 +23,9 @@ from butfpi.epi.engine import (
 from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from butfpi.epi.syntax import Bullet, NameT, New, Par, all_names, rewrite
-from butfpi.translate import count_bullets, translate
+from butfpi.translate import translate
 from generators import NAME_POOL, random_process, random_redex_config
-from reference import sequential
+from reference import config_to_process, count_bullets, garbage_collect, sequential
 
 
 def norm(text):

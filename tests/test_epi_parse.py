@@ -97,7 +97,8 @@ def _post_step_processes():
     processes whose receive parameters spell names, under a few
     schedules."""
     from butfpi.butf.parse import parse
-    from butfpi.epi.engine import EngineError, config_to_process, normalize, run
+    from butfpi.epi.engine import EngineError, normalize, run
+    from reference import config_to_process
     from butfpi.translate import translate
     from corpus import CORPUS
     from generators import NAME_POOL, random_redex_config
@@ -127,7 +128,7 @@ def _post_step_processes():
 def test_round_trip_after_steps():
     # a step substitutes names for variables, so a receive parameter may
     # come to spell a name free in its scope; it prints renamed
-    from butfpi.epi.syntax import alpha_equal_process
+    from reference import alpha_equal_process
     renamed = 0
     for p in _post_step_processes():
         text = pretty_process(p)
@@ -140,7 +141,8 @@ def test_round_trip_after_steps():
 
 def test_round_trip_of_a_number_channel():
     # a step can substitute a number into a channel's base
-    from butfpi.epi.engine import config_to_process, normalize, run
+    from butfpi.epi.engine import normalize, run
+    from reference import config_to_process
     for text, printed in (("a<5> | a(x). x<7>", "5<7>"),
                           ("a<-3> | a(x). x.len(y). y:<x>", "-3.len(y). y:<-3>")):
         soup = run(normalize(parse_process(text)), budget=1).soup

@@ -18,7 +18,6 @@ from butfpi.epi.syntax import (
     Send,
     TermError,
     VarT,
-    alpha_equal_process,
     compare,
     eval_term,
     free_names,
@@ -30,7 +29,7 @@ from butfpi.epi.syntax import (
 from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from generators import NAME_POOL, random_process
-from reference import reference_rewrite
+from reference import alpha_equal_process, reference_rewrite
 
 
 def test_eval_term():

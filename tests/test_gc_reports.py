@@ -18,12 +18,13 @@ import pytest
 from butfpi.butf.parse import parse
 from butfpi.cli import dispatch
 from butfpi.epi import engine
-from butfpi.epi.engine import EngineError, garbage_collect, head_of, normalize, run
+from butfpi.epi.engine import EngineError, head_of, normalize, run
 from butfpi.epi.parse import parse_process
 from butfpi.epi.syntax import Act, Bcast, Chan, NameT, New, Par, Repl
 from butfpi.translate import translate
 from corpus import CORPUS
 from generators import random_process, random_redex_config, random_term
+from reference import garbage_collect
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").iterdir())
 

@@ -7,11 +7,13 @@ diagnostics: the mismatch count the index keeps, and the barbs it reads
 off its queues, must equal what the scan finds.  Each run is also
 replayed by ``reference_run``, the scheduling loop written over the scan
 and the pure ``apply_redex``, and the traces and final configs must be
-equal.
+equal.  What ``_fire`` lists as changed is pinned on hand-built soups, and
+after every fire along seeded schedules the index must equal that of a
+fresh soup built on the soup's ``config()`` (``index_of``).
 """
 
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -35,7 +37,7 @@ from butfpi.epi.engine import (
     run,
 )
 from butfpi.epi.parse import parse_process
-from butfpi.epi.syntax import NumT
+from butfpi.epi.syntax import NumT, Repl
 from butfpi.translate import translate
 from corpus import CORPUS, STUCK, TERMINATING
 from generators import random_closed_program, random_process, random_redex_config
@@ -52,9 +54,9 @@ class CheckedSoup(engine.LiveSoup):
         self.verify()
 
     def fire(self, redex, index):
-        step = super().fire(redex, index)
+        row = super().fire(redex, index)
         self.verify()
-        return step
+        return row
 
     def drop(self, tids):
         super().drop(tids)
@@ -104,7 +106,7 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
         if not redexes:
             trace.status = "terminated"
             break
-        if len(trace.steps) >= budget:
+        if len(trace.rows) >= budget:
             trace.status = "timeout"
             break
         if policy == "priority":
@@ -127,7 +129,7 @@ def reference_run(config, policy="priority", seed=0, budget=1_000_000,
                 break
             config = _drop_threads(config, fault.tids)
             continue
-        trace.steps.append(replace(step, index=len(trace.steps) + 1))
+        trace.rows.append(astuple(replace(step, index=len(trace.rows) + 1)))
     trace.soup = engine.LiveSoup(config)
     return trace
 
@@ -236,8 +238,8 @@ def test_unfolds_match_sequential_renames(checked):
     for index in range(1, 30):
         if not soup.redexes:
             break
-        step = soup.fire(soup.redexes[-1], index)
-        assert step == sequential(reference.fire, reference.redexes[-1], index)
+        row = soup.fire(soup.redexes[-1], index)
+        assert row == sequential(reference.fire, reference.redexes[-1], index)
         assert soup.config() == reference.config()
     assert index > 20
 
@@ -372,4 +374,140 @@ def test_stop_barb_and_gc(checked):
     assert tr.status == "terminated"
     tr = agree(norm(text), stop_barb="o")
     assert tr.status == "barb"
-    assert agree(norm("o<5>"), stop_barb="o").steps == []
+    assert agree(norm("o<5>"), stop_barb="o").steps == ()
+
+
+# ------------------------------------------------------ what a fire changes
+
+def changes(config, redex):
+    """What ``_fire`` lists for ``redex`` on ``config``: each changed
+    participant's tid with its residual (None: consumed)."""
+    builder = engine._Builder(set(config.used), set(config.restricted), config.next_tid)
+    changed, _row = engine._fire(redex, config.thread, set(config.restricted), builder, 1)
+    return [(t.tid, residual) for t, residual in changed]
+
+
+def index_of(soup):
+    """A soup's index, with each queued head reduced to what the index reads
+    of it: a fresh soup's heads are those of closed threads."""
+    def queues(qs):
+        return {key: {tid: (h.arity, h.bullets, h.repl) for tid, h in queue.items()}
+                for key, queue in qs.items()}
+    return (soup.keys, soup.redexes, soup.mismatches, soup.broads,
+            queues(soup.sends), queues(soup.recvs), queues(soup.bcasts))
+
+
+def test_replicated_participants_with_outer_bullets_are_reindexed(checked):
+    # a bulleted replicated receiver (tid 0, fired by sender 1), then a
+    # bulleted replicated sender (tid 0, firing receiver 1)
+    for text, participants, queue in (("*!f(x). 0 | f<1>", (1, 0), "recvs"),
+                                      ("**!g<2> | g(y). 0", (0, 1), "sends")):
+        config = norm(text)
+        soup = engine.LiveSoup(config)
+        (redex,) = soup.redexes
+        assert redex.participants == participants
+        old = soup.threads[0]
+        residual = old.proc
+        while not isinstance(residual, Repl):
+            residual = residual.body
+        assert changes(config, redex) == [(tid, None if tid else residual)
+                                          for tid in participants]
+        soup.fire(redex, 1)
+        assert list(soup.threads) == [0]
+        new = soup.threads[0]
+        assert new.proc is residual and new.depth == old.depth
+        ((_key, queued),) = getattr(soup, queue).items()
+        assert queued[0].bullets == 0 and queued[0].repl
+
+
+def test_replicated_participants_without_outer_bullets_stay(checked):
+    for text in ("!f(x). 0 | f<1> | f<2>", "!g<2> | g(y). 0 | g(z). 0",
+                 "!c:<1> | c(x). 0"):
+        config = norm(text)
+        soup = engine.LiveSoup(config)
+        server = soup.threads[0]
+        redex = soup.redexes[0]
+        assert [tid for tid, _ in changes(config, redex)] == [
+            tid for tid in redex.participants if tid != 0]
+        soup.fire(redex, 1)
+        assert soup.threads[0] is server
+
+
+def test_broadcast_to_replicated_and_one_shot_receivers(checked):
+    config = norm("c:<1> | !c(x). a<x> | c(y). b<y> | *!c(z). d<z> | *c(w). 0")
+    soup = engine.LiveSoup(config)
+    (redex,) = soup.redexes
+    assert redex.rule == "BROAD" and redex.participants == (0, 1, 2, 3, 4)
+    kept = soup.threads[1]
+    residual = soup.threads[3].proc.body
+    assert changes(config, redex) == [(0, None), (2, None), (3, residual), (4, None)]
+    assert soup.fire(redex, 1) == (1, "important", "BROAD", ("c", None), ":",
+                                   (0, 1, 2, 3, 4), 1, 2)
+    assert soup.threads[1] is kept
+    assert soup.threads[3].proc is residual
+    assert sorted(soup.threads) == [1, 3, 5, 6, 7]
+    assert sorted(key[0] for key in soup.sends) == ["a", "b", "d"]
+    assert index_of(soup) == index_of(engine.LiveSoup(soup.config()))
+
+
+def fires_index_as_fresh(config, seeds=(None, 0, 1), limit=400):
+    """Fire ``config`` along the priority schedule (seed None) and seeded
+    random ones; after every fire the soup's index must be that of a fresh
+    soup built on its ``config()``."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        soup = engine.LiveSoup(config)
+        for index in range(1, limit):
+            redexes = [r for r in soup.redexes if r.rule != "FAULT"]
+            if not redexes:
+                break
+            redex = redexes[0] if seed is None else rng.choice(redexes)
+            try:
+                soup.fire(redex, index)
+            except CommitFault as fault:
+                soup.drop(fault.tids)
+            assert index_of(soup) == index_of(engine.LiveSoup(soup.config()))
+
+
+@pytest.mark.parametrize("entry", TERMINATING + STUCK, ids=lambda e: e.name)
+def test_fired_soup_indexes_as_a_fresh_one(entry):
+    fires_index_as_fresh(normalize(translate(parse(entry.source), "o")))
+
+
+def test_fired_hand_built_soups_index_as_fresh_ones():
+    # replicated participants with and without outer bullets, on COMM,
+    # BROAD and matches, and mismatched arities
+    for text in ("*!f(x, r). r<x> | f<1, o1> | f<2, o2> | **!h.0<0, 5> | h.0(i, v). o<v>",
+                 "c:<1> | !c(x). a<x> | c(y). b<y> | *!c(z). d<z> | *c(w). 0 | a(u). c:<u>",
+                 "*!c(w). 0 | c(y, z). 0 | c<1> | c:<1, 2, 3> | c<4>",
+                 "*![1 < 2] a<>, 0 | !a(). b<> | *b(). a<> | a<>",
+                 "a<> | a(). c(x). o<x> | c:<1>. d<> | d(). 0 | !c(y). e<y> | *(c(z). f<z>)"):
+        fires_index_as_fresh(norm(text), seeds=(None, 0, 1, 2, 3), limit=40)
+    rng = random.Random(53)
+    for i in range(100):
+        p = random_process(rng, depth=4) if i % 2 else random_redex_config(rng)
+        try:
+            config = normalize(p)
+        except EngineError:
+            continue
+        fires_index_as_fresh(config, seeds=(None, i), limit=40)
+
+
+def test_trace_steps_are_the_steps_apply_redex_reports():
+    for entry in TERMINATING:
+        config = normalize(translate(parse(entry.source), "o"))
+        for seed in (0, 1):
+            trace = run(config, policy="random", seed=seed)
+            assert trace.status == "terminated"
+            rng = random.Random(seed)
+            c, want = config, []
+            while True:
+                redexes, _diagnostics = enabled_redexes(c)
+                if not redexes:
+                    break
+                c, step = apply_redex(c, rng.choice(redexes))
+                want.append(replace(step, index=len(want) + 1))
+            assert trace.steps == tuple(want)
+            assert [astuple(step) for step in want] == trace.rows
+            with pytest.raises(AttributeError):
+                trace.steps.append(want[0])

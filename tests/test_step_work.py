@@ -57,9 +57,9 @@ class WatchedSoup(LiveSoup):
         self.watch()
 
     def fire(self, redex, index):
-        step = super().fire(redex, index)
+        row = super().fire(redex, index)
         self.watch()
-        return step
+        return row
 
     def watch(self):
         assert ({name for name, polarity in self.barbs() if polarity == "out"}

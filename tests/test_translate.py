@@ -9,7 +9,6 @@ from butfpi.epi.syntax import (
     NameT,
     NumT,
     VarT,
-    alpha_equal_process,
     rewrite,
 )
 from butfpi.translate import (
@@ -17,12 +16,11 @@ from butfpi.translate import (
     TranslationOptions,
     Translator,
     cell,
-    count_bullets,
-    expected_bullets,
     repeat,
     translate,
 )
 from generators import random_closed_program
+from reference import alpha_equal_process, count_bullets, expected_bullets
 
 PAPER_LITERAL = TranslationOptions(paper_literal_repeat=True)
 
