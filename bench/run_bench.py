@@ -1,7 +1,8 @@
-"""Time ``run`` per step on a set of programs, for one or more source trees.
+"""Time ``run``, ``check``, ``cost`` and ``explore`` on a set of programs,
+for one or more source trees.
 
     python bench/run_bench.py --tree change=src --tree parent=OTHER/src \
-        --repeat 7 --tier1 2 --out BENCH_24.json
+        --repeat 7 --tier1 2 --out BENCH_26.json
 
 Each run is a fresh interpreter that imports ``butfpi`` from the given
 ``src`` directory.  It translates and normalizes the program, timed as
@@ -22,29 +23,41 @@ one ``rewrite`` per thread the soup holds open) is timed apart as
 ``close_s``, and so is the report: ``report_s`` is ``to_dict()`` of the
 trace (or of the ``check`` or ``cost`` report) plus ``cli.dumps`` of it,
 the JSON the command prints, after the cold call, and ``report_warm_s``
-is its least over one report per warm call.
+is its least over one report per warm call.  An ``explore`` program is
+one timed ``explore`` call per interpreter, and no warm ones.
 
-A child process's steps and reads are not seen here, so the counts come
-from one more call after the timed ones, untimed and forking nothing: the
-steps fired (``LiveSoup.fire`` calls), the threads left at the end of a
-``run`` (null for a ``check`` or ``cost``, which run many soups),
-``peak_threads``, the most threads a soup held just before or just after
-a step it fired (with ``gc``, what the collections let the soup grow to),
-the ``rewrite`` calls the engine made per step (closing included), and
-for a ``check`` row the handle reads, ``reads`` (``LiveSoup.ask`` calls;
-on a tree that reads back by running a probe per handle, ``_Prober.ask``
-calls, and the steps those probes fire are among the steps counted), and
-the seconds spent in ``read_back`` in that call, ``readback_s`` (the
-median over the interpreters); other rows have null there.  A row gives
-the microseconds per step of each run's cold call and their median, the
+No call is timed with a counting wrapper in place, and a forked child's
+steps and reads are not seen here, so every count comes from one more
+call after the timed ones, untimed and forking nothing, with the peak RSS
+(``ru_maxrss`` of the interpreter, not of its forked children) read just
+before it.  A ``run``, ``check`` or ``cost`` row counts the steps fired
+(``LiveSoup.fire`` calls), the threads left at the end of a ``run`` (null
+for a ``check`` or ``cost``, which run many soups), ``peak_threads``, the
+most threads a soup held just before or just after a step it fired (with
+``gc``, what the collections let the soup grow to), the ``rewrite`` calls
+the engine made per step (closing included), and for a ``check`` row the
+handle reads, ``reads`` (``LiveSoup.ask`` calls), and the seconds spent
+in ``read_back`` in that call, ``readback_s`` (the median over the
+interpreters); other rows have null there.  Such a row gives the
+microseconds per step of each run's cold call and their median, the
 least and the median over every warm call (``warm_us_per_step_min`` and
-``_median``), the median ``normalize_s``, ``close_s`` and ``report_s``,
-the peak RSS of the run (``ru_maxrss`` of the interpreter, not of its
-forked children) and a digest of what the call returned (the
-``simulate`` JSON of a ``run``, the ``check`` or ``cost`` JSON
-otherwise), which must be the same for every tree and for every call;
-the script exits 1 when it is not.  Runs of the trees alternate, so a
-drift in the host's speed falls on all of them.
+``_median``), the median ``normalize_s``, ``close_s`` and ``report_s``
+and the peak RSS.  An ``explore`` row gives the states visited, whether a
+bound was hit, the terminals found, the successors generated
+(``_entry_multiset`` calls), the successors skipped as duplicates without
+a key, the full keys computed (``canonical_key`` calls, the start state's
+included), ``closed``, the distinct (template, environment) keys the
+search's memo holds at the end, and ``closings``, the threads closed
+through it; then the seconds of each run and their median, and the peak
+RSS.  ``concat-100k`` (about 40 s and several hundred MB at 100 000
+states) runs only when named with ``--program``.
+
+Every row has a digest of what the call returned (the ``simulate`` JSON
+of a ``run``, the ``check`` or ``cost`` JSON, or the states, terminal
+count and ``bound_hit`` of an ``explore``), which must be the same for
+every tree and for every call; the script exits 1 when it is not.  Runs
+of the trees alternate, so a drift in the host's speed falls on all of
+them.
 
 ``--tier1 N`` also runs each tree's test suite (``pytest -q`` in the
 directory above its ``src``) N times, the trees alternating, and gives
@@ -63,9 +76,14 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from corpus import BY_NAME  # noqa: E402
+
 SIMULATE_WIDE = r"map ((\x. x * x + 7), iota 32)"
 CHECK_ARRAYS = r"map ((\x. (x, x * x + 7)), iota 8)"
 MAP_SQUARE = r"map ((\x. x * x + 1), iota {n})"
+CONCAT = BY_NAME["concat"].source.strip()
 
 # name -> (how, program or family, size, call keyword arguments)
 PROGRAMS = {
@@ -85,13 +103,19 @@ PROGRAMS = {
                                       {"seeds": 20}),
     "cost-map-square-over-iota-256": ("cost", MAP_SQUARE.format(n=256), None,
                                       {"seeds": 20}),
+    "explore-small": ("explore", r"map ((\x. (x, x)), [3, 5])", None, {}),
+    "map-inc": ("explore", BY_NAME["map-inc"].source, None, {"depth_bound": 10**9}),
+    "concat-10k": ("explore", CONCAT, None, {"state_bound": 10_000, "depth_bound": 10**9}),
+    "concat-100k": ("explore", CONCAT, None, {"state_bound": 100_000, "depth_bound": 10**9}),
 }
+# too slow for every comparison: run only when named with --program
+ON_REQUEST = ("concat-100k",)
 
 CHILD = r"""
 import hashlib, json, resource, sys, time
 from butfpi.butf.parse import parse
 from butfpi.cli import dumps
-from butfpi import correspondence
+from butfpi import correspondence, schedules
 from butfpi.correspondence import check_program
 from butfpi.cost import FAMILIES, measure
 from butfpi.epi import engine
@@ -99,55 +123,22 @@ from butfpi.translate import translate
 
 how, program, size, kwargs, warm = json.loads(sys.argv[1])
 e = FAMILIES[program](size) if size is not None else parse(program)
-counts = {"fire": 0, "peak_threads": 0, "rewrite": 0, "reads": 0, "readback_s": 0.0}
-fire, rewrite = engine.LiveSoup.fire, engine.rewrite
-# a tree older than the index reads asks each handle through a probe run
-reader = engine.LiveSoup if hasattr(engine.LiveSoup, "ask") else correspondence._Prober
-ask, read_back = reader.ask, correspondence.read_back
-
-def counting_fire(soup, redex, index):
-    counts["fire"] += 1
-    counts["peak_threads"] = max(counts["peak_threads"], len(soup.threads))
-    step = fire(soup, redex, index)
-    counts["peak_threads"] = max(counts["peak_threads"], len(soup.threads))
-    return step
-
-def counting_rewrite(*args, **kw):
-    counts["rewrite"] += 1
-    return rewrite(*args, **kw)
-
-def counting_ask(asked, *args):
-    counts["reads"] += 1
-    return ask(asked, *args)
-
-def timed_read_back(*args, **kw):
-    started = time.perf_counter()
-    try:
-        return read_back(*args, **kw)
-    finally:
-        counts["readback_s"] += time.perf_counter() - started
-
-engine.LiveSoup.fire = counting_fire
-reader.ask = counting_ask
-correspondence.read_back = timed_read_back
 started = time.perf_counter()
 config = engine.normalize(translate(e, "o"))
 normalize_s = time.perf_counter() - started
-engine.rewrite = counting_rewrite
 
-# a tree older than the forked schedules runs every schedule here
-try:
-    from butfpi import schedules
-except ImportError:
-    schedules = None
-decide, decided = (schedules._processes if schedules else None), []
+decide, decided = schedules._processes, []
 
 def deciding(left, first_s):
     decided.append(decide(left, first_s))
     return decided[-1]
 
+schedules._processes = deciding
+
 def invoke():
-    counts.update(fire=0, peak_threads=0, rewrite=0, reads=0, readback_s=0.0)
+    if how == "explore":
+        terminals, bound_hit, states = engine.explore(config, **kwargs)
+        return {"states": states, "terminals": len(terminals), "bound_hit": bound_hit}
     if how == "run":
         return engine.run(config, **kwargs)
     return (check_program if how == "check" else measure)(e, **kwargs)
@@ -157,11 +148,11 @@ def digest(result):
 
 def call():  # timed, forking as the tree decides
     decided.clear()
-    if schedules:
-        schedules._processes = deciding
     started = time.perf_counter()
     report = invoke()
     seconds = time.perf_counter() - started
+    if how == "explore":
+        return {"seconds": seconds, "digest": digest(report)}
     close_s = None
     if how == "run":
         started = time.perf_counter()
@@ -175,25 +166,74 @@ def call():  # timed, forking as the tree decides
             "processes": None if how == "run" else max(decided, default=1),
             "digest": digest(result)}
 
-def count():  # untimed and forking nothing, so every step and read is counted
-    if schedules:
-        schedules._processes = lambda left, first_s: 1
+def counting(owner, name, counts, key):
+    plain = getattr(owner, name)
+
+    def count(*args, **kw):
+        counts[key] += 1
+        return plain(*args, **kw)
+    setattr(owner, name, count)
+
+class CountingMemo(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+def count_explore():
+    calls = {"keys": 0, "successors": 0}
+    counting(engine, "canonical_key", calls, "keys")
+    counting(engine, "_entry_multiset", calls, "successors")
+    memo, apply_redex = CountingMemo(), engine.apply_redex
+    engine.apply_redex = lambda config, redex, _memo=None: apply_redex(config, redex, memo)
+    result = invoke()
+    keys, successors = calls["keys"], calls["successors"]
+    counts = {"states": result["states"], "bound_hit": result["bound_hit"],
+              "terminals": result["terminals"], "successors": successors,
+              "skipped": successors - (keys - 1), "keys": keys,
+              "closed": len(memo), "closings": memo.lookups}
+    return counts, digest(result), {}
+
+def count_run():
+    calls = {"steps": 0, "peak_threads": 0, "rewrites": 0, "reads": 0}
+    fire, read_back, readback_s = engine.LiveSoup.fire, correspondence.read_back, [0.0]
+
+    def counting_fire(soup, redex, index):
+        calls["steps"] += 1
+        calls["peak_threads"] = max(calls["peak_threads"], len(soup.threads))
+        step = fire(soup, redex, index)
+        calls["peak_threads"] = max(calls["peak_threads"], len(soup.threads))
+        return step
+
+    def timed_read_back(*args, **kw):
+        started = time.perf_counter()
+        try:
+            return read_back(*args, **kw)
+        finally:
+            readback_s[0] += time.perf_counter() - started
+
+    engine.LiveSoup.fire = counting_fire
+    correspondence.read_back = timed_read_back
+    counting(engine, "rewrite", calls, "rewrites")
+    counting(engine.LiveSoup, "ask", calls, "reads")
     report = invoke()
-    return {"steps": counts["fire"], "peak_threads": counts["peak_threads"],
-            "threads": len(report.soup.config().threads) if how == "run" else None,
-            "rewrites": counts["rewrite"], "reads": counts["reads"],
-            "readback_s": counts["readback_s"], "digest": digest(report.to_dict())}
+    calls["threads"] = len(report.soup.config().threads) if how == "run" else None
+    return calls, digest(report.to_dict()), {"readback_s": readback_s[0]}
 
 cold = call()
 warm_calls = [call() for _ in range(warm)]
-counted = count()
-assert all(w["digest"] == counted["digest"] for w in (cold, *warm_calls)), "a call differs"
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# untimed and forking nothing, so every step and read is counted
+schedules._processes = lambda left, first_s: 1
+counts, counted, extra = count_explore() if how == "explore" else count_run()
+assert all(w["digest"] == counted for w in (cold, *warm_calls)), "a call differs"
 print(json.dumps({
-    **cold, **counted, "normalize_s": normalize_s,
+    **cold, **extra, "counts": counts, "normalize_s": normalize_s,
     "warm_seconds": [w["seconds"] for w in warm_calls],
-    "processes": [w["processes"] for w in (cold, *warm_calls)],
-    "report_warm_s": min(w["report_s"] for w in warm_calls),
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "processes": [w.get("processes") for w in (cold, *warm_calls)],
+    "report_warm_s": min((w["report_s"] for w in warm_calls), default=None),
+    "peak_rss_mb": peak_rss_mb,
 }))
 """
 
@@ -203,10 +243,49 @@ WARM = 5
 
 
 def run_once(src: Path, name: str) -> dict:
+    how = PROGRAMS[name][0]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps([*PROGRAMS[name], WARM])],
+    argv = json.dumps([*PROGRAMS[name], 0 if how == "explore" else WARM])
+    out = subprocess.run([sys.executable, "-c", CHILD, argv],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def program_row(name: str, results: list[dict]) -> dict:
+    """The fields of one tree's row for ``name`` that its runs give."""
+    first = results[0]
+    counts = first["counts"]
+    assert all(r["counts"] == counts and r["digest"] == first["digest"] for r in results), name
+    how = PROGRAMS[name][0]
+    peak_rss_mb = round(statistics.median(r["peak_rss_mb"] for r in results), 1)
+    if how == "explore":
+        seconds = [round(r["seconds"], 3) for r in results]
+        return {**counts, "digest": first["digest"],
+                "seconds_median": round(statistics.median(seconds), 3),
+                "seconds": seconds, "peak_rss_mb": peak_rss_mb}
+    steps, checked = counts["steps"], how == "check"
+    us = [round(r["seconds"] / steps * 1e6, 1) for r in results]
+    warm = [s / steps * 1e6 for r in results for s in r["warm_seconds"]]
+    return {
+        **{k: counts[k] for k in ("steps", "threads", "peak_threads", "rewrites")},
+        "digest": first["digest"],
+        "rewrites_per_step": round(counts["rewrites"] / steps, 3),
+        "us_per_step_median": round(statistics.median(us), 1),
+        "us_per_step": us,
+        "warm_us_per_step_min": round(min(warm), 1),
+        "warm_us_per_step_median": round(statistics.median(warm), 1),
+        "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
+        "normalize_s": round(statistics.median(r["normalize_s"] for r in results), 5),
+        "close_s": (None if first["close_s"] is None else
+                    round(statistics.median(r["close_s"] for r in results), 5)),
+        "report_s": round(statistics.median(r["report_s"] for r in results), 5),
+        "report_warm_s": round(min(r["report_warm_s"] for r in results), 5),
+        "reads": counts["reads"] if checked else None,
+        "readback_s": (round(statistics.median(r["readback_s"] for r in results), 5)
+                       if checked else None),
+        "processes": sorted({p for r in results for p in r["processes"]} - {None}) or None,
+        "peak_rss_mb": peak_rss_mb,
+    }
 
 
 def tier1_rows(trees: list[tuple[str, Path]], repeat: int) -> list[dict]:
@@ -235,7 +314,7 @@ def main() -> None:
                     help="a label and the src directory to import butfpi from")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--program", action="append", choices=list(PROGRAMS),
-                    help="the programs to run (default: all)")
+                    help=f"the programs to run (default: all but {', '.join(ON_REQUEST)})")
     ap.add_argument("--no-programs", dest="program", action="store_const", const=[],
                     help="run no program, only --tier1")
     ap.add_argument("--tier1", type=int, default=0, metavar="N",
@@ -244,7 +323,8 @@ def main() -> None:
     args = ap.parse_args()
     trees = [(label, Path(src).resolve())
              for label, src in (t.split("=", 1) for t in args.tree)]
-    names = args.program if args.program is not None else list(PROGRAMS)
+    names = (args.program if args.program is not None
+             else [name for name in PROGRAMS if name not in ON_REQUEST])
 
     runs: dict[tuple[str, str], list[dict]] = {}
     for name in names:
@@ -256,35 +336,10 @@ def main() -> None:
 
     rows = []
     for (label, name), results in runs.items():
-        first = results[0]
-        fixed = ("steps", "threads", "peak_threads", "rewrites", "digest")
-        assert all(r[k] == first[k] for r in results for k in (*fixed, "reads")), (label, name)
         how, program, size, kwargs = PROGRAMS[name]
-        checked = how == "check"
-        us = [round(r["seconds"] / first["steps"] * 1e6, 1) for r in results]
-        warm = [s / first["steps"] * 1e6 for r in results for s in r["warm_seconds"]]
-        rows.append({
-            "tree": label, "program": name, "how": how,
-            "source": program if size is None else f"{program} n={size}",
-            "args": kwargs, **{k: first[k] for k in fixed},
-            "rewrites_per_step": round(first["rewrites"] / first["steps"], 3),
-            "us_per_step_median": round(statistics.median(us), 1),
-            "us_per_step": us,
-            "warm_us_per_step_min": round(min(warm), 1),
-            "warm_us_per_step_median": round(statistics.median(warm), 1),
-            "seconds_median": round(statistics.median(r["seconds"] for r in results), 4),
-            "normalize_s": round(statistics.median(r["normalize_s"] for r in results), 5),
-            "close_s": (None if first["close_s"] is None else
-                        round(statistics.median(r["close_s"] for r in results), 5)),
-            "report_s": round(statistics.median(r["report_s"] for r in results), 5),
-            "report_warm_s": round(min(r["report_warm_s"] for r in results), 5),
-            "reads": first["reads"] if checked else None,
-            "readback_s": (round(statistics.median(r["readback_s"] for r in results), 5)
-                           if checked else None),
-            "processes": sorted({p for r in results for p in r["processes"]} - {None})
-                         or None,
-            "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in results), 1),
-        })
+        rows.append({"tree": label, "program": name, "how": how,
+                     "source": program if size is None else f"{program} n={size}",
+                     "args": kwargs, **program_row(name, results)})
     digests = {}
     for row in rows:
         digests.setdefault(row["program"], set()).add(row["digest"])

@@ -47,9 +47,8 @@ def _default_fuel() -> int:
         return 1_000_000
 
 
-def _emit(data: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(dumps(data))
+def _emit(data: dict) -> None:
+    print(dumps(data))
 
 
 def dumps(data) -> str:
@@ -270,7 +269,7 @@ def cmd_run(args) -> int:
                    "steps": result.steps,
                    "trace": [{"idx": t.index, "rule": t.rule,
                               "path": list(t.path), "after": t.after}
-                             for t in result.trace]}, "json")
+                             for t in result.trace]})
         else:
             for t in result.trace:
                 print(f"#{t.index} {t.rule}: {t.after}")
@@ -289,7 +288,7 @@ def cmd_run(args) -> int:
 
 def _report_simple(args, data: dict, text: str) -> None:
     if getattr(args, "format", "text") == "json":
-        _emit(data, "json")
+        _emit(data)
     else:
         print(text)
 
@@ -320,7 +319,7 @@ def cmd_simulate(args) -> int:
     trace = run(config, policy=args.policy, seed=args.seed, budget=budget,
                 stop_barb=args.stop_barb, permissive=args.permissive, gc=args.gc)
     if args.format == "json":
-        _emit(trace.to_dict(), "json")
+        _emit(trace.to_dict())
     else:
         for s in trace.steps:
             chan = f" {s.channel}" if s.channel else ""
@@ -336,7 +335,7 @@ def cmd_check(args) -> int:
     e = _read_program(args)
     report = check_program(e, seeds=args.seeds, budget=args.budget, opts=_options(args))
     if args.format == "json":
-        _emit(report.to_dict(), "json")
+        _emit(report.to_dict())
     else:
         print(f"program:   {report.program}")
         print(f"mode:      {report.mode}")
@@ -355,7 +354,7 @@ def cmd_cost(args) -> int:
     e = _read_program(args)
     report = measure(e, seeds=args.seeds, budget=args.budget, opts=_options(args))
     if args.format == "json":
-        _emit(report.to_dict(), "json")
+        _emit(report.to_dict())
     else:
         print(f"work: {report.work}  span: {report.span}  "
               f"admin: {report.admin_steps}  status: {report.status}")
@@ -375,7 +374,7 @@ def cmd_scale(args) -> int:
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":
-        _emit({"table": table.to_dict(), "verdict": verdict.to_dict()}, "json")
+        _emit({"table": table.to_dict(), "verdict": verdict.to_dict()})
     else:
         for r in table.rows:
             print(f"n={r.n:4d}  work={r.work:5d}  span={r.span:4d}  admin={r.admin_steps}")
@@ -405,7 +404,7 @@ def cmd_explore(args) -> int:
         data["all_terminals_agree"] = agree
         data["value"] = pretty(oracle_value)
     if args.format == "json":
-        _emit(data, "json")
+        _emit(data)
     else:
         print(f"states: {states}  terminals: {len(terminals)}  bound_hit: {bound_hit}")
         if agree is not None:

@@ -150,10 +150,10 @@ class ScalingTable:
             "dropped": list(self.dropped),
         }
 
-    def to_csv(self, seeds_label: str = "priority") -> str:
+    def to_csv(self) -> str:
         lines = ["family,n,seed,work,span,admin_steps"]
         for r in self.rows:
-            lines.append(f"{self.family},{r.n},{seeds_label},{r.work},{r.span},{r.admin_steps}")
+            lines.append(f"{self.family},{r.n},priority,{r.work},{r.span},{r.admin_steps}")
         return "\n".join(lines) + "\n"
 
 

@@ -235,12 +235,6 @@ class Config:
     used: frozenset[str]
     next_tid: int
 
-    def thread(self, tid: int) -> Thread:
-        for t in self.threads:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class Head:
@@ -702,15 +696,15 @@ def apply_redex(config: Config, redex: Redex,
     used = set(config.used)
     restricted = set(config.restricted)
     builder = _Builder(used, restricted, config.next_tid)
-    changed, row = _fire(redex, config.thread, restricted, builder, 0)
     # built as a list, so that the successor's tuple has its final size: a
     # tuple built from a generator is allocated larger and shrunk, and each
     # such tuple that dies strands a block in the interpreter's per-size
     # tuple free lists, which only a full collection empties (about 1.5 MB
     # after ten explores of ``map ((\x. (x, x)), [a, b])``)
     threads = list(config.threads)
+    tids = [t.tid for t in threads]
+    changed, row = _fire(redex, lambda tid: threads[tids.index(tid)], restricted, builder, 0)
     if changed:
-        tids = [t.tid for t in threads]
         for t, residual in changed:
             i = tids.index(t.tid)
             if residual is None:

@@ -77,8 +77,6 @@ ROLE_PREFIX = {
     COUNTER: "c",
 }
 
-CHANNEL_ROLES = tuple(ROLE_PREFIX)
-
 
 @dataclass(frozen=True)
 class TranslationOptions:

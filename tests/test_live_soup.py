@@ -383,7 +383,8 @@ def changes(config, redex):
     """What ``_fire`` lists for ``redex`` on ``config``: each changed
     participant's tid with its residual (None: consumed)."""
     builder = engine._Builder(set(config.used), set(config.restricted), config.next_tid)
-    changed, _row = engine._fire(redex, config.thread, set(config.restricted), builder, 1)
+    threads = {t.tid: t for t in config.threads}
+    changed, _row = engine._fire(redex, threads.__getitem__, set(config.restricted), builder, 1)
     return [(t.tid, residual) for t, residual in changed]
 
 
