@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -30,21 +29,13 @@ from butfpi.butf.parse import parse
 from butfpi.butf.pretty import pretty
 from butfpi.butf.syntax import Expr
 from butfpi.correspondence import check_program, read_output, value_equal
-from butfpi.cost import (FAMILIES, MIN_SIZES, FitVerdict, fit_check, measure,
-                          scaling_experiment)
+from butfpi.cost import FAMILIES, MIN_SIZES, fit_check, measure, scaling_experiment
 from butfpi.epi.engine import EngineError, LiveSoup, explore, normalize, run
 from butfpi.epi.parse import parse_process
 from butfpi.epi.pretty import pretty_process
 from butfpi.lexer import ParseError
 from butfpi.translate import TranslationOptions, translate
 from butfpi.ugrammar import diagnose
-
-
-def _default_fuel() -> int:
-    try:
-        return int(os.environ.get("BUTFPI_FUEL", ""))
-    except ValueError:
-        return 1_000_000
 
 
 def _emit(data: dict) -> None:
@@ -165,13 +156,22 @@ def _sizes(text: str) -> list[int]:
     return [_count(x) for x in text.split(",") if x]
 
 
+def _read_file(path: str) -> str:
+    """The text of the file at ``path``; one that cannot be read (missing,
+    a directory, unreadable) is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _read_program(args) -> Expr:
     if args.expr is not None:
         return parse(args.expr)
     if args.program is None:
         raise _UsageError("provide a program file or -e/--expr")
-    with open(args.program, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(_read_file(args.program))
 
 
 def _options(args) -> TranslationOptions:
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a source program")
     _add_program_arg(p)
-    p.add_argument("--fuel", type=_count, default=None, help="max reduction steps")
+    p.add_argument("--fuel", type=_count, default=1_000_000, help="max reduction steps")
     p.add_argument("--trace", action="store_true", help="print one line per step")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw-file", help="path to a .epi process file")
     p.add_argument("--policy", choices=("priority", "random"), default="priority")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_count, default=None, help="max engine steps")
+    p.add_argument("--budget", type=_count, default=1_000_000, help="max engine steps")
     p.add_argument("--gc", action="store_true", help="collect unreachable servers")
     p.add_argument("--permissive", action="store_true",
                    help="drop faulting threads instead of aborting")
@@ -261,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     e = _read_program(args)
-    fuel = args.fuel if args.fuel is not None else _default_fuel()
-    result = eval_expr(e, fuel=fuel, want_trace=args.trace)
+    result = eval_expr(e, fuel=args.fuel, want_trace=args.trace)
     if isinstance(result, EvalResult):
         if args.format == "json":
             _emit({"status": "value", "value": pretty(result.value),
@@ -306,28 +305,24 @@ def cmd_translate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    budget = args.budget if args.budget is not None else _default_fuel()
     if args.raw is not None or args.raw_file is not None:
-        text = args.raw
-        if text is None:
-            with open(args.raw_file, encoding="utf-8") as fh:
-                text = fh.read()
+        text = args.raw if args.raw is not None else _read_file(args.raw_file)
         config = normalize(parse_process(text))
     else:
         e = _read_program(args)
         config = normalize(translate(e, "o", _options(args)))
-    trace = run(config, policy=args.policy, seed=args.seed, budget=budget,
+    trace = run(config, policy=args.policy, seed=args.seed, budget=args.budget,
                 stop_barb=args.stop_barb, permissive=args.permissive, gc=args.gc)
+    data = trace.to_dict()
     if args.format == "json":
-        _emit(trace.to_dict())
+        _emit(data)
     else:
-        for s in trace.steps:
-            chan = f" {s.channel}" if s.channel else ""
-            print(f"#{s.index} {s.rule}{chan} [{s.kind}] depth={s.depth_after}")
-        print(f"status: {trace.status}  work: {trace.work}  span: {trace.span}  "
-              f"admin: {trace.admin_steps}")
-        final_barbs = sorted(f"{n}:{p}" for n, p in trace.soup.barbs())
-        print(f"barbs: {', '.join(final_barbs) if final_barbs else '(none)'}")
+        for s in data["steps"]:
+            chan = f" {s['channel']}" if s["channel"] else ""
+            print(f"#{s['idx']} {s['rule']}{chan} [{s['kind']}] depth={s['depth']}")
+        print(f"status: {data['status']}  work: {data['work']}  span: {data['span']}  "
+              f"admin: {data['admin_steps']}")
+        print(f"barbs: {', '.join(data['barbs']) or '(none)'}")
     return 0 if trace.status in ("terminated", "barb") else 1
 
 
@@ -366,11 +361,7 @@ def cmd_scale(args) -> int:
         raise _UsageError(f"need at least {MIN_SIZES} sizes for a shape check")
     table = scaling_experiment(args.family, args.sizes, seeds=args.seeds,
                                budget=args.budget)
-    if len(table.rows) >= MIN_SIZES:
-        verdict = fit_check(table)
-    else:  # the sizes that did not finish were dropped
-        verdict = FitVerdict(args.family, [("sizes", False, (
-            f"{len(table.rows)} of {len(args.sizes)} sizes ran, need {MIN_SIZES}"))])
+    verdict = fit_check(table)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":
@@ -444,9 +435,6 @@ def dispatch(argv: list[str]) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, ValueError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:

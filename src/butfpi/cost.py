@@ -209,14 +209,17 @@ def fit_check(table: ScalingTable) -> FitVerdict:
     """Check a table against its family's predicted shapes.
 
     Work linearity is exact first differences; span constancy is exact too.
+    Too few sizes left after dropping fails one ``sizes`` check instead.
     """
-    if len(table.rows) < MIN_SIZES:
-        raise ValueError(f"need at least {MIN_SIZES} sizes for a shape check")
+    rows = table.rows
+    if len(rows) < MIN_SIZES:
+        return FitVerdict(table.family, [("sizes", False, (
+            f"{len(rows)} of {len(rows) + len(table.dropped)} sizes ran, need {MIN_SIZES}"))])
     verdict = FitVerdict(table.family)
     predicted = table.predicted
-    ns = [r.n for r in table.rows]
-    works = [r.work for r in table.rows]
-    spans = [r.span for r in table.rows]
+    ns = [r.n for r in rows]
+    works = [r.work for r in rows]
+    spans = [r.span for r in rows]
 
     if predicted["work"] in ("linear", "affine"):
         slopes = {(works[i + 1] - works[i]) / (ns[i + 1] - ns[i])

@@ -29,7 +29,6 @@ from butfpi.epi.engine import (
     Config,
     EngineError,
     Redex,
-    Step,
     Trace,
     apply_redex,
     barbs,
@@ -47,7 +46,7 @@ __all__ = [
     "OpT", "Par", "Process", "Recv", "Repl", "Send", "Term", "TermError",
     "VarT", "eval_term", "par", "seq_news",
     "ProcessParseError", "parse_process", "pretty_process", "render_chan",
-    "Config", "EngineError", "Redex", "Step", "Trace", "apply_redex", "barbs",
+    "Config", "EngineError", "Redex", "Trace", "apply_redex", "barbs",
     "canonical_key", "enabled_redexes", "explore", "head_of", "insert_process",
     "normalize", "run",
 ]

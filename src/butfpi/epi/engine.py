@@ -41,10 +41,11 @@ each state it expands and fires each redex with ``apply_redex`` on the
 state's ``Config``, which spawns through the same builder and then
 closes the new threads; both drivers fire through the same ``_fire``, and
 every spawn, in every driver, is a template plus an environment.
-``normalize`` closes the threads it spawns likewise.  A ``run``'s trace
-holds the soup it stepped, which ``LiveSoup.config`` closes into a
-``Config`` where one is wanted.  Read-back reads that soup off its send
-queues (``LiveSoup.ask``), taking from each handle what an
+``normalize`` closes the threads it spawns likewise.  A step is recorded
+once, as the row ``_fire`` returns.  ``run`` steps a ``LiveSoup`` built
+on its ``Config``, and its trace holds that soup, which ``LiveSoup.config``
+closes into a ``Config`` where one is wanted.  Read-back reads that soup
+off its send queues (``LiveSoup.ask``), taking from each handle what an
 administrative probe receiver would receive, without building or running
 one.
 
@@ -89,7 +90,6 @@ from collections import Counter
 from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field, replace
 
-from butfpi.epi.pretty import render_chan
 from butfpi.epi.syntax import (
     Act,
     Bcast,
@@ -130,9 +130,9 @@ class EngineError(Exception):
     """A process shape the engine does not execute (unguarded replication, ...)."""
 
 
-# Thread, Head, Redex and Step are records that nothing mutates once built.
+# Thread, Head and Redex are records that nothing mutates once built.
 # Slotted and unfrozen, they build in a third or less of a frozen
-# dataclass's time (``explore`` builds them for every successor);
+# dataclass's time (``explore`` builds threads for every successor);
 # ``unsafe_hash`` keeps them hashable by value.
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -444,30 +444,17 @@ class _Builder:
         self.next_tid += 1
 
 
-def _make_config(threads: tuple[Thread, ...], restricted: set[str],
-                 used: set[str], next_tid: int, prune: bool = False) -> Config:
-    if prune:
-        # drop restricted names that occur nowhere; cosmetic, and cheap
-        # enough only at normalization time, so steps skip it
-        occurring: set[str] = set()
-        for t in threads:
-            occurring |= all_names(t.proc)
-        restricted = restricted & occurring
-    return Config(
-        restricted=frozenset(restricted),
-        threads=threads,
-        used=frozenset(used),
-        next_tid=next_tid,
-    )
-
-
 def normalize(p: Process) -> Config:
     """Flatten a process into a config, renaming binders to keep names unique."""
     used = set(free_names(p))
     builder = _Builder(used, set(), 0)
     builder.add(p, 0)
-    return _make_config(tuple([_closed(t) for t in builder.new_threads]),
-                        builder.restricted, used, builder.next_tid, prune=True)
+    threads = tuple([_closed(t) for t in builder.new_threads])
+    # drop restricted names that occur nowhere; cosmetic, and cheap enough
+    # only here, so steps skip it
+    occurring = set().union(*[all_names(t.proc) for t in threads])
+    return Config(frozenset(builder.restricted & occurring), threads, frozenset(used),
+                  builder.next_tid)
 
 
 def insert_process(config: Config, p: Process, depth: int = 0) -> Config:
@@ -477,7 +464,7 @@ def insert_process(config: Config, p: Process, depth: int = 0) -> Config:
     builder = _Builder(used, restricted, config.next_tid)
     builder.add(p, depth)
     threads = config.threads + tuple([_closed(t) for t in builder.new_threads])
-    return _make_config(threads, restricted, used, builder.next_tid)
+    return Config(frozenset(restricted), threads, frozenset(used), builder.next_tid)
 
 
 # -------------------------------------------------------------- redexes
@@ -569,31 +556,6 @@ def enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
 
 # ---------------------------------------------------------------- steps
 
-@dataclass(slots=True, unsafe_hash=True)
-class Step:
-    """One fired redex.
-
-    ``key`` is the fired redex's channel key (None for a match) and
-    ``mark`` is ":" for a broadcast on a free channel; ``channel`` gives
-    the text from them when read, as only ``simulate`` prints it.
-    """
-
-    index: int
-    kind: str  # "important" | "administrative"
-    rule: str  # COMM | BROAD | THEN | ELSE
-    key: tuple[str, object] | None
-    mark: str
-    participants: tuple[int, ...]
-    depth_after: int
-    bullets: int
-
-    @property
-    def channel(self) -> str | None:
-        """The channel's text; ":c" marks a broadcast on a free channel."""
-        key = self.key
-        return None if key is None else self.mark + _key_text(key)
-
-
 class CommitFault(Exception):
     def __init__(self, message: str, tids: tuple[int, ...]):
         super().__init__(message)
@@ -608,12 +570,14 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     each with what it becomes: None for one the step consumes, the folded
     residual for a replicated one whose outer bullets the step spends.  A
     replicated participant without outer bullets stays as it is and is not
-    listed.  Then the step, as the row of ``Step``'s fields: ``(index,
-    kind, rule, key, mark, participants, depth_after, bullets)``.  Raises
-    ``CommitFault``, before spawning anything, if commit-time evaluation
-    fails.  Sent values, channels and match operands are read under each
-    participant's environment, and the continuations spawn under it (see
-    ``_Builder.spawn`` and ``_Builder.receive``).
+    listed.  Then the step's row, ``(index, kind, rule, key, mark,
+    participants, depth_after, bullets)``: ``key`` is the redex's channel
+    key (None for a match), ``mark`` ":" for a broadcast on a free
+    channel.  Raises ``CommitFault``, before spawning anything, if
+    commit-time evaluation fails.  Sent values, channels and match
+    operands are read under each participant's environment, and the
+    continuations spawn under it (see ``_Builder.spawn`` and
+    ``_Builder.receive``).
     """
     changed: list[tuple[Thread, Process | None]] = []
     important = redex.bullets > 0
@@ -679,8 +643,9 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
 
 
 def apply_redex(config: Config, redex: Redex,
-                memo: dict | None = None) -> tuple[Config, Step]:
-    """Fire one redex.  Raises ``CommitFault`` if commit-time evaluation fails.
+                memo: dict | None = None) -> tuple[Config, tuple]:
+    """Fire one redex: the successor and the row (index 0) of ``_fire``.
+    Raises ``CommitFault`` if commit-time evaluation fails.
 
     The continuations spawn through ``_Builder`` as ``run``'s do, each a
     template under an environment, and each thread spawned with an
@@ -722,14 +687,14 @@ def apply_redex(config: Config, redex: Redex,
                 proc = memo[key] = rewrite(t.proc, vm, nm)
             t = Thread(t.tid, proc, t.depth)
         threads.append(t)
-    step = Step(*row)
     if len(used) == len(config.used):
         # no name hoisted (the builder adds every name it restricts to
         # both sets): share the parent's sets, most of what a state would
         # hold on its own
         return Config(config.restricted, tuple(threads), config.used,
-                      builder.next_tid), step
-    return _make_config(tuple(threads), restricted, used, builder.next_tid), step
+                      builder.next_tid), row
+    return Config(frozenset(restricted), tuple(threads), frozenset(used),
+                  builder.next_tid), row
 
 
 def _drop_threads(config: Config, tids: tuple[int, ...]) -> Config:
@@ -740,15 +705,8 @@ def _drop_threads(config: Config, tids: tuple[int, ...]) -> Config:
 # ----------------------------------------------------------------- barbs
 
 def barbs(config: Config) -> frozenset[tuple[str, str]]:
-    """Unrestricted channels with a pending send (``out``) or receive (``in``)."""
-    out: set[tuple[str, str]] = set()
-    for t in config.threads:
-        h = head_of(t.proc)
-        key = h.key
-        if key is None or key[0] in config.restricted:
-            continue
-        out.add((render_chan(h.core.chan), "in" if isinstance(h.core, Recv) else "out"))
-    return frozenset(out)
+    """``LiveSoup.barbs`` of ``config``."""
+    return LiveSoup(config).barbs()
 
 
 # ------------------------------------------------------------------- run
@@ -756,42 +714,35 @@ def barbs(config: Config) -> frozenset[tuple[str, str]]:
 @dataclass(slots=True)
 class Trace:
     """What a ``run`` did: its steps, how it stopped, its faults, and the
-    soup it stepped, which the caller may go on stepping or read back.
+    soup it stepped, which the caller may read back.
 
-    ``rows`` holds each step as ``LiveSoup.fire`` returns it, the row of
-    ``Step``'s fields; ``work``, ``span``, ``admin_steps`` and ``to_dict``
-    read the rows, and ``steps`` builds the ``Step``s where one is wanted.
+    ``steps`` holds each step as the row ``LiveSoup.fire`` returns (see
+    ``_fire``); ``to_dict`` is where a step's channel text is formatted.
     """
 
-    rows: list[tuple] = field(default_factory=list)
+    steps: list[tuple] = field(default_factory=list)
     status: str = "terminated"
     faults: list[str] = field(default_factory=list)
     soup: LiveSoup | None = None
 
     @property
-    def steps(self) -> tuple[Step, ...]:
-        """The steps, built from the rows; a tuple, as appending to it
-        would change no trace."""
-        return tuple([Step(*row) for row in self.rows])
-
-    @property
     def work(self) -> int:
-        return sum(1 for row in self.rows if row[1] == "important")
+        return sum(1 for row in self.steps if row[1] == "important")
 
     @property
     def admin_steps(self) -> int:
-        return sum(1 for row in self.rows if row[1] == "administrative")
+        return sum(1 for row in self.steps if row[1] == "administrative")
 
     @property
     def span(self) -> int:
-        return max((row[6] for row in self.rows), default=0)
+        return max((row[6] for row in self.steps), default=0)
 
     def to_dict(self) -> dict:
         return {
             "steps": [
                 {"idx": index, "kind": kind, "rule": rule,
                  "channel": None if key is None else mark + _key_text(key), "depth": depth}
-                for index, kind, rule, key, mark, _participants, depth, _bullets in self.rows
+                for index, kind, rule, key, mark, _participants, depth, _bullets in self.steps
             ],
             "work": self.work,
             "span": self.span,
@@ -875,7 +826,8 @@ class LiveSoup:
                       frozenset(self.used), self.next_tid)
 
     def barbs(self) -> frozenset[tuple[str, str]]:
-        """``barbs`` of the soup, one per channel queue."""
+        """Unrestricted channels with a pending send or broadcast (``out``)
+        or receive (``in``), one per channel queue."""
         restricted = self.restricted
         return frozenset([(_key_text(key), polarity)
                           for queues, polarity in ((self.sends, "out"), (self.recvs, "in"),
@@ -1143,7 +1095,7 @@ def _discard(queues: dict[tuple, dict[int, Head]], key: tuple, tid: int) -> None
         del queues[key]
 
 
-def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
+def run(config: Config, policy: str = "priority", seed: int = 0,
         budget: int = 1_000_000, stop_barb: str | None = None,
         permissive: bool = False, gc: bool = False) -> Trace:
     """Schedule redexes until quiescence, a stop barb, a fault, or the budget.
@@ -1155,19 +1107,18 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
     the first step, whenever the soup holds more than twice the threads
     the last collection left, and once more at the end; a collected server
     can never fire, so the trace is the same with and without ``gc``, and
-    only the soup it holds is smaller.  A ``LiveSoup`` is stepped in place,
-    and a ``Config`` as a ``LiveSoup`` built from it.  Either way the
-    trace's ``soup`` is the soup stepped.
+    only the soup it holds is smaller.  The steps fire on a ``LiveSoup``
+    built from ``config``, which the trace's ``soup`` holds.
     """
     if policy not in ("priority", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     # redexes are sorted by participants, so index 0 is the priority pick;
     # ``choice(redexes)`` draws ``redexes[randrange(len(redexes))]``
     choose = random.Random(seed).choice if policy == "random" else None
-    soup = LiveSoup(config) if isinstance(config, Config) else config
+    soup = LiveSoup(config)
     stop = None if stop_barb is None else _text_key(stop_barb)
     trace = Trace(soup=soup)
-    rows = trace.rows
+    steps = trace.steps
     fire = soup.fire
     if gc:
         soup.collect()
@@ -1187,7 +1138,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
         if not redexes:
             trace.status = "terminated"
             break
-        if len(rows) >= budget:
+        if len(steps) >= budget:
             trace.status = "timeout"
             break
         redex = redexes[0] if choose is None else choose(redexes)
@@ -1199,7 +1150,7 @@ def run(config: Config | LiveSoup, policy: str = "priority", seed: int = 0,
             soup.drop(redex.participants)
             continue
         try:
-            rows.append(fire(redex, len(rows) + 1))
+            steps.append(fire(redex, len(steps) + 1))
         except CommitFault as fault:
             trace.faults.append(str(fault))
             if not permissive:
@@ -1469,7 +1420,7 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                     succ = _drop_threads(c, redex.participants)
                 else:
                     try:
-                        succ, _step = apply_redex(c, redex, memo)
+                        succ, _row = apply_redex(c, redex, memo)
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
                 multiset = _entry_multiset(succ, table, cache)

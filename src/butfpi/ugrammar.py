@@ -12,8 +12,8 @@ sending an output channel as a value is the canonical violation.
 ``well_behaved`` checks a process against this grammar up to structural
 flattening, treating bullets as transparent.  The check is closed under
 reduction for translated programs: every configuration reachable from a
-translation (ignoring read-back probes) stays inside the grammar, which
-the test suite exercises along full runs.
+translation stays inside the grammar, which the test suite exercises
+along full runs.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ from butfpi.epi.syntax import (
     Term,
     VarT,
 )
+from butfpi.translate import (COLLECTION, COUNTER, FUNCTION, HANDLE, OUTPUT, REPLY,
+                              ROLE_PREFIX, SIGNAL)
 
 OUT, HAN, SIG, COL, CTR, VAL = "output", "handle", "signal", "collection", "counter", "value"
 
-_PREFIX_CLASS = {
-    "o": OUT, "r": OUT,
-    "h": HAN, "f": HAN,
-    "d": SIG, "done": SIG,
-    "vals": COL, "count": COL,
-    "c": CTR,
-}
+# the class of each channel role's fresh names, read off their prefix
+_ROLE_CLASS = {OUTPUT: OUT, REPLY: OUT, HANDLE: HAN, FUNCTION: HAN, SIGNAL: SIG,
+               COLLECTION: COL, COUNTER: CTR}
+_PREFIX_CLASS = {ROLE_PREFIX[role]: cls for role, cls in _ROLE_CLASS.items()}
 
 
 def name_class(name: str) -> str | None:

@@ -14,8 +14,10 @@ servers by rescanning every other thread's names for each candidate.
 ``SequentialBuilder``, computes every key from scratch and shares nothing
 between states, and ``checking_entries`` checks the key entries
 ``explore`` caches and the successors it skips without a key.
-``reference_channel`` and ``reference_out_barbs`` render a step's channel
-and a soup's output barbs with ``render_chan`` on built channels, and
+``reference_channel`` and ``reference_out_barbs`` render a step row's
+channel and a live soup's output barbs with ``render_chan`` on built
+channels, ``reference_barbs`` a ``Config``'s barbs by scanning its
+threads, with no ``LiveSoup`` (``barbs`` must give the same set), and
 ``reference_mentioned`` builds a thread's closed name set in full.
 ``reference_free_names``, ``reference_all_names``,
 ``reference_free_process_vars``, ``reference_binders`` and
@@ -71,7 +73,6 @@ from butfpi.epi.engine import (
     _closed,
     _drop_threads,
     apply_redex,
-    barbs,
     canonical_key,
     head_of,
     insert_process,
@@ -539,13 +540,28 @@ def reference_enabled_redexes(config: Config) -> tuple[list[Redex], list[str]]:
     return redexes, diagnostics
 
 
-def reference_channel(step) -> str | None:
-    """A step's channel text: ``render_chan`` of the channel its key names,
-    after the mark."""
-    if step.key is None:
+def reference_channel(row) -> str | None:
+    """A step row's channel text: ``render_chan`` of the channel its key
+    names, after the mark."""
+    _index, _kind, _rule, key, mark, _participants, _depth, _bullets = row
+    if key is None:
         return None
-    name, suffix = step.key
-    return step.mark + render_chan(Chan(NameT(name), suffix))
+    name, suffix = key
+    return mark + render_chan(Chan(NameT(name), suffix))
+
+
+def reference_barbs(config: Config) -> frozenset[tuple[str, str]]:
+    """``barbs`` as one scan over the threads: ``render_chan`` of each
+    unrestricted channel a thread sends or broadcasts on (``out``) or
+    receives on (``in``)."""
+    out: set[tuple[str, str]] = set()
+    for t in config.threads:
+        h = head_of(t.proc)
+        key = h.key
+        if key is None or key[0] in config.restricted:
+            continue
+        out.add((render_chan(h.core.chan), "in" if isinstance(h.core, Recv) else "out"))
+    return frozenset(out)
 
 
 def reference_out_barbs(soup) -> set[str]:
@@ -625,7 +641,7 @@ def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100
             break
         next_frontier = []
         for c in frontier:
-            if stop_barb is not None and (stop_barb, "out") in barbs(c):
+            if stop_barb is not None and (stop_barb, "out") in reference_barbs(c):
                 redexes = []
             else:
                 redexes, _diagnostics = reference_enabled_redexes(c)
@@ -637,7 +653,7 @@ def reference_explore(config, state_bound: int = 100_000, depth_bound: int = 100
                     succ = _drop_threads(c, redex.participants)
                 else:
                     try:
-                        succ, _step = sequential(apply_redex, c, redex)
+                        succ, _row = sequential(apply_redex, c, redex)
                     except CommitFault as fault:
                         succ = _drop_threads(c, fault.tids)
                 fired = True

@@ -161,8 +161,9 @@ def test_criterion_5_broadcast_atomicity():
             config = normalize(parse_process(text))
             trace = run(config)
             assert len(trace.steps) == 1, k
-            assert trace.steps[0].rule == "BROAD"
-            assert len(trace.steps[0].participants) == k + 1
+            ((_index, _kind, rule, _key, _mark, participants, _depth, _bullets),) = trace.steps
+            assert rule == "BROAD"
+            assert len(participants) == k + 1
             # all receivers consumed: only delivery residue remains
             threads = trace.soup.config().threads
             assert len(threads) == k

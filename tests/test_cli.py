@@ -68,6 +68,22 @@ def test_usage_error_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "{path}"),
+    ("run", "{path}"),
+    ("translate", "{path}"),
+    ("simulate", "--raw-file", "{path}"),
+])
+@pytest.mark.parametrize("kind, reason", [("directory", "Is a directory"),
+                                          ("missing", "No such file or directory")])
+def test_unreadable_program_paths_are_usage_errors(capsys, tmp_path, argv, kind, reason):
+    path = tmp_path if kind == "directory" else tmp_path / "missing.butf"
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_translate_number(capsys):
     code, out, _ = run_cli(capsys, "translate", "-e", "5")
     assert code == 0
@@ -231,9 +247,8 @@ def test_every_subcommand_has_help():
         assert exc.value.code == 0
 
 
-def test_fuel_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BUTFPI_FUEL", "10")
-    code, out, _ = run_cli(capsys, "run", "-e", "(\\x. x x) (\\x. x x)")
+def test_fuel_flag_limits_steps(capsys):
+    code, out, _ = run_cli(capsys, "run", "-e", "(\\x. x x) (\\x. x x)", "--fuel", "10")
     assert code == 1 and "10 steps" in out
 
 

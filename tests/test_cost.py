@@ -88,8 +88,9 @@ def test_scaling_validates_inputs():
         scaling_experiment("nested-apps", [0, 1, 2])
     with pytest.raises(ValueError):
         scaling_experiment("no-such-family", [1, 2])
-    with pytest.raises(ValueError):
-        fit_check(scaling_experiment("nested-apps", [1, 2]))
+    verdict = fit_check(scaling_experiment("nested-apps", [1, 2]))
+    assert not verdict.passed
+    assert verdict.checks == [("sizes", False, "2 of 2 sizes ran, need 3")]
 
 
 def test_csv_output():

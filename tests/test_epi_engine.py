@@ -153,8 +153,8 @@ def test_comm_basics():
     c = norm("c<7> | c(x). d<x>")
     redexes, diags = enabled_redexes(c)
     assert len(redexes) == 1 and redexes[0].rule == "COMM" and not diags
-    c2, step = apply_redex(c, redexes[0])
-    assert step.kind == "administrative"
+    c2, (_index, kind, *_rest) = apply_redex(c, redexes[0])
+    assert kind == "administrative"
     assert pretty_process(c2.threads[0].proc) == "d<7>"
 
 
@@ -167,8 +167,8 @@ def test_comm_evaluates_at_commit():
 def test_bullet_makes_step_important():
     c = norm("*(c<7>) | c(x). 0")
     redexes, _ = enabled_redexes(c)
-    c2, step = apply_redex(c, redexes[0])
-    assert step.kind == "important" and step.bullets == 1
+    c2, (_index, kind, *_rest, bullets) = apply_redex(c, redexes[0])
+    assert kind == "important" and bullets == 1
     assert sum(count_bullets(t.proc) for t in c2.threads) == 0
 
 
@@ -246,12 +246,14 @@ def test_broadcast_replicated_receiver_participates_once_and_persists():
 
 def test_broadcast_label_restricted_vs_free():
     redexes, _ = enabled_redexes(norm("c:<1> | c(x). 0"))
-    _, step = apply_redex(norm("c:<1> | c(x). 0"), redexes[0])
-    assert step.channel == ":c"
+    _, (_index, _kind, _rule, key, mark, *_rest) = apply_redex(norm("c:<1> | c(x). 0"),
+                                                               redexes[0])
+    assert (mark, key) == (":", ("c", None))
     c = norm("new c.( c:<1> | c(x). 0 )")
     redexes, _ = enabled_redexes(c)
-    _, step = apply_redex(c, redexes[0])
-    assert step.channel == "c"
+    _, (_index, _kind, _rule, key, mark, *_rest) = apply_redex(c, redexes[0])
+    assert (mark, key) == ("", ("c", None))
+    assert run(c).to_dict()["steps"][0]["channel"] == "c"
 
 
 def test_broadcast_seeded_always_one_step():
@@ -426,13 +428,13 @@ def test_bullet_counts_never_increase_without_replication():
             if redex.rule == "FAULT":
                 continue
             try:
-                c2, step = apply_redex(c, redex)
+                c2, (_index, kind, *_rest) = apply_redex(c, redex)
             except CommitFault:
                 continue
             after = sum(count_bullets(t.proc) for t in c2.threads)
             # the fired bullets are consumed; discarded branches may drop more
             assert after <= before - redex.bullets
-            assert (step.kind == "important") == (redex.bullets > 0)
+            assert (kind == "important") == (redex.bullets > 0)
             checked += 1
     assert checked > 100
 

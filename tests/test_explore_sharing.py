@@ -344,7 +344,7 @@ def test_successors_share_the_parents_name_sets_when_nothing_is_hoisted():
         if redex.rule == "FAULT":
             succ = _drop_threads(config, redex.participants)
         else:
-            succ, _step = apply_redex(config, redex, {})
+            succ, _row = apply_redex(config, redex, {})
         same = succ.used is config.used and succ.restricted is config.restricted
         assert same == (succ.used == config.used)
         assert succ.restricted - config.restricted == succ.used - config.used

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from butfpi.butf.parse import parse
+from butfpi.epi import engine
 from butfpi.epi.engine import (
     EngineError,
     LiveSoup,
@@ -73,11 +74,14 @@ class WatchedSoup(LiveSoup):
 
 
 def checked_run(config, **kwargs):
-    """``run`` on a ``WatchedSoup``, then each step's channel text and each
-    thread's counted names checked against the full path."""
-    trace = run(WatchedSoup(config), **kwargs)
-    for step in trace.steps:
-        assert step.channel == reference_channel(step)
+    """``run`` stepping a ``WatchedSoup``, then each step's channel text
+    and each thread's counted names checked against the full path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "LiveSoup", WatchedSoup)
+        trace = run(config, **kwargs)
+    assert isinstance(trace.soup, WatchedSoup)
+    for row, step in zip(trace.steps, trace.to_dict()["steps"], strict=True):
+        assert step["channel"] == reference_channel(row)
     for t in trace.soup.threads.values():
         assert set(_mentioned(t)) == reference_mentioned(t)
         assert reference_mentioned(t) == all_names(_closed(t).proc)
@@ -121,10 +125,11 @@ def test_broadcast_marks_and_suffixed_channels():
     config = normalize(parse_process(
         "c:<1> | c(x). o.3<x> | c(y). 0 | new k.( k:<2> | k(z). d.len<z> ) | o.3(w). 0"))
     trace = checked_run(config)
-    texts = [s.channel for s in trace.steps]
+    data = trace.to_dict()
+    texts = [s["channel"] for s in data["steps"]]
     assert ":c" in texts and "o.3" in texts and any(t.startswith("k") for t in texts)
-    assert all(s.channel == reference_channel(s) for s in trace.steps)
-    assert "d.len:out" in trace.to_dict()["barbs"]
+    assert texts == [reference_channel(row) for row in trace.steps]
+    assert "d.len:out" in data["barbs"]
 
 
 def test_mentioned_names_match_the_full_set():
@@ -171,7 +176,7 @@ def test_barb_texts_turn_back_into_their_channel_keys():
     keys = {("h", -1), ("h", -12), ("h_2", 0), ("o", None), ("h", "len")}
     for entry in CORPUS:
         trace = run(normalize(translate(parse(entry.source), "o")), budget=400)
-        keys.update(step.key for step in trace.steps if step.key is not None)
+        keys.update(key for _i, _kind, _rule, key, *_rest in trace.steps if key is not None)
         for queues in (trace.soup.sends, trace.soup.recvs, trace.soup.bcasts):
             keys.update(queues)
     assert len(keys) > 50
