@@ -35,12 +35,6 @@ from butfpi.butf.syntax import (
     substitute,
 )
 
-RULES = (
-    "E-BETA", "E-ARRAY-ELEM", "E-INDEX", "E-IF-TRUE", "E-IF-FALSE",
-    "E-MAP", "E-SIZE", "E-IOTA", "E-ARITH",
-)
-
-
 @dataclass(frozen=True)
 class Reduced:
     expr: Expr

@@ -21,8 +21,9 @@ from butfpi.butf.syntax import (
     Tup,
     Var,
 )
+from butfpi.lexer import OP_NAMES
 
-_OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_OP_SYMBOL = {name: symbol for symbol, name in OP_NAMES.items()}
 
 # precedence levels: 0 lambda/if, 1 add/sub, 2 mul/div, 3 application,
 # 4 indexing/atoms.  An expression is parenthesized when its own level is

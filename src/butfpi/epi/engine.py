@@ -574,10 +574,10 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
     participants, depth_after, bullets)``: ``key`` is the redex's channel
     key (None for a match), ``mark`` ":" for a broadcast on a free
     channel.  Raises ``CommitFault``, before spawning anything, if
-    commit-time evaluation fails.  Sent values, channels and match
-    operands are read under each participant's environment, and the
-    continuations spawn under it (see ``_Builder.spawn`` and
-    ``_Builder.receive``).
+    commit-time evaluation fails or the redex is a FAULT.  Sent values,
+    channels and match operands are read under each participant's
+    environment, and the continuations spawn under it (see
+    ``_Builder.spawn`` and ``_Builder.receive``).
     """
     changed: list[tuple[Thread, Process | None]] = []
     important = redex.bullets > 0
@@ -635,8 +635,8 @@ def _fire(redex: Redex, thread: Callable[[int], Thread], restricted: set[str],
         builder.spawn(sh.cont, depth_after, s.env)
         for r, rh in receivers:
             builder.receive(rh, values, r.env, depth_after)
-    else:
-        raise ValueError(f"cannot apply redex {rule}")
+    else:  # FAULT: the match's operands do not compare
+        raise CommitFault(redex.reason or "fault", redex.participants)
 
     return changed, (index, "important" if important else "administrative", rule,
                      redex.channel, mark, redex.participants, depth_after, redex.bullets)
@@ -1141,16 +1141,9 @@ def run(config: Config, policy: str = "priority", seed: int = 0,
         if len(steps) >= budget:
             trace.status = "timeout"
             break
-        redex = redexes[0] if choose is None else choose(redexes)
-        if redex.rule == "FAULT":
-            trace.faults.append(redex.reason or "fault")
-            if not permissive:
-                trace.status = "fault"
-                break
-            soup.drop(redex.participants)
-            continue
         try:
-            steps.append(fire(redex, len(steps) + 1))
+            steps.append(fire(redexes[0] if choose is None else choose(redexes),
+                              len(steps) + 1))
         except CommitFault as fault:
             trace.faults.append(str(fault))
             if not permissive:
@@ -1416,13 +1409,10 @@ def explore(config: Config, state_bound: int = 100_000, depth_bound: int = 100_0
                 terminals.append(c)
                 continue
             for redex in redexes:
-                if redex.rule == "FAULT":
-                    succ = _drop_threads(c, redex.participants)
-                else:
-                    try:
-                        succ, _row = apply_redex(c, redex, memo)
-                    except CommitFault as fault:
-                        succ = _drop_threads(c, fault.tids)
+                try:
+                    succ, _row = apply_redex(c, redex, memo)
+                except CommitFault as fault:
+                    succ = _drop_threads(c, fault.tids)
                 multiset = _entry_multiset(succ, table, cache)
                 if multiset in keyed:
                     continue

@@ -39,6 +39,7 @@ from butfpi.epi.syntax import (
     Bcast,
     Bullet,
     Chan,
+    COMPARATORS,
     LABELS,
     Match,
     NameT,
@@ -108,7 +109,7 @@ class _Parser(Parser):
         if self.accept("["):
             left = self.term(env)
             cmp_tok = self.peek()
-            if not self.accept("<", ">", "<=", ">=", "=", "==", "!="):
+            if not self.accept(*COMPARATORS, "=="):
                 raise self.error("expected a comparator in match")
             op = "=" if cmp_tok.text == "==" else cmp_tok.text
             right = self.term(env)

@@ -35,9 +35,9 @@ from butfpi.epi.syntax import (
     rewrite,
     symbols,
 )
-from butfpi.lexer import _fresh_variant
+from butfpi.lexer import OP_NAMES, _fresh_variant
 
-_OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_OP_SYMBOL = {name: symbol for symbol, name in OP_NAMES.items()}
 _ADD, _MUL, _ATOM = 1, 2, 3
 
 

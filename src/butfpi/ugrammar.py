@@ -3,14 +3,20 @@
 Translated processes use channels in four classes, read off a fresh name's
 printable prefix: outputs (``o``/``r``), handles (``h``/``f``), signals
 (``d``), and collections (``vals``), plus the internal recursion counters
-(``c``).  Each class admits a fixed set of prefix shapes -- an output
-delivers one value once, a handle serves binary function calls or the
-``len``/``tup``/``all``/index sub-protocols, a signal is an empty one-shot,
-a collection carries index/value pairs.  Values are numbers or handles;
-sending an output channel as a value is the canonical violation.
+(``c``).  Values are numbers or handles; sending an output channel as a
+value is the canonical violation.
+
+The grammar is two tables, ``_RECV`` and ``_SEND``, keyed by a channel's
+(class, suffix kind).  An entry gives the payload classes a prefix on that
+channel carries -- an output delivers one value once, a handle serves
+binary function calls or the ``len``/``tup``/``all``/index sub-protocols,
+a signal is an empty one-shot, a collection carries index/value pairs --
+and whether a replicated server may serve the channel.
 
 ``well_behaved`` checks a process against this grammar up to structural
-flattening, treating bullets as transparent.  The check is closed under
+flattening, treating bullets as transparent.  ``_check`` walks the process
+in pre-order, left before right and then-branch before else-branch, and
+reports the first node outside the grammar.  The check is closed under
 reduction for translated programs: every configuration reachable from a
 translation stays inside the grammar, which the test suite exercises
 along full runs.
@@ -18,6 +24,7 @@ along full runs.
 
 from __future__ import annotations
 
+from butfpi.epi.pretty import render_chan
 from butfpi.epi.syntax import (
     Act,
     Bcast,
@@ -36,6 +43,7 @@ from butfpi.epi.syntax import (
     Send,
     Term,
     VarT,
+    _identifiers,
 )
 from butfpi.translate import (COLLECTION, COUNTER, FUNCTION, HANDLE, OUTPUT, REPLY,
                               ROLE_PREFIX, SIGNAL)
@@ -46,6 +54,42 @@ OUT, HAN, SIG, COL, CTR, VAL = "output", "handle", "signal", "collection", "coun
 _ROLE_CLASS = {OUTPUT: OUT, REPLY: OUT, HANDLE: HAN, FUNCTION: HAN, SIGNAL: SIG,
                COLLECTION: COL, COUNTER: CTR}
 _PREFIX_CLASS = {ROLE_PREFIX[role]: cls for role, cls in _ROLE_CLASS.items()}
+
+# (class, suffix kind) -> (payload classes, None for any number of values;
+# whether a replicated server may serve it).  Replication is reserved for
+# servers: function bodies, cell faces, collection readers, counters, and
+# the replicated data senders.
+_RECV = {
+    (OUT, "none"): ((VAL,), False),
+    (HAN, "none"): ((VAL, OUT), True),
+    (HAN, "idx"): ((VAL, VAL), False),
+    (HAN, "len"): ((VAL,), False),
+    (HAN, "tup"): (None, False),
+    (HAN, "all"): ((COL,), True),
+    (COL, "none"): ((VAL, VAL), True),
+    (SIG, "none"): ((), False),
+    (CTR, "none"): ((VAL,), True),
+}
+
+# as ``_RECV``, plus whether the send may carry a continuation and its
+# fault: one text, or a function call's (arity, argument, reply slot)
+# texts.  Function calls sequence further protocol, and the index
+# generator sequences its next counter token behind the delivery of the
+# current collection pair.  ``handle.all`` is the broadcast's production.
+_SEND = {
+    (OUT, "none"): ((VAL,), False, False, "output must deliver exactly one value"),
+    (HAN, "none"): ((VAL, OUT), False, True, ("function call must carry (value, output)",
+                                               "function argument is not a value",
+                                               "function reply slot is not an output channel")),
+    (HAN, "idx"): ((VAL, VAL), True, False, "cell must carry (index, value)"),
+    (HAN, "len"): ((VAL,), True, False, "length server must carry one value"),
+    (HAN, "tup"): (None, True, False, "tuple payload must be values"),
+    (HAN, "all"): ((COL,), False, True, "broadcast must carry one collection channel"),
+    (COL, "none"): ((VAL, VAL), False, True, "collection send must carry (index, value)"),
+    (SIG, "none"): ((), False, False, "signals are empty"),
+    (CTR, "none"): ((VAL,), False, False, "counter must carry one value"),
+}
+_BROADCAST = (HAN, "all")
 
 
 def name_class(name: str) -> str | None:
@@ -58,40 +102,37 @@ def name_class(name: str) -> str | None:
 class _Ill(Exception):
     def __init__(self, path: str, why: str):
         super().__init__(f"{path}: {why}")
-        self.path = path
-        self.why = why
 
 
-def _is_value_term(t: Term, env: dict[str, str]) -> bool:
-    """Values are numbers, handle names, value variables, and arithmetic on those."""
+def _class(t: Term, env: dict[str, str]) -> str | None:
+    """A term's class: values are numbers, handle names, value variables,
+    and arithmetic on numbers and value variables; None for a term of no
+    class, such as arithmetic on a name."""
     match t:
         case NumT():
-            return True
+            return VAL
         case NameT(name):
-            return name_class(name) == HAN
+            cls = name_class(name)
+            return VAL if cls == HAN else cls
         case VarT(name):
-            return env.get(name, VAL) == VAL
-        case OpT(_, left, right):
-            return (_is_value_term(left, env) and _is_value_term(right, env)
-                    and not isinstance(left, NameT) and not isinstance(right, NameT))
-    return False
+            return env.get(name, VAL)
+        case OpT():
+            names, variables = _identifiers((t,))
+            if not names and all(env.get(x, VAL) == VAL for x in variables):
+                return VAL
+    return None
 
 
 def _chan_shape(c: Chan, env: dict[str, str], path: str) -> tuple[str, str]:
     """Classify a channel as (class, suffix kind in none|idx|len|tup|all)."""
-    match c.base:
-        case NameT(name):
-            cls = name_class(name)
-            if cls is None:
-                raise _Ill(path, f"name {name!r} has no channel role prefix")
-            if cls == VAL:
-                cls = HAN
-        case VarT(name):
-            cls = env.get(name, VAL)
-            if cls == VAL:
-                cls = HAN  # a received value used as a channel is a handle
-        case _:
-            raise _Ill(path, "channel base is not a name or variable")
+    base = c.base
+    if not isinstance(base, (NameT, VarT)):
+        raise _Ill(path, "channel base is not a name or variable")
+    cls = _class(base, env)
+    if cls is None:
+        raise _Ill(path, f"name {base.name!r} has no channel role prefix")
+    if cls == VAL:
+        cls = HAN  # a value used as a channel is a handle
     sfx = c.suffix
     if sfx is None:
         return cls, "none"
@@ -100,160 +141,98 @@ def _chan_shape(c: Chan, env: dict[str, str], path: str) -> tuple[str, str]:
     if isinstance(sfx, str):
         return cls, sfx
     if isinstance(sfx, VarT):
-        if env.get(sfx.name, VAL) != VAL:
+        if _class(sfx, env) != VAL:
             raise _Ill(path, f"suffix variable {sfx.name!r} is not a value")
         return cls, "idx"
     raise _Ill(path, "suffix is a raw name")
 
 
-_RECV_SHAPES = {
-    (OUT, "none"): (1, (VAL,)),
-    (HAN, "none"): (2, (VAL, OUT)),
-    (HAN, "idx"): (2, (VAL, VAL)),
-    (HAN, "len"): (1, (VAL,)),
-    (HAN, "all"): (1, (COL,)),
-    (COL, "none"): (2, (VAL, VAL)),
-    (SIG, "none"): (0, ()),
-    (CTR, "none"): (1, (VAL,)),
-}
-
-# (arity or None for any, the fault when the payload misses it)
-_SEND_SHAPES = {
-    (OUT, "none"): (1, "output must deliver exactly one value"),
-    (HAN, "idx"): (2, "cell must carry (index, value)"),
-    (HAN, "len"): (1, "length server must carry one value"),
-    (HAN, "tup"): (None, "tuple payload must be values"),
-    (COL, "none"): (2, "collection send must carry (index, value)"),
-    (SIG, "none"): (0, "signals are empty"),
-    (CTR, "none"): (1, "counter must carry one value"),
-}
-
-# replication is reserved for servers: function bodies, cell faces,
-# collection readers, counters, and the replicated data senders
-_REPLICABLE_RECV = {(HAN, "none"), (HAN, "all"), (COL, "none"), (CTR, "none")}
-_REPLICABLE_SEND = {(HAN, "idx"), (HAN, "len"), (HAN, "tup")}
-
-
-def _check(p: Process, env: dict[str, str], path: str, replicated: bool) -> None:
-    match p:
-        case Nil():
-            return
-        case Par(left, right):
-            if replicated:
-                raise _Ill(path, "replication must guard a single prefix")
-            _check(left, env, path + ".l", False)
-            _check(right, env, path + ".r", False)
-        case Bullet(body):
-            _check(body, env, path + ".bullet", replicated)
-        case New(name, body):
-            if name_class(name) is None:
-                raise _Ill(path, f"restricted name {name!r} has no role prefix")
-            _check(body, env, path + f".new({name})", replicated)
-        case Repl(body):
-            _check(body, env, path + ".repl", True)
-        case Match(left, op, right, then, orelse):
-            if replicated:
-                raise _Ill(path, "replicated match")
-            if op not in (">=", "!="):
-                raise _Ill(path, f"comparator {op!r} outside the translation grammar")
-            if not _is_value_term(left, env):
-                raise _Ill(path, "match operand is not a value")
-            if not isinstance(right, NumT):
-                raise _Ill(path, "match compares against a non-literal")
-            _check(then, env, path + ".then", False)
-            _check(orelse, env, path + ".else", False)
-        case Act(action, cont):
-            shape = _chan_shape(action.chan, env, path)
-            if isinstance(action, Recv):
-                _check_recv(action, cont, shape, env, path, replicated)
-            elif isinstance(action, Send):
-                _check_send(action, cont, shape, env, path, replicated)
-            else:
-                _check_bcast(action, cont, shape, env, path, replicated)
-        case _:
-            raise _Ill(path, f"unexpected process {type(p).__name__}")
-
-
-def _check_recv(action: Recv, cont: Process, shape, env, path, replicated) -> None:
-    if shape not in _RECV_SHAPES and shape != (HAN, "tup"):
+def _check_recv(action: Recv, cont: Process, shape, env, path, replicated) -> dict[str, str]:
+    if shape not in _RECV:
         raise _Ill(path, f"no receive production for {shape}")
-    if replicated and shape not in _REPLICABLE_RECV:
+    classes, replicable = _RECV[shape]
+    if replicated and not replicable:
         raise _Ill(path, f"receive on {shape} cannot be replicated")
-    if shape == (HAN, "tup"):
-        classes: tuple[str, ...] = tuple(VAL for _ in action.params)
-    else:
-        arity, classes = _RECV_SHAPES[shape]
-        if len(action.params) != arity:
-            raise _Ill(path, f"receive on {shape} has arity {len(action.params)}, wants {arity}")
+    if classes is None:
+        classes = (VAL,) * len(action.params)
+    elif len(action.params) != len(classes):
+        raise _Ill(path, f"receive on {shape} has arity {len(action.params)}, "
+                         f"wants {len(classes)}")
     inner = dict(env)
     for x, cls in zip(action.params, classes):
         if x is not None:
             inner[x] = cls
-    _check(cont, inner, path + f".{_label(action)}", False)
+    return inner
 
 
-def _check_send(action: Send, cont: Process, shape, env, path, replicated) -> None:
-    if replicated and shape not in _REPLICABLE_SEND:
-        raise _Ill(path, f"send on {shape} cannot be replicated")
-    label = path + f".{_label(action)}"
-    cls, sfx = shape
-    if shape == (HAN, "none"):
-        if len(action.args) != 2:
-            raise _Ill(path, "function call must carry (value, output)")
-        value, out = action.args
-        if not _is_value_term(value, env):
-            raise _Ill(path, "function argument is not a value")
-        if not _is_out_slot(out, env):
-            raise _Ill(path, "function reply slot is not an output channel")
-        _check(cont, env, label, False)  # calls may sequence further protocol
-        return
-    # the index generator sequences its next counter token behind the
-    # delivery of the current collection pair
-    if not isinstance(cont, Nil) and shape != (COL, "none"):
-        raise _Ill(path, f"send on {shape} carries a continuation")
-    if shape not in _SEND_SHAPES:
-        raise _Ill(path, f"no send production for {shape}")
-    arity, fault = _SEND_SHAPES[shape]
-    if ((arity is not None and len(action.args) != arity)
-            or not all(_is_value_term(t, env) for t in action.args)):
-        raise _Ill(path, fault)
-    _check(cont, env, label, False)
-
-
-def _check_bcast(action: Bcast, cont: Process, shape, env, path, replicated) -> None:
-    if replicated:
-        raise _Ill(path, "replicated broadcast")
-    if shape != (HAN, "all"):
+def _check_send(action: Send | Bcast, cont: Process, shape, env, path,
+                replicated) -> dict[str, str]:
+    bcast = isinstance(action, Bcast)
+    # a broadcast takes the handle.all production, and no send takes it
+    entry = _SEND.get(shape) if bcast == (shape == _BROADCAST) else None
+    classes, replicable, sequenced, fault = entry or (None, False, False, None)
+    if replicated and not replicable:
+        raise _Ill(path, "replicated broadcast" if bcast
+                   else f"send on {shape} cannot be replicated")
+    if bcast and entry is None:
         raise _Ill(path, f"broadcast only addresses handle.all, not {shape}")
-    if len(action.args) != 1 or not _is_col_slot(action.args[0], env):
-        raise _Ill(path, "broadcast must carry one collection channel")
-    _check(cont, env, path + f".{_label(action)}", False)
+    if not isinstance(cont, Nil) and not sequenced:
+        raise _Ill(path, f"send on {shape} carries a continuation")
+    if entry is None:
+        raise _Ill(path, f"no send production for {shape}")
+    args = action.args
+    arity_fault, *slot_faults = (fault if isinstance(fault, tuple)
+                                 else (fault,) * (len(args) + 1))
+    if classes is None:
+        classes = (VAL,) * len(args)
+    elif len(args) != len(classes):
+        raise _Ill(path, arity_fault)
+    for t, cls, why in zip(args, classes, slot_faults):
+        if _class(t, env) != cls:
+            raise _Ill(path, why)
+    return env
 
 
-def _is_out_slot(t: Term, env: dict[str, str]) -> bool:
-    match t:
-        case NameT(name):
-            return name_class(name) == OUT
-        case VarT(name):
-            return env.get(name, VAL) == OUT
-    return False
-
-
-def _is_col_slot(t: Term, env: dict[str, str]) -> bool:
-    match t:
-        case NameT(name):
-            return name_class(name) == COL
-        case VarT(name):
-            return env.get(name, VAL) == COL
-    return False
-
-
-def _label(action) -> str:
-    base = action.chan.base
-    text = base.name if isinstance(base, (NameT, VarT)) else "?"
-    if action.chan.suffix is not None:
-        text += f".{action.chan.suffix}"
-    return text
+def _check(p: Process, env: dict[str, str], path: str, replicated: bool) -> None:
+    """Raise ``_Ill`` at the first node of ``p``, in pre-order, outside the
+    grammar.  The walk keeps its own stack, so any depth checks."""
+    stack = [(p, env, path, replicated)]
+    while stack:
+        p, env, path, replicated = stack.pop()
+        match p:
+            case Nil():
+                pass
+            case Par(left, right):
+                if replicated:
+                    raise _Ill(path, "replication must guard a single prefix")
+                stack.append((right, env, path + ".r", False))
+                stack.append((left, env, path + ".l", False))
+            case Bullet(body):
+                stack.append((body, env, path + ".bullet", replicated))
+            case New(name, body):
+                if name_class(name) is None:
+                    raise _Ill(path, f"restricted name {name!r} has no role prefix")
+                stack.append((body, env, path + f".new({name})", replicated))
+            case Repl(body):
+                stack.append((body, env, path + ".repl", True))
+            case Match(left, op, right, then, orelse):
+                if replicated:
+                    raise _Ill(path, "replicated match")
+                if op not in (">=", "!="):
+                    raise _Ill(path, f"comparator {op!r} outside the translation grammar")
+                if _class(left, env) != VAL:
+                    raise _Ill(path, "match operand is not a value")
+                if not isinstance(right, NumT):
+                    raise _Ill(path, "match compares against a non-literal")
+                stack.append((orelse, env, path + ".else", False))
+                stack.append((then, env, path + ".then", False))
+            case Act(action, cont):
+                shape = _chan_shape(action.chan, env, path)
+                check = _check_recv if isinstance(action, Recv) else _check_send
+                inner = check(action, cont, shape, env, path, replicated)
+                stack.append((cont, inner, f"{path}.{render_chan(action.chan)}", False))
+            case _:
+                raise _Ill(path, f"unexpected process {type(p).__name__}")
 
 
 def diagnose(p: Process) -> str | None:

@@ -1,10 +1,13 @@
 """Golden CLI outputs: the byte-for-byte reports of ``simulate``, ``check``,
-``cost`` and ``explore`` on the corpus and on ``programs/``.
+``cost``, ``explore``, ``translate`` and ``scale`` on the corpus, on
+``programs/`` and on the scaling families.
 
 Each case is one ``butfpi.cli.dispatch`` call; its exit code and captured
-stdout are stored under ``tests/golden/<entry>.json`` (``explore`` under
-``tests/golden/explore/<entry>.json``) and ``test_golden.py`` requires the
-same bytes.  A golden file changes only together with a stated reason for
+stdout are stored under ``tests/golden/<entry>.json``, and the other suites
+under a directory each: ``explore``, ``translate`` (every translation
+mode), ``literal`` (``check`` and ``cost`` under each paper-literal option)
+and ``scale`` (``<family>.json``).  ``test_golden.py`` requires the same
+bytes.  A golden file changes only together with a stated reason for
 the new output (a fixed bug, a new field): a refactor or an optimization
 must leave every file as it is.
 
@@ -21,17 +24,25 @@ import json
 from pathlib import Path
 
 from butfpi.cli import dispatch
+from butfpi.cost import FAMILIES
 from corpus import CORPUS
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 EXPLORE_GOLDEN = GOLDEN / "explore"
+TRANSLATE_GOLDEN = GOLDEN / "translate"
+LITERAL_GOLDEN = GOLDEN / "literal"
+SCALE_GOLDEN = GOLDEN / "scale"
 PROGRAMS = TESTS.parent / "programs"
 
 RANDOM_SEEDS = range(5)
 CHECK_SEEDS = 20
 COST_SEEDS = 4
 EXPLORE_RUN = ("explore", "--format", "json")
+LITERAL_MODES = ("--paper-literal", "--paper-literal-repeat")
+LITERAL_SEEDS = 2
+SCALE_SIZES = "1,2,4,8,16"
+SCALE_SEEDS = 2
 # programs whose state space exceeds 2 000 states: too slow for a golden
 EXPLORE_SKIP = {"corpus-map-inc", "corpus-map-over-iota", "corpus-index-of-map",
                 "corpus-concat", "corpus-reduce", "program-map_inc"}
@@ -50,16 +61,26 @@ def _program_runs() -> list[tuple[str, ...]]:
     return runs
 
 
-def cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Golden file stem -> [(case label, full argv)]."""
-    out: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+def _sources(diverging: bool = False) -> list[tuple[str, str]]:
+    """(golden file stem, source) of the corpus entries, the diverging ones
+    only if asked, and of ``programs/*.butf``."""
     sources = [(f"corpus-{e.name}", e.source) for e in CORPUS
-               if e.outcome != "diverges"]
+               if diverging or e.outcome != "diverges"]
     sources += [(f"program-{p.stem}", p.read_text(encoding="utf-8"))
                 for p in sorted(PROGRAMS.glob("*.butf"))]
-    for stem, source in sources:
-        out[stem] = [(" ".join(run), (run[0], "-e", source, *run[1:]))
-                     for run in _program_runs()]
+    return sources
+
+
+def _on_sources(runs: list[tuple[str, ...]], diverging: bool = False
+                ) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Each source's stem -> ``runs`` on it, each labelled by its argv."""
+    return {stem: [(" ".join(run), (run[0], "-e", source, *run[1:])) for run in runs]
+            for stem, source in _sources(diverging)}
+
+
+def cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Golden file stem -> [(case label, full argv)]."""
+    out = _on_sources(_program_runs())
     for p in sorted(PROGRAMS.glob("*.epi")):
         text = p.read_text(encoding="utf-8")
         runs = [("simulate", "--policy", "random", "--seed", str(k), "--format", "json")
@@ -72,13 +93,38 @@ def cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
 
 def explore_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     """Explore golden stem -> [(case label, full argv)]."""
-    sources = [(f"corpus-{e.name}", e.source) for e in CORPUS
-               if e.outcome != "diverges"]
-    sources += [(f"program-{p.stem}", p.read_text(encoding="utf-8"))
-                for p in sorted(PROGRAMS.glob("*.butf"))]
-    label = " ".join(EXPLORE_RUN)
-    return {stem: [(label, (EXPLORE_RUN[0], "-e", source, *EXPLORE_RUN[1:]))]
-            for stem, source in sources if stem not in EXPLORE_SKIP}
+    return {stem: runs for stem, runs in _on_sources([EXPLORE_RUN]).items()
+            if stem not in EXPLORE_SKIP}
+
+
+def translate_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Translate golden stem -> the translation in each mode, of every entry."""
+    runs = [("translate",)] + [("translate", mode) for mode in LITERAL_MODES]
+    return _on_sources(runs, diverging=True)
+
+
+def literal_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Literal golden stem -> ``check`` and ``cost`` under each paper-literal
+    option."""
+    runs = [(command, mode, "--seeds", str(LITERAL_SEEDS), "--format", "json")
+            for mode in LITERAL_MODES for command in ("check", "cost")]
+    return _on_sources(runs)
+
+
+def scale_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Scale golden stem (the family) -> its JSON and CSV reports."""
+    return {family: [(f"scale --format {fmt}",
+                      ("scale", "--family", family, "--sizes", SCALE_SIZES,
+                       "--seeds", str(SCALE_SEEDS), "--format", fmt))
+                     for fmt in ("json", "csv")]
+            for family in sorted(FAMILIES)}
+
+
+def suites() -> dict[Path, dict[str, list[tuple[str, tuple[str, ...]]]]]:
+    """Golden directory -> its cases."""
+    return {GOLDEN: cases(), EXPLORE_GOLDEN: explore_cases(),
+            TRANSLATE_GOLDEN: translate_cases(), LITERAL_GOLDEN: literal_cases(),
+            SCALE_GOLDEN: scale_cases()}
 
 
 def render(argv: tuple[str, ...]) -> dict:
@@ -105,9 +151,8 @@ def _write(directory: Path, files: dict[str, str]) -> None:
 
 
 def main() -> None:
-    _write(GOLDEN, {stem: render_file(runs) for stem, runs in cases().items()})
-    _write(EXPLORE_GOLDEN, {stem: render_file(runs)
-                            for stem, runs in explore_cases().items()})
+    for directory, suite in suites().items():
+        _write(directory, {stem: render_file(runs) for stem, runs in suite.items()})
 
 
 if __name__ == "__main__":

@@ -248,9 +248,11 @@ def test_criterion_8_result_confluence(explorations, oracles):
 
 @pytest.mark.slow
 def test_full_explorations_keep_their_state_counts(explorations):
-    # the largest searches that finish; sharing work between the states of
-    # a search must merge exactly the states it merged before
-    counts = {name: explorations[name][1:]
-              for name in ("map-inc", "map-over-iota", "index-of-map")}
-    assert counts == {"map-inc": (False, 15093), "map-over-iota": (False, 14617),
-                      "index-of-map": (False, 12807)}
+    # the largest searches that finish, and the two that fill the bound;
+    # sharing work between the states of a search must merge exactly the
+    # states it merged before.  (bound hit, states), terminals:
+    counts = {name: (explorations[name][1:], len(explorations[name][0]))
+              for name in ("map-inc", "map-over-iota", "index-of-map", "concat", "reduce")}
+    assert counts == {"map-inc": ((False, 15093), 1), "map-over-iota": ((False, 14617), 1),
+                      "index-of-map": ((False, 12807), 1),
+                      "concat": ((True, 100001), 0), "reduce": ((True, 100001), 0)}

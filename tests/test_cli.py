@@ -98,6 +98,27 @@ def test_simulate_raw_broadcast(capsys):
     assert out.count("#") == 1  # exactly one step, atomically
 
 
+FAULTING_MATCH = "new h. ([h >= 0] a<1>, 0 | b<2>)"
+
+
+@pytest.mark.parametrize("flags, code, status", [((), 1, "fault"),
+                                                 (("--permissive",), 0, "terminated")])
+def test_simulate_a_faulting_match(capsys, flags, code, status):
+    # the match's thread drops with the fault; no step is recorded
+    got, out, _ = run_cli(capsys, "simulate", "--raw", FAULTING_MATCH, *flags,
+                          "--format", "json")
+    assert got == code
+    assert json.loads(out) == {"admin_steps": 0, "barbs": ["b:out"],
+                               "faults": ["order comparison on a channel name"],
+                               "span": 0, "status": status, "steps": [], "work": 0}
+
+
+def test_explore_a_faulting_match(capsys):
+    code, out, _ = run_cli(capsys, "explore", "--raw", FAULTING_MATCH, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"bound_hit": False, "states": 2, "terminals": 1}
+
+
 def test_simulate_json_deterministic(capsys):
     args = ("simulate", "-e", "map ((\\x. x), [1, 2])", "--policy", "random",
             "--seed", "3", "--format", "json")

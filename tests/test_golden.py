@@ -8,16 +8,20 @@ from golden import (
     cases,
     explore_cases,
     render_file,
+    suites,
 )
 
 CASES = cases()
 EXPLORE_CASES = explore_cases()
+SUITES = suites()
+# the suites other than ``simulate``/``check``/``cost`` and ``explore``
+MORE = {directory: suite for directory, suite in SUITES.items()
+        if directory not in (GOLDEN, EXPLORE_GOLDEN)}
 
 
 def test_golden_files_match_cases():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
-    assert (sorted(p.stem for p in EXPLORE_GOLDEN.glob("*.json"))
-            == sorted(EXPLORE_CASES))
+    for directory, suite in SUITES.items():
+        assert sorted(p.stem for p in directory.glob("*.json")) == sorted(suite), directory
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
@@ -30,3 +34,11 @@ def test_golden_bytes(stem):
 def test_explore_golden_bytes(stem):
     expected = (EXPLORE_GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert render_file(EXPLORE_CASES[stem]) == expected
+
+
+@pytest.mark.parametrize("directory, stem", [(d, stem) for d, suite in MORE.items()
+                                             for stem in sorted(suite)],
+                         ids=lambda x: getattr(x, "name", x))
+def test_more_golden_bytes(directory, stem):
+    expected = (directory / f"{stem}.json").read_text(encoding="utf-8")
+    assert render_file(MORE[directory][stem]) == expected
