@@ -14,6 +14,11 @@ must leave every file as it is.
 Regenerate all files from the current source with::
 
     PYTHONPATH=src python tests/golden.py
+
+or only the named suites (``golden``, ``explore``, ``translate``,
+``literal``, ``scale``) with, for example::
+
+    PYTHONPATH=src python tests/golden.py translate scale
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from butfpi.cli import dispatch
@@ -46,6 +52,14 @@ SCALE_SEEDS = 2
 # programs whose state space exceeds 2 000 states: too slow for a golden
 EXPLORE_SKIP = {"corpus-map-inc", "corpus-map-over-iota", "corpus-index-of-map",
                 "corpus-concat", "corpus-reduce", "program-map_inc"}
+# every operand shape in every operand position, each hole filled with the
+# parenthesized operand: ``translate/operands.json`` pins the order of the
+# fresh names where the corpus does not reach
+OPERAND_CONTEXTS = ("iota □", "size □", "map (□, [1])", "map ((\\z. z), □)", "□[0]",
+                    "[0][□]", "[□, □]", "(□, □)", "if □ then □ else □", "(\\w. w) □",
+                    "(□) 1", "\\w. □")
+OPERANDS = ("iota 2", "[1, 2]", "(3, 4)", "(\\y. y) 5", "[6][0]", "size [7]",
+            "if 1 then 2 else 3", "map", "iota", "size", "(+)", "x")
 
 
 def _program_runs() -> list[tuple[str, ...]]:
@@ -100,7 +114,12 @@ def explore_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
 def translate_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     """Translate golden stem -> the translation in each mode, of every entry."""
     runs = [("translate",)] + [("translate", mode) for mode in LITERAL_MODES]
-    return _on_sources(runs, diverging=True)
+    out = _on_sources(runs, diverging=True)
+    sources = [context.replace("□", f"({operand})")
+               for context in OPERAND_CONTEXTS for operand in OPERANDS]
+    out["operands"] = [(" ".join((*run, "-e", source)), (run[0], "-e", source, *run[1:]))
+                       for source in sources for run in runs]
+    return out
 
 
 def literal_cases() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
@@ -150,10 +169,16 @@ def _write(directory: Path, files: dict[str, str]) -> None:
     print(f"wrote {len(files)} golden files to {directory}")
 
 
-def main() -> None:
-    for directory, suite in suites().items():
-        _write(directory, {stem: render_file(runs) for stem, runs in suite.items()})
+def main(names: list[str]) -> None:
+    """Rewrite the named suites, or every suite when none is named."""
+    chosen = {directory.name: (directory, suite) for directory, suite in suites().items()}
+    unknown = sorted(set(names) - set(chosen))
+    if unknown:
+        raise SystemExit(f"unknown suites {unknown}; pick from {sorted(chosen)}")
+    for name, (directory, suite) in chosen.items():
+        if not names or name in names:
+            _write(directory, {stem: render_file(runs) for stem, runs in suite.items()})
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
