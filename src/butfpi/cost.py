@@ -133,6 +133,7 @@ class ScalingTable:
     family: str
     rows: list[ScalingRow] = field(default_factory=list)
     dropped: list[int] = field(default_factory=list)
+    seeds: int = 0  # seeded schedules each row's maxima cover, beside priority
 
     @property
     def predicted(self) -> dict:
@@ -152,8 +153,9 @@ class ScalingTable:
 
     def to_csv(self) -> str:
         lines = ["family,n,seed,work,span,admin_steps"]
+        seed = "max" if self.seeds else "priority"
         for r in self.rows:
-            lines.append(f"{self.family},{r.n},priority,{r.work},{r.span},{r.admin_steps}")
+            lines.append(f"{self.family},{r.n},{seed},{r.work},{r.span},{r.admin_steps}")
         return "\n".join(lines) + "\n"
 
 
@@ -172,7 +174,7 @@ def scaling_experiment(family: str, sizes: list[int], seeds: int = 0,
         raise ValueError("sizes must be strictly increasing")
     if sizes[0] < 1:
         raise ValueError("sizes must be at least 1")
-    table = ScalingTable(family)
+    table = ScalingTable(family, seeds=seeds)
     for n in sizes:
         try:
             report = measure(FAMILIES[family](n), seeds=seeds, budget=budget)

@@ -17,10 +17,19 @@ the printed forms of the calculus.
 Builtins reached through a variable rather than applied directly translate
 to replicated servers.  Their bodies carry no bullets of their own: the
 application that invokes them contributes the single important step.
+
+Each clause is stated once: a construct's operands are translated and
+gathered by ``Translator.gathered`` (a fresh output per operand, then one
+receive per output, in order), followed by the construct's own protocol;
+only ``If`` and an applied ``iota`` receive their operand inline.  Every
+served function value has the one shape ``_served`` builds, and a builtin's
+applied and served forms share its protocol's builder.  A channel role is
+its fresh names' printable prefix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from butfpi.butf.syntax import (
@@ -58,24 +67,14 @@ from butfpi.epi.syntax import (
     seq_news,
 )
 
-# channel roles and the printable prefix each fresh name carries
-OUTPUT = "output"
-HANDLE = "handle"
-SIGNAL = "signal"
-COLLECTION = "collection"
-FUNCTION = "function"
-REPLY = "reply"
-COUNTER = "counter"
-
-ROLE_PREFIX = {
-    OUTPUT: "o",
-    HANDLE: "h",
-    SIGNAL: "d",
-    COLLECTION: "vals",
-    FUNCTION: "f",
-    REPLY: "r",
-    COUNTER: "c",
-}
+# channel roles: each is the printable prefix its fresh names carry
+OUTPUT = "o"
+HANDLE = "h"
+SIGNAL = "d"
+COLLECTION = "vals"
+FUNCTION = "f"
+REPLY = "r"
+COUNTER = "c"
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,15 @@ def _recv(base: Term, params: list[str | None], cont: Process = Nil(), suffix=No
 
 def _bcast(base: Term, args: list[Term], cont: Process = Nil(), suffix=None) -> Process:
     return Act(Bcast(Chan(base, suffix), tuple(args)), cont)
+
+
+def _bulleted(p: Process, bullet: bool) -> Process:
+    return Bullet(p) if bullet else p
+
+
+def _served(f: str, params: list[str], body: Process, out: Term) -> Process:
+    """A function value: ``new f.( out<f> | !f(params). body )``."""
+    return New(f, par(_send(out, [NameT(f)]), Repl(_recv(NameT(f), params, body))))
 
 
 def cell(handle: Term, index: int | Term, value: Term, probe_var: str = "r") -> Process:
@@ -152,13 +160,8 @@ class Translator:
         self.counters: dict[str, int] = {}
         self.avoid = avoid  # free identifiers of the program plus the root channel
 
-    def fresh(self, role: str) -> str:
-        return self._fresh_text(ROLE_PREFIX[role])
-
-    def fresh_var(self, prefix: str) -> str:
-        return self._fresh_text(prefix)
-
-    def _fresh_text(self, prefix: str) -> str:
+    def fresh(self, prefix: str) -> str:
+        # counted per prefix: only the order of allocations sharing one matters
         while True:
             self.counters[prefix] = self.counters.get(prefix, 0) + 1
             candidate = f"{prefix}{self.counters[prefix]}"
@@ -184,7 +187,7 @@ class Translator:
             case Var(name):
                 return Var(env.get(name, name))
             case Lam(param, body):
-                fresh = self.fresh_var("x")
+                fresh = self.fresh("x")
                 return Lam(fresh, self._rename(body, {**env, param: fresh}))
             case Array(items):
                 return Array(tuple(self._rename(x, env) for x in items))
@@ -201,6 +204,18 @@ class Translator:
 
     # -- expression cases ----------------------------------------------
 
+    def gathered(self, exprs: Sequence[Expr], outs: list[str], xs: list[str], body: Process,
+                 names: Sequence[str] = ()) -> Process:
+        """Each of ``exprs`` translated onto its output in ``outs``, and
+        ``body`` behind the receives ``o_i(x_i)`` in order, with ``outs``
+        and then ``names`` restricted over the whole."""
+        parts = []
+        for e, o in zip(exprs, outs):  # a comprehension would cost a frame per level
+            parts.append(self.expr(e, NameT(o)))
+        for o, x in zip(reversed(outs), reversed(xs)):
+            body = _recv(NameT(o), [x], body)
+        return seq_news([*outs, *names], par(*parts, body))
+
     def expr(self, e: Expr, out: Term) -> Process:
         match e:
             case Num(v):
@@ -208,202 +223,112 @@ class Translator:
             case Var(name):
                 return _send(out, [VarT(name)])
             case Lam(param, body):
-                f = self.fresh(FUNCTION)
-                r = self.fresh_var("r")
-                server = Repl(_recv(NameT(f), [param, r], self.expr(body, VarT(r))))
-                return New(f, par(_send(out, [NameT(f)]), server))
+                f, r = self.fresh(FUNCTION), self.fresh("r")
+                return _served(f, [param, r], self.expr(body, VarT(r)), out)
             case App(Builtin("map"), arg):
-                return self.map_app(arg, out)
+                o1, args = self.fresh(OUTPUT), self.fresh("args")
+                pipeline = self._map_pipeline(VarT(args), out, bullet_done=True)
+                return self.gathered([arg], [o1], [args], pipeline)
             case App(Builtin("iota"), arg):
-                return self.iota_app(arg, out)
+                # the argument's fresh names come after the iota's parts and
+                # before the collector's probe variable
+                o1, n = self.fresh(OUTPUT), self.fresh("n")
+                names, rep, done_read, collector = self._iota(n, out, self.opts.strict_bullets)
+                return seq_news([o1, *names], par(
+                    self.expr(arg, NameT(o1)), _recv(NameT(o1), [n], par(rep, done_read)),
+                    collector()))
             case App(Builtin("size"), arg):
-                return self.size_app(arg, out)
-            case App(fun, arg):
-                return self.generic_app(fun, arg, out)
-            case If(cond, then, orelse):
                 o1 = self.fresh(OUTPUT)
-                v = self.fresh_var("v")
+                h, read = self._size_read(out)
+                return self.gathered([arg], [o1], [h], _bulleted(read, self.opts.strict_bullets))
+            case App(fun, arg):
+                outs = [self.fresh(OUTPUT), self.fresh(OUTPUT)]
+                f, v = self.fresh("f"), self.fresh("v")
+                return self.gathered([fun, arg], outs, [f, v],
+                                     Bullet(_send(VarT(f), [VarT(v), out])))
+            case If(cond, then, orelse):
+                # the condition is translated here, not gathered: a frame
+                # fewer per nested condition
+                o1, v = self.fresh(OUTPUT), self.fresh("v")
                 guard = Bullet(Match(VarT(v), "!=", NumT(0),
                                      self.expr(then, out), self.expr(orelse, out)))
-                return New(o1, par(
-                    self.expr(cond, NameT(o1)),
-                    _recv(NameT(o1), [v], guard),
-                ))
+                return New(o1, par(self.expr(cond, NameT(o1)), _recv(NameT(o1), [v], guard)))
             case Tup(items):
-                return self.tuple_expr(items, out)
+                h = self.fresh(HANDLE)
+                outs = [self.fresh(OUTPUT) for _ in items]
+                vs = [self.fresh("v") for _ in items]
+                core = New(h, par(Repl(_send(NameT(h), [VarT(x) for x in vs], suffix="tup")),
+                                  _send(out, [NameT(h)])))
+                return self.gathered(items, outs, vs, core)
             case Array(items):
-                return self.array_expr(items, out)
+                h = self.fresh(HANDLE)
+                outs = [self.fresh(OUTPUT) for _ in items]
+                vs = [self.fresh("v") for _ in items]
+                cells = [cell(NameT(h), i, VarT(v), probe_var=self.fresh("r"))
+                         for i, v in enumerate(vs)]
+                core = par(*cells, Repl(_send(NameT(h), [NumT(len(items))], suffix="len")),
+                           _send(out, [NameT(h)]))
+                return self.gathered(items, outs, vs, core, names=[h])
             case Index(target, index):
-                return self.index_expr(target, index, out)
+                outs = [self.fresh(OUTPUT), self.fresh(OUTPUT)]
+                h, i = self.fresh("h"), self.fresh("i")
+                i2, v = self.fresh("i"), self.fresh("v")
+                probe = Act(Recv(Chan(VarT(h), VarT(i)), (i2, v)), _send(out, [VarT(v)]))
+                guard = Bullet(Match(VarT(i), ">=", NumT(0), probe, Nil()))
+                return self.gathered([target, index], outs, [h, i], guard)
             case Builtin("map"):
-                return self.map_server(out)
+                f, args, r = self.fresh(FUNCTION), self.fresh("args"), self.fresh("r")
+                pipeline = self._map_pipeline(VarT(args), VarT(r), bullet_done=False)
+                return _served(f, [args, r], pipeline, out)
             case Builtin("iota"):
-                return self.iota_server(out)
+                f, n, r = self.fresh(FUNCTION), self.fresh("n"), self.fresh("r")
+                names, rep, done_read, collector = self._iota(n, VarT(r), bullet=False)
+                return _served(f, [n, r], seq_news(names, par(rep, done_read, collector())), out)
             case Builtin("size"):
-                return self.size_server(out)
+                f, r = self.fresh(FUNCTION), self.fresh("r")
+                h, read = self._size_read(VarT(r))
+                return _served(f, [h, r], read, out)
             case Builtin(op) if op in ARITH_OPS:
-                return self.arith_server(op, out)
+                f, args, r = self.fresh(FUNCTION), self.fresh("args"), self.fresh("r")
+                v1, v2 = self.fresh("v"), self.fresh("v")
+                body = _recv(VarT(args), [v1, v2],
+                             _send(VarT(r), [OpT(op, VarT(v1), VarT(v2))]), suffix="tup")
+                return _served(f, [args, r], body, out)
         raise TypeError(f"not an expression: {e!r}")
-
-    def generic_app(self, fun: Expr, arg: Expr, out: Term) -> Process:
-        o1, o2 = self.fresh(OUTPUT), self.fresh(OUTPUT)
-        f, v = self.fresh_var("f"), self.fresh_var("v")
-        return seq_news([o1, o2], par(
-            self.expr(fun, NameT(o1)),
-            self.expr(arg, NameT(o2)),
-            _recv(NameT(o1), [f],
-                  _recv(NameT(o2), [v],
-                        Bullet(_send(VarT(f), [VarT(v), out])))),
-        ))
-
-    def tuple_expr(self, items: tuple[Expr, ...], out: Term) -> Process:
-        h = self.fresh(HANDLE)
-        if not items:
-            return New(h, par(Repl(_send(NameT(h), [], suffix="tup")),
-                              _send(out, [NameT(h)])))
-        outs = [self.fresh(OUTPUT) for _ in items]
-        vs = [self.fresh_var("v") for _ in items]
-        core: Process = New(h, par(
-            Repl(_send(NameT(h), [VarT(x) for x in vs], suffix="tup")),
-            _send(out, [NameT(h)]),
-        ))
-        gather = core
-        for o_i, v_i in zip(reversed(outs), reversed(vs)):
-            gather = _recv(NameT(o_i), [v_i], gather)
-        return seq_news(outs, par(
-            *[self.expr(item, NameT(o_i)) for item, o_i in zip(items, outs)],
-            gather,
-        ))
-
-    def array_expr(self, items: tuple[Expr, ...], out: Term) -> Process:
-        h = self.fresh(HANDLE)
-        n = len(items)
-        if n == 0:
-            return New(h, par(Repl(_send(NameT(h), [NumT(0)], suffix="len")),
-                              _send(out, [NameT(h)])))
-        outs = [self.fresh(OUTPUT) for _ in items]
-        vs = [self.fresh_var("v") for _ in items]
-        cells = [cell(NameT(h), i, VarT(v), probe_var=self.fresh_var("r"))
-                 for i, v in enumerate(vs)]
-        core = par(
-            *cells,
-            Repl(_send(NameT(h), [NumT(n)], suffix="len")),
-            _send(out, [NameT(h)]),
-        )
-        gather = core
-        for o_i, v_i in zip(reversed(outs), reversed(vs)):
-            gather = _recv(NameT(o_i), [v_i], gather)
-        return seq_news(outs + [h], par(
-            *[self.expr(item, NameT(o_i)) for item, o_i in zip(items, outs)],
-            gather,
-        ))
-
-    def index_expr(self, target: Expr, index: Expr, out: Term) -> Process:
-        o1, o2 = self.fresh(OUTPUT), self.fresh(OUTPUT)
-        h, i = self.fresh_var("h"), self.fresh_var("i")
-        i2, v = self.fresh_var("i"), self.fresh_var("v")
-        probe = Act(Recv(Chan(VarT(h), VarT(i)), (i2, v)), _send(out, [VarT(v)]))
-        guard = Bullet(Match(VarT(i), ">=", NumT(0), probe, Nil()))
-        return seq_news([o1, o2], par(
-            self.expr(target, NameT(o1)),
-            self.expr(index, NameT(o2)),
-            _recv(NameT(o1), [h], _recv(NameT(o2), [i], guard)),
-        ))
 
     # -- array operators -------------------------------------------------
 
-    def _maybe_bullet(self, p: Process) -> Process:
-        return Bullet(p) if self.opts.strict_bullets else p
+    def _size_read(self, out: Term) -> tuple[str, Process]:
+        """A handle variable and the read of its length onto ``out``."""
+        h, n = self.fresh("h"), self.fresh("n")
+        return h, _recv(VarT(h), [n], _send(out, [VarT(n)]), suffix="len")
 
-    def size_app(self, arg: Expr, out: Term) -> Process:
-        o1 = self.fresh(OUTPUT)
-        h, n = self.fresh_var("h"), self.fresh_var("n")
-        read = _recv(VarT(h), [n], _send(out, [VarT(n)]), suffix="len")
-        return New(o1, par(
-            self.expr(arg, NameT(o1)),
-            _recv(NameT(o1), [h], self._maybe_bullet(read)),
-        ))
-
-    def iota_app(self, arg: Expr, out: Term) -> Process:
-        o1 = self.fresh(OUTPUT)
-        n = self.fresh_var("n")
-        coll, h, d = self.fresh(COLLECTION), self.fresh(HANDLE), self.fresh(SIGNAL)
-        i, v = self.fresh_var("i"), self.fresh_var("v")
+    def _iota(self, n: str, out: Term, bullet: bool
+              ) -> tuple[tuple[str, ...], Process, Process, Callable[[], Process]]:
+        """The parts of ``iota n`` delivered on ``out``: the collection,
+        handle and signal names, ``repeat``, the done read, and a maker of
+        the collector, which spawns a cell per index pair."""
+        names = coll, h, d = self.fresh(COLLECTION), self.fresh(HANDLE), self.fresh(SIGNAL)
+        i, v = self.fresh("i"), self.fresh("v")
         done_read = _recv(NameT(d), [],
                           par(Repl(_send(NameT(h), [VarT(n)], suffix="len")),
                               _send(out, [NameT(h)])))
-        if self.opts.strict_bullets:
-            done_read = Bullet(done_read)
         rep = repeat(VarT(n), NameT(coll), NameT(d),
                      paper_literal=self.opts.paper_literal_repeat,
-                     counter=self.fresh(COUNTER), item=self.fresh_var("n"))
-        return seq_news([o1, coll, h, d], par(
-            self.expr(arg, NameT(o1)),
-            _recv(NameT(o1), [n], par(rep, done_read)),
-            Repl(_recv(NameT(coll), [i, v],
-                       cell(NameT(h), VarT(i), VarT(v), probe_var=self.fresh_var("r")))),
-        ))
+                     counter=self.fresh(COUNTER), item=self.fresh("n"))
 
-    def iota_server(self, out: Term) -> Process:
-        f = self.fresh(FUNCTION)
-        n, r = self.fresh_var("n"), self.fresh_var("r")
-        coll, h, d = self.fresh(COLLECTION), self.fresh(HANDLE), self.fresh(SIGNAL)
-        i, v = self.fresh_var("i"), self.fresh_var("v")
-        done_read = _recv(NameT(d), [],
-                          par(Repl(_send(NameT(h), [VarT(n)], suffix="len")),
-                              _send(VarT(r), [NameT(h)])))
-        rep = repeat(VarT(n), NameT(coll), NameT(d),
-                     paper_literal=self.opts.paper_literal_repeat,
-                     counter=self.fresh(COUNTER), item=self.fresh_var("n"))
-        body = seq_news([coll, h, d], par(
-            rep,
-            done_read,
-            Repl(_recv(NameT(coll), [i, v],
-                       cell(NameT(h), VarT(i), VarT(v), probe_var=self.fresh_var("r")))),
-        ))
-        return New(f, par(_send(out, [NameT(f)]),
-                          Repl(_recv(NameT(f), [n, r], body))))
-
-    def size_server(self, out: Term) -> Process:
-        f = self.fresh(FUNCTION)
-        h, r, n = self.fresh_var("h"), self.fresh_var("r"), self.fresh_var("n")
-        body = _recv(VarT(h), [n], _send(VarT(r), [VarT(n)]), suffix="len")
-        return New(f, par(_send(out, [NameT(f)]),
-                          Repl(_recv(NameT(f), [h, r], body))))
-
-    def arith_server(self, op: str, out: Term) -> Process:
-        f = self.fresh(FUNCTION)
-        p, r = self.fresh_var("args"), self.fresh_var("r")
-        v1, v2 = self.fresh_var("v"), self.fresh_var("v")
-        body = _recv(VarT(p), [v1, v2],
-                     _send(VarT(r), [OpT(op, VarT(v1), VarT(v2))]),
-                     suffix="tup")
-        return New(f, par(_send(out, [NameT(f)]),
-                          Repl(_recv(NameT(f), [p, r], body))))
-
-    def map_app(self, arg: Expr, out: Term) -> Process:
-        o1 = self.fresh(OUTPUT)
-        args = self.fresh_var("args")
-        pipeline = self._map_pipeline(VarT(args), out, bullet_done=True)
-        return New(o1, par(
-            self.expr(arg, NameT(o1)),
-            _recv(NameT(o1), [args], pipeline),
-        ))
-
-    def map_server(self, out: Term) -> Process:
-        f = self.fresh(FUNCTION)
-        args, r = self.fresh_var("args"), self.fresh_var("r")
-        pipeline = self._map_pipeline(VarT(args), VarT(r), bullet_done=False)
-        return New(f, par(_send(out, [NameT(f)]),
-                          Repl(_recv(NameT(f), [args, r], pipeline))))
+        def collector() -> Process:
+            return Repl(_recv(NameT(coll), [i, v],
+                              cell(NameT(h), VarT(i), VarT(v), probe_var=self.fresh("r"))))
+        return names, rep, _bulleted(done_read, bullet), collector
 
     def _map_pipeline(self, args: Term, out: Term, bullet_done: bool) -> Process:
         """From a delivered (function, array) tuple handle to the new array on ``out``."""
         h_out = self.fresh(HANDLE)
-        func, h_in, n = self.fresh_var("func"), self.fresh_var("h"), self.fresh_var("n")
+        func, h_in, n = self.fresh("func"), self.fresh("h"), self.fresh("n")
         vals = self.fresh(COLLECTION)
         count, done = self.fresh(COLLECTION), self.fresh(SIGNAL)
-        index, value, v = self.fresh_var("index"), self.fresh_var("value"), self.fresh_var("v")
+        index, value, v = self.fresh("index"), self.fresh("value"), self.fresh("v")
         r, o_dummy = self.fresh(REPLY), self.fresh(OUTPUT)
 
         worker = Repl(_recv(NameT(vals), [index, value], New(r, _send(
@@ -411,14 +336,12 @@ class Translator:
             _recv(NameT(r), [v],
                   _recv(NameT(count), [None, None],
                         cell(NameT(h_out), VarT(index), VarT(v),
-                             probe_var=self.fresh_var("r"))))))))
-        done_read = _recv(NameT(done), [], _send(out, [NameT(h_out)]))
-        if bullet_done:
-            done_read = Bullet(done_read)
+                             probe_var=self.fresh("r"))))))))
+        done_read = _bulleted(_recv(NameT(done), [], _send(out, [NameT(h_out)])), bullet_done)
         dummy = New(o_dummy, _send(VarT(func), [NumT(0), NameT(o_dummy)], done_read))
         rep = repeat(VarT(n), NameT(count), NameT(done),
                      paper_literal=self.opts.paper_literal_repeat,
-                     counter=self.fresh(COUNTER), item=self.fresh_var("n"))
+                     counter=self.fresh(COUNTER), item=self.fresh("n"))
         inner = New(vals, _bcast(
             VarT(h_in), [NameT(vals)],
             seq_news([count, done], par(

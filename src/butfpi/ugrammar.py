@@ -45,15 +45,13 @@ from butfpi.epi.syntax import (
     VarT,
     _identifiers,
 )
-from butfpi.translate import (COLLECTION, COUNTER, FUNCTION, HANDLE, OUTPUT, REPLY,
-                              ROLE_PREFIX, SIGNAL)
+from butfpi.translate import COLLECTION, COUNTER, FUNCTION, HANDLE, OUTPUT, REPLY, SIGNAL
 
 OUT, HAN, SIG, COL, CTR, VAL = "output", "handle", "signal", "collection", "counter", "value"
 
-# the class of each channel role's fresh names, read off their prefix
-_ROLE_CLASS = {OUTPUT: OUT, REPLY: OUT, HANDLE: HAN, FUNCTION: HAN, SIGNAL: SIG,
-               COLLECTION: COL, COUNTER: CTR}
-_PREFIX_CLASS = {ROLE_PREFIX[role]: cls for role, cls in _ROLE_CLASS.items()}
+# the class of each channel role's fresh names: a role is their prefix
+_PREFIX_CLASS = {OUTPUT: OUT, REPLY: OUT, HANDLE: HAN, FUNCTION: HAN, SIGNAL: SIG,
+                 COLLECTION: COL, COUNTER: CTR}
 
 # (class, suffix kind) -> (payload classes, None for any number of values;
 # whether a replicated server may serve it).  Replication is reserved for

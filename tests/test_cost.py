@@ -94,11 +94,14 @@ def test_scaling_validates_inputs():
 
 
 def test_csv_output():
-    table = scaling_experiment("nested-apps", [1, 2, 3])
-    csv = table.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "family,n,seed,work,span,admin_steps"
-    assert lines[1].startswith("nested-apps,1,priority,1,1,")
+    # with seeded schedules each row holds the maxima over all of them
+    for seeds, seed in ((0, "priority"), (2, "max")):
+        table = scaling_experiment("nested-apps", [1, 2, 3], seeds=seeds)
+        csv = table.to_csv()
+        lines = csv.strip().splitlines()
+        assert lines[0] == "family,n,seed,work,span,admin_steps"
+        assert lines[1].startswith(f"nested-apps,1,{seed},1,1,")
+        assert all(line.split(",")[2] == seed for line in lines[1:])
 
 
 def test_measure_translates_once(monkeypatch):

@@ -158,3 +158,32 @@ def test_nesting_depths_parse_at_the_default_recursion_limit():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_nesting_depths_translate_at_the_default_recursion_limit():
+    # each chain nests one construct in its own operand, in a fresh
+    # interpreter as above; the sizes sit a little under the deepest that
+    # translate at the default limit
+    code = (
+        "import sys\n"
+        "from butfpi.butf.syntax import App, Array, Builtin, If, Index, Lam, Num, Tup, Var\n"
+        "from butfpi.cost import nested_apps\n"
+        "from butfpi.translate import translate\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "def chain(n, wrap):\n"
+        "    e = Num(1)\n"
+        "    for _ in range(n):\n"
+        "        e = wrap(e)\n"
+        "    return e\n"
+        "translate(nested_apps(330))\n"
+        "translate(chain(900, lambda e: If(e, Num(1), Num(2))))\n"
+        "translate(chain(320, lambda e: Tup((e, Num(1)))))\n"
+        "translate(chain(320, lambda e: Array((e, Num(1)))))\n"
+        "translate(chain(190, lambda e: Index(Array((e,)), Num(0))))\n"
+        "translate(chain(120, lambda e: App(Builtin('map'),"
+        " Tup((Lam('z', Var('z')), Array((e,)))))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -12,7 +12,10 @@ from butfpi.epi.syntax import (
     rewrite,
 )
 from butfpi.translate import (
-    ROLE_PREFIX,
+    COLLECTION,
+    HANDLE,
+    OUTPUT,
+    SIGNAL,
     TranslationOptions,
     Translator,
     cell,
@@ -49,13 +52,11 @@ def test_translate_index_guard():
 
 def test_fresh_names_per_role():
     tr = Translator()
-    assert tr.fresh("output") == "o1"
-    assert tr.fresh("output") == "o2"
-    assert tr.fresh("handle") == "h1"
-    assert tr.fresh("signal") == "d1"
-    assert tr.fresh("collection") == "vals1"
-    assert set(ROLE_PREFIX) == {
-        "output", "handle", "signal", "collection", "function", "reply", "counter"}
+    assert tr.fresh(OUTPUT) == "o1"
+    assert tr.fresh(OUTPUT) == "o2"
+    assert tr.fresh(HANDLE) == "h1"
+    assert tr.fresh(SIGNAL) == "d1"
+    assert tr.fresh(COLLECTION) == "vals1"
 
 
 def test_translation_deterministic():
